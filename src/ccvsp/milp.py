@@ -2,8 +2,11 @@
 
 A dense revised simplex over bounded variables (two-phase, Dantzig pricing
 with a Bland fallback under degeneracy) and a best-bound branch-and-bound with
-a lazy-constraint hook. Built for the master problems and test oracles in this
-package, not for industrial scale.
+a lazy-constraint hook. Only the root LP is solved cold: node and post-cut
+re-solves warm-start from the parent's final basis and re-optimise it with a
+bounded dual simplex (dual steepest-edge pricing, bound-flipping ratio test).
+Built for the master problems and test oracles in this package, not for
+industrial scale.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
+PIVOT_TOL = 1e-9
+REFACTOR_EVERY = 120
 INF = math.inf
 
 LESS, GREATER, EQUAL = "<=", ">=", "=="
@@ -169,7 +174,29 @@ class _Simplex:
         except np.linalg.LinAlgError:
             self.binv = np.linalg.pinv(self.A[:, self.basis])
 
-    def _iterate(self, cost, max_iter) -> str:
+    def _reduced_costs(self) -> np.ndarray:
+        return self.cost - (self.cost[self.basis] @ self.binv) @ self.A
+
+    def _set_basics(self):
+        """Basic values from the nonbasic ones through the current inverse."""
+        nb = ~self.in_basis
+        self.x[self.basis] = self.binv @ (self.b - self.A[:, nb] @ self.x[nb])
+
+    def _refresh(self, basis_arr):
+        """Fresh inverse and basic values, dropping the drift of the updates."""
+        self.basis = list(basis_arr)
+        self._refactor()
+        self._set_basics()
+
+    def _pivot(self, basis_arr, leave: int, enter: int, w: np.ndarray):
+        self.in_basis[basis_arr[leave]] = False
+        self.in_basis[enter] = True
+        basis_arr[leave] = enter
+        row = self.binv[leave] / w[leave]
+        self.binv -= np.outer(w, row)
+        self.binv[leave] = row
+
+    def _iterate(self, cost, max_iter, deadline) -> str:
         m = self.m
         basis_arr = np.array(self.basis, dtype=int)
         bland = False
@@ -177,7 +204,7 @@ class _Simplex:
         pivots = 0
         movable = self.lo < self.hi
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= max_iter or _expired(deadline):
                 self.basis = list(basis_arr)
                 return "IterLimit"
             self.iterations += 1
@@ -239,15 +266,9 @@ class _Simplex:
                 self.x[basis_arr] -= direction * t * w
                 out = basis_arr[leave]
                 self.x[out] = lob[leave] if step[leave] < 0 else hib[leave]
-                self.in_basis[out] = False
-                self.in_basis[enter] = True
-                basis_arr[leave] = enter
-                piv = w[leave]
-                row = self.binv[leave] / piv
-                self.binv -= np.outer(w, row)
-                self.binv[leave] = row
+                self._pivot(basis_arr, leave, enter, w)
                 pivots += 1
-                if pivots >= 120:
+                if pivots >= REFACTOR_EVERY:
                     self.basis = list(basis_arr)
                     self._refactor()
                     pivots = 0
@@ -259,6 +280,90 @@ class _Simplex:
             else:
                 degen_streak = 0
                 bland = False
+
+    def _dual_iterate(self, d, max_iter, deadline) -> str | None:
+        """Bounded dual simplex from a dual feasible basis with reduced costs ``d``.
+
+        Returns "Optimal" once every basic value is within its bounds,
+        "Infeasible" when a bound-violating row admits no entering column (no
+        nonbasic move can bring it back, a Farkas certificate), "IterLimit" on
+        ``max_iter`` or the deadline, and None when it runs past its own cap of
+        n + m iterations, which only a cycling or stalled run reaches.
+        """
+        n, m = self.n, self.m
+        basis_arr = np.array(self.basis, dtype=int)
+        lo, hi = self.lo[: n + m], self.hi[: n + m]
+        A = self.A[:, : n + m]          # artificials stay nonbasic at zero
+        d = d[: n + m].copy()
+        cap = self.iterations + n + m
+        pivots = 0
+        while True:
+            xb = self.x[basis_arr]
+            below = self.lo[basis_arr] - xb
+            above = xb - self.hi[basis_arr]
+            infeas = np.maximum(below, above)
+            if not (infeas > FEAS_TOL).any():
+                self.basis = list(basis_arr)
+                return "Optimal"
+            if self.iterations >= max_iter or _expired(deadline):
+                self.basis = list(basis_arr)
+                return "IterLimit"
+            if self.iterations >= cap:
+                return None
+            self.iterations += 1
+            # leaving row by dual steepest edge: infeasibility over the row norm of B^-1
+            norms = np.einsum("ij,ij->i", self.binv, self.binv)
+            r = int(np.argmax(np.where(infeas > FEAS_TOL, infeas * infeas / norms, 0.0)))
+            sign = 1.0 if below[r] > 0 else -1.0     # +1: the basic must rise to its lower bound
+            g = sign * (self.binv[r] @ A)
+            xn = self.x[: n + m]
+            movable = ~self.in_basis[: n + m] & (lo < hi)
+            can_rise = movable & (xn < hi - FEAS_TOL) & (g < -PIVOT_TOL)
+            can_fall = movable & (xn > lo + FEAS_TOL) & (g > PIVOT_TOL)
+            cand = np.flatnonzero(can_rise | can_fall)
+            # bound-flipping ratio test: walk the breakpoints in ratio order; a
+            # boxed column whose whole range still leaves row r out of bounds
+            # flips to its other bound, and the first that would not enters
+            gc = g[cand]
+            ratio = np.maximum(d[cand] / -gc, 0.0)
+            order = np.lexsort((-np.abs(gc), ratio))
+            reach = np.abs(gc[order]) * (hi[cand] - lo[cand])[order]
+            stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= 0.0)
+            if not stop.size:
+                if pivots:
+                    # rule out drift in the updated values before declaring infeasibility
+                    self._refresh(basis_arr)
+                    pivots = 0
+                    continue
+                self.basis = list(basis_arr)
+                return "Infeasible"
+            k = int(stop[0])
+            # Harris pass over the remaining breakpoints: the largest pivot among
+            # those within the optimality tolerance of the stopping ratio
+            rest = order[k:]
+            near = rest[ratio[rest] <= np.min(ratio[rest] + OPT_TOL / np.abs(gc[rest]))]
+            pick = near[np.argmax(np.abs(gc[near]))]
+            enter = int(cand[pick])
+            flips = cand[order[:k]]
+            if flips.size:
+                step = np.where(can_rise[flips], hi[flips] - lo[flips], lo[flips] - hi[flips])
+                self.x[flips] += step
+                self.x[basis_arr] -= self.binv @ (A[:, flips] @ step)
+            d += ratio[pick] * g
+            d[enter] = 0.0
+            w = self.binv @ self.A[:, enter]
+            out = basis_arr[r]
+            target = self.lo[out] if sign > 0 else self.hi[out]
+            delta = (self.x[out] - target) / w[r]
+            self.x[enter] += delta
+            self.x[basis_arr] -= delta * w
+            self.x[out] = target
+            self._pivot(basis_arr, r, enter, w)
+            pivots += 1
+            if pivots >= REFACTOR_EVERY:
+                self._refresh(basis_arr)
+                d = self._reduced_costs()[: n + m]
+                pivots = 0
 
     def _extract(self) -> LpSolution:
         n, m = self.n, self.m
@@ -273,18 +378,21 @@ class _Simplex:
                 dual_obj += d[j] * self.lo[j]
             elif d[j] < 0 and self.hi[j] < INF:
                 dual_obj += d[j] * self.hi[j]
+        # artificial i and slack i are the same column e_i; naming the slack keeps
+        # the basis valid after rows are appended (artificial indices shift)
+        basis = [j - m if j >= n + m else j for j in self.basis]
         return LpSolution("Optimal", x=self.x[:n].copy(), duals=np.asarray(y).copy(),
                           obj=obj, dual_obj=dual_obj, iterations=self.iterations,
-                          basis=list(self.basis))
+                          basis=[int(j) for j in basis])
 
-    def solve(self, max_iter: int) -> LpSolution:
+    def solve(self, max_iter: int, deadline: float | None = None) -> LpSolution:
         n, m = self.n, self.m
         phase1_sign = self.set_start_point()
         art = slice(n + m, n + 2 * m)
         if float(phase1_sign @ self.x[art]) > FEAS_TOL:
             p1cost = np.zeros(n + 2 * m)
             p1cost[art] = phase1_sign
-            status = self._iterate(p1cost, max_iter)
+            status = self._iterate(p1cost, max_iter, deadline)
             if status == "IterLimit":
                 return LpSolution("IterLimit", iterations=self.iterations)
             if float(p1cost @ self.x) > 1e-6:
@@ -292,55 +400,83 @@ class _Simplex:
         self.lo[art] = 0.0
         self.hi[art] = 0.0
         self.x[art][np.abs(self.x[art]) < 1e-9] = 0.0
-        status = self._iterate(self.cost, max_iter)
+        status = self._iterate(self.cost, max_iter, deadline)
         if status != "Optimal":
             return LpSolution(status, iterations=self.iterations)
         return self._extract()
 
-    def solve_from_basis(self, basis: list[int], max_iter: int) -> LpSolution | None:
-        """Try a warm basis; None means it was rejected (caller solves cold)."""
+    def solve_from_basis(self, basis: list[int], max_iter: int,
+                         deadline: float | None = None) -> LpSolution | None:
+        """Re-optimise the final basis of an earlier solve of this model.
+
+        The model may have gained rows since (their slacks enter as basic) and
+        the variable bounds may differ. Each boxed nonbasic column sits at the
+        bound its reduced-cost sign asks for, so a basis that was optimal stays
+        dual feasible, and the dual simplex restores primal feasibility; the
+        primal simplex then cleans up. None means the basis is unusable
+        (malformed, singular, dual infeasible or cycling): the caller solves
+        cold.
+        """
         n, m = self.n, self.m
-        if len(basis) != m or len(set(basis)) != m or max(basis, default=-1) >= n + m:
+        k = len(basis)
+        if k > m or len(set(basis)) != k or min(basis, default=0) < 0 \
+                or max(basis, default=-1) >= n + k:
             return None
+        self.basis = [int(j) for j in basis] + list(range(n + k, n + m))
         try:
-            binv = np.linalg.inv(self.A[:, basis])
+            self.binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
             return None
-        self.basis = list(basis)
         self.in_basis[:] = False
-        self.in_basis[np.array(basis, dtype=int)] = True
-        nb = np.flatnonzero(~self.in_basis[: n + m])
-        xn = np.where(self.lo[nb] > -INF, self.lo[nb],
-                      np.where(self.hi[nb] < INF, self.hi[nb], 0.0))
-        self.x[:] = 0.0
-        self.x[nb] = xn
-        xb = binv @ (self.b - self.A[:, nb] @ xn)
-        lob, hib = self.lo[np.array(basis)], self.hi[np.array(basis)]
-        if ((xb < lob - FEAS_TOL) | (xb > hib + FEAS_TOL)).any():
-            return None      # warm basis is primal infeasible for the new bounds
-        self.x[np.array(basis)] = xb
-        self.binv = binv
+        self.in_basis[self.basis] = True
         art = slice(n + m, n + 2 * m)
         self.lo[art] = 0.0
         self.hi[art] = 0.0
-        status = self._iterate(self.cost, max_iter)
+        d = self._reduced_costs()
+        lo, hi = self.lo, self.hi
+        at_hi = (hi < INF) & ((lo == -INF) | (d < 0))
+        self.x = np.where(at_hi, hi, np.where(lo > -INF, lo, 0.0))
+        self._set_basics()
+        if (~self.in_basis & (((lo == -INF) & (d > OPT_TOL))
+                              | ((hi == INF) & (d < -OPT_TOL)))).any():
+            return None
+        status = self._dual_iterate(d, max_iter, deadline)
+        if status is None:
+            return None
+        if status != "Optimal":
+            return LpSolution(status, iterations=self.iterations)
+        status = self._iterate(self.cost, max_iter, deadline)
         if status != "Optimal":
             return LpSolution(status, iterations=self.iterations)
         return self._extract()
 
 
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 def lp_solve(model: MilpModel, warm_start: list[int] | None = None,
-             var_lb=None, var_ub=None, max_iter: int | None = None) -> LpSolution:
-    """Solve the LP relaxation; returns a primal-dual pair on Optimal."""
+             var_lb=None, var_ub=None, max_iter: int | None = None,
+             deadline: float | None = None) -> LpSolution:
+    """Solve the LP relaxation; returns a primal-dual pair on Optimal.
+
+    ``warm_start`` is the ``basis`` of an earlier solution of this model, which
+    may since have gained rows or been given other variable bounds; the dual
+    simplex re-optimises it, and an unusable basis falls back to a cold solve.
+    ``deadline`` is a ``time.monotonic()`` instant; once it passes, the solve
+    stops with status IterLimit.
+    """
     if max_iter is None:
         max_iter = 2000 + 200 * (model.n_rows + model.n_vars)
     sim = _Simplex(model, var_lb=var_lb, var_ub=var_ub)
     if warm_start is not None:
-        sol = sim.solve_from_basis(warm_start, max_iter)
+        sol = sim.solve_from_basis(warm_start, max_iter, deadline)
         if sol is not None:
             return sol
+        spent = sim.iterations
         sim = _Simplex(model, var_lb=var_lb, var_ub=var_ub)
-    return sim.solve(max_iter)
+        sim.iterations = spent
+    return sim.solve(max_iter, deadline)
 
 
 @dataclass(order=True)
@@ -348,24 +484,27 @@ class _Node:
     bound: float
     seq: int
     overrides: dict = field(compare=False, default_factory=dict)
+    # the parent LP's final basis; its length is the parent's row count
+    basis: list[int] | None = field(compare=False, default=None)
 
 
 def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
               time_limit: float | None = None, node_limit: int | None = None,
-              backend=None, incumbent0=None) -> MilpSolution:
+              incumbent0=None) -> MilpSolution:
     """Best-bound branch-and-bound with lazy constraints added globally.
 
     ``lazy(x)`` runs at every integer-feasible point and returns a list of
     (coeffs, sense, rhs) rows; returned rows join the model for the whole tree
-    and the node is re-solved. Branching picks the integer variable whose
-    fractional part is closest to one half (ties: lowest index). Deterministic
-    for identical inputs and configuration. ``incumbent0`` seeds the search
-    with a known feasible (x, objective) pair; the caller vouches for its
-    feasibility.
+    and the node is re-solved. Every LP after the root is warm-started from
+    the basis its parent node, or the previous lazy round, ended with.
+    Branching picks the integer variable whose fractional part is closest to
+    one half (ties: lowest index). Deterministic for identical inputs and
+    configuration. ``incumbent0`` seeds the search with a known feasible
+    (x, objective) pair; the caller vouches for its feasibility.
+    ``time_limit`` also bounds the time spent inside one LP.
     """
-    if backend is not None:
-        return _solve_with_backend(model, lazy, backend)
     t0 = time.monotonic()
+    deadline = None if time_limit is None else t0 + time_limit
     int_vars = [j for j in range(model.n_vars) if model.is_int[j]]
     base_lb = np.array(model.lb)
     base_ub = np.array(model.ub)
@@ -382,7 +521,8 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
 
     while heap:
         if incumbent is not None:
-            low = min(n.bound for n in heap)
+            # unpruned open nodes may lie above the incumbent
+            low = min(inc_obj, min(n.bound for n in heap))
             if _rel_gap(inc_obj, low) <= gap_tol:
                 return MilpSolution("Optimal", incumbent, inc_obj, low,
                                     _rel_gap(inc_obj, low), nodes, total_iters)
@@ -400,8 +540,9 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
         for j, (lo, hi) in node.overrides.items():
             lb[j] = max(lb[j], lo)
             ub[j] = min(ub[j], hi)
+        basis = node.basis
         while True:
-            sol = lp_solve(model, var_lb=lb, var_ub=ub)
+            sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub, deadline=deadline)
             total_iters += sol.iterations
             if sol.status == "Infeasible":
                 break
@@ -416,6 +557,7 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
                 if cuts:
                     for coeffs, sense, rhs in cuts:
                         model.add_constr(coeffs, sense, rhs)
+                    basis = sol.basis
                     continue  # re-solve this node under the new rows
                 x = sol.x.copy()
                 for j in int_vars:
@@ -427,11 +569,11 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
             counter += 1
             left = dict(node.overrides)
             left[frac_j] = (l0, min(h0, lo_val))
-            heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, left))
+            heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, left, sol.basis))
             counter += 1
             right = dict(node.overrides)
             right[frac_j] = (max(l0, lo_val + 1), h0)
-            heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, right))
+            heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, right, sol.basis))
             break
 
     if incumbent is None:
@@ -440,7 +582,7 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
                             min((n.bound for n in heap), default=-INF),
                             math.inf, nodes, total_iters)
     if heap:
-        low = min(n.bound for n in heap)
+        low = min(inc_obj, min(n.bound for n in heap))
         gap = _rel_gap(inc_obj, low)
         status = "Optimal" if gap <= gap_tol else "IterLimit"
         return MilpSolution(status, incumbent, inc_obj, low, gap, nodes, total_iters)
@@ -468,16 +610,3 @@ def _most_fractional(x: np.ndarray, int_vars: list[int]):
         if best is None or score > best_score + 1e-12:
             best, best_score = j, score
     return best
-
-
-def _solve_with_backend(model: MilpModel, lazy, backend) -> MilpSolution:
-    """Adapter seam: iterate an external solve against the lazy hook."""
-    while True:
-        sol = backend(model)
-        if sol.status != "Optimal" or lazy is None:
-            return sol
-        cuts = list(lazy(sol.x))
-        if not cuts:
-            return sol
-        for coeffs, sense, rhs in cuts:
-            model.add_constr(coeffs, sense, rhs)

@@ -14,6 +14,7 @@ from ccvsp import gallery
 from ccvsp.bnc import VARIANTS, BnCConfig, MasterModel, cut_generation_routine, solve_bnc
 from ccvsp.core import ServiceParams, cc_threshold, schedule_cost
 from ccvsp.cuts import CUT_KINDS
+from ccvsp.scenarios import GenParams, generate_instance, sample_scenarios
 from ccvsp.subproblem import count_violated_scenarios, greedy_evaluate
 
 
@@ -161,3 +162,15 @@ def test_infeasible_when_capacity_too_small():
     res = solve_bnc(tight, params, scen, BnCConfig())
     assert res.status == "Infeasible"
     assert res.schedule is None
+
+
+def test_gap_stop_bound_never_exceeds_objective():
+    # the gap test can stop with unpruned open nodes above the incumbent
+    inst = generate_instance(GenParams(n_trips=24, n_depots=2, seed=2))
+    scen = sample_scenarios(inst, 50, seed=3)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    res = solve_bnc(inst, params, scen, BnCConfig())
+    assert res.status == "Optimal"
+    assert res.bound <= res.objective + 1e-6 * abs(res.objective)
+    assert res.gap >= 0.0

@@ -1,11 +1,12 @@
 """LP kernel and branch-and-bound checks."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from ccvsp.milp import GREATER, LESS, EQUAL, MilpModel, bnb_solve, lp_solve
+from ccvsp.milp import GREATER, LESS, EQUAL, MilpModel, _Simplex, bnb_solve, lp_solve
 
 
 def test_min_x_above_three():
@@ -154,6 +155,18 @@ def test_bnb_deterministic():
         assert np.array_equal(a.x, b.x)
 
 
+def test_bound_never_above_objective_at_gap_stop():
+    # the gap test fires while open nodes with LP bound -6.5 sit above the incumbent -9
+    model = MilpModel()
+    x = [model.add_var(lb=0, ub=1, obj=c, is_int=True) for c in (0.0, -4.0, -5.0, 5.0)]
+    model.add_constr({x[0]: -4.0, x[2]: 4.0, x[1]: -4.0}, LESS, -2.0)
+    sol = bnb_solve(model)
+    assert sol.status == "Optimal"
+    assert sol.obj == pytest.approx(-9.0)
+    assert sol.bound <= sol.obj
+    assert sol.gap >= 0.0
+
+
 def test_warm_start_reuses_basis():
     m = MilpModel()
     x = m.add_var(lb=0, ub=10, obj=1.0)
@@ -163,6 +176,94 @@ def test_warm_start_reuses_basis():
     warm = lp_solve(m, warm_start=cold.basis)
     assert warm.status == "Optimal"
     assert warm.obj == pytest.approx(cold.obj)
+
+
+def _with_row_copy(model, rng):
+    """Add one row twice, as an equality at its activity in an optimum.
+
+    The second copy is linearly dependent on the first, so a cold solve keeps
+    an artificial column basic at zero.
+    """
+    x = lp_solve(model).x
+    coeffs = model.rows[int(rng.integers(0, model.n_rows))][0]
+    act = sum(c * x[j] for j, c in coeffs.items())
+    model.add_constr(coeffs, EQUAL, act)
+    model.add_constr(coeffs, EQUAL, act)
+    return model
+
+
+def _cold_basis_has_artificial(model) -> bool:
+    sim = _Simplex(model)
+    sol = sim.solve(10_000)
+    return sol.status == "Optimal" and max(sim.basis) >= model.n_vars + model.n_rows
+
+
+def test_warm_resolve_matches_cold_solve(monkeypatch):
+    cold_runs = []
+    cold_solve = _Simplex.solve
+    monkeypatch.setattr(_Simplex, "solve",
+                        lambda self, *a: cold_runs.append(1) or cold_solve(self, *a))
+    rng = np.random.default_rng(2024)
+    seen = {"Infeasible": 0, "bounds": 0, "rows": 0, "artificial": 0}
+    fallbacks = 0
+    for trial in range(300):
+        model = _random_lp(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(1, 6)))
+        if trial % 3 == 0:
+            model = _with_row_copy(model, rng)
+            seen["artificial"] += _cold_basis_has_artificial(model)
+        parent = lp_solve(model)
+        assert parent.status == "Optimal", trial
+        lb, ub = np.array(model.lb), np.array(model.ub)
+        if rng.random() < 0.5:
+            # a branching child: one variable's range shrinks to either side of its value
+            j = int(rng.integers(0, model.n_vars))
+            cut = float(np.floor(parent.x[j] + rng.uniform(-0.5, 0.5)))
+            if rng.random() < 0.5:
+                ub[j] = min(ub[j], max(cut, lb[j]))
+            else:
+                lb[j] = max(lb[j], min(cut + 1.0, ub[j]))
+            seen["bounds"] += 1
+        else:
+            # a lazy round: one or two rows, often cutting off the parent optimum
+            for _ in range(int(rng.integers(1, 3))):
+                cols = rng.choice(model.n_vars, size=min(model.n_vars, 3), replace=False)
+                coeffs = {int(j): float(rng.integers(-4, 5)) or 1.0 for j in cols}
+                act = sum(c * parent.x[j] for j, c in coeffs.items())
+                model.add_constr(coeffs, LESS, act - float(rng.uniform(-1.0, 6.0)))
+            seen["rows"] += 1
+        before = len(cold_runs)
+        warm = lp_solve(model, warm_start=parent.basis, var_lb=lb, var_ub=ub)
+        fallbacks += len(cold_runs) > before
+        cold = lp_solve(model, var_lb=lb, var_ub=ub)
+        assert warm.status == cold.status, trial
+        seen[cold.status] = seen.get(cold.status, 0) + 1
+        if cold.status == "Optimal":
+            assert warm.obj == pytest.approx(cold.obj, rel=1e-7, abs=1e-7), trial
+    assert min(seen.values()) >= 10, seen
+    assert fallbacks == 0, fallbacks
+
+
+def test_time_limit_holds_inside_one_lp(monkeypatch):
+    """The root LP of this det-mean flow model alone takes about 10 s (2 cores,
+    2.0 GHz) and is integral, so only a deadline inside the LP stops it early."""
+    from ccvsp import baselines
+    from ccvsp.scenarios import GenParams, generate_instance
+
+    calls = []
+
+    def timed_bnb(model, time_limit=None, **kw):
+        t0 = time.monotonic()
+        sol = bnb_solve(model, time_limit=1.0, **kw)
+        calls.append((time.monotonic() - t0, sol.status))
+        return sol
+
+    monkeypatch.setattr(baselines, "bnb_solve", timed_bnb)
+    inst = generate_instance(GenParams(n_trips=100, n_depots=2, seed=7))
+    with pytest.raises(baselines.ValidationError):
+        baselines.solve_deterministic(inst, baselines.MEAN)
+    (elapsed, status), = calls
+    assert status == "IterLimit"
+    assert elapsed < 5.0
 
 
 def test_write_lp_mentions_vars():
