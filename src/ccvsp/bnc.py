@@ -104,11 +104,16 @@ class BnCResult:
 
 
 class MasterModel:
-    """Flow model over the arc network plus scenario indicators."""
+    """Flow model over the arc network plus scenario indicators.
+
+    The rows built here are the base rows; cuts join as lazy rows during a
+    solve. ``reprice`` returns a solved master to its base rows under another
+    indicator objective, so one master serves a sequence of solves, each root
+    LP starting from the basis the previous one's root LP ended with.
+    """
 
     def __init__(self, inst: Instance, params: ServiceParams, scen: ScenarioSet,
-                 cfg: BnCConfig, z_obj: np.ndarray | None = None,
-                 force_z_binary: bool = False, var_cap: int = 200_000):
+                 cfg: BnCConfig, var_cap: int = 200_000):
         self.inst = inst
         self.params = params
         self.scen = scen
@@ -127,9 +132,7 @@ class MasterModel:
             for (i, j) in sorted(inst.compat):
                 self.x[(i, j, k)] = model.add_var(
                     0, 1, float(inst.cost[i - 1, j - 1]), True, f"x_{i}_{j}_{k}")
-        z_int = force_z_binary or not cfg.relax_z
-        self.z = [model.add_var(0, 1, float(z_obj[s]) if z_obj is not None else 0.0,
-                                z_int, f"z{s}")
+        self.z = [model.add_var(0, 1, 0.0, not cfg.relax_z, f"z{s}")
                   for s in range(scen.count)]
         # each trip is reached exactly once, over all commodities
         for j in range(1, I + 1):
@@ -165,7 +168,67 @@ class MasterModel:
                 model.add_constr(coeffs, LESS, float(vi.theta1),
                                  f"vi{vi.s}_{vi.scope or 0}")
         self.model = model
+        self.n_base_rows = model.n_rows
         self.pool: set = set()
+        # final basis of the last solve's first root LP, over the base rows
+        self.root_basis: list[int] | None = None
+
+    def reprice(self, z_obj: np.ndarray) -> None:
+        """Charge ``z_obj[s]`` per unit of indicator s and drop the lazy rows
+        and cut pool of the previous solve.
+
+        A nonzero charge makes the indicators binary, since the charged value
+        needs 0/1 indicators; with none, ``cfg.relax_z`` decides as at build.
+        """
+        charged = bool(np.any(z_obj != 0))
+        for s, j in enumerate(self.z):
+            self.model.obj[j] = float(z_obj[s])
+            self.model.is_int[j] = charged or not self.cfg.relax_z
+        del self.model.rows[self.n_base_rows:]
+        self.pool.clear()
+
+    def solve(self, time_limit: float | None = None,
+              initial_schedule: Schedule | None = None) -> BnCResult:
+        """Branch-and-cut on this master as it stands; lazy rows stay added.
+
+        The root LP starts from ``root_basis``, which is then replaced by the
+        basis this solve's first root LP ended with.
+        """
+        t0 = time.monotonic()
+        inst, params, scen, cfg = self.inst, self.params, self.scen, self.cfg
+        counts = {kind: 0 for kind in CUT_KINDS}
+
+        def lazy(x_vals):
+            sched = self.decode(x_vals)
+            zv = self.z_values(x_vals)
+            cuts = cut_generation_routine(inst, params, scen, cfg, sched, zv, self.pool)
+            for c in cuts:
+                counts[c.kind] += 1
+            return [self.cut_row(c) for c in cuts]
+
+        incumbent0 = None
+        if cfg.warm_start and initial_schedule is not None:
+            incumbent0 = self.encode_incumbent(initial_schedule)
+        sol = bnb_solve(self.model, lazy=lazy, gap_tol=cfg.gap_tol,
+                        time_limit=time_limit, node_limit=cfg.node_limit,
+                        incumbent0=incumbent0, root_basis=self.root_basis)
+        if sol.root_basis is not None:
+            self.root_basis = sol.root_basis
+        elapsed = time.monotonic() - t0
+        cuts_added = {k: v for k, v in counts.items() if v}
+        if sol.x is None:
+            return BnCResult(sol.status, None, float("nan"), sol.bound, sol.gap,
+                             cuts_added, sol.nodes, elapsed, ())
+        sched = self.decode(sol.x)
+        validate_schedule(inst, sched)
+        z = tuple(float(v) for v in self.z_values(sol.x))
+        bad = count_violated_scenarios(inst, params, sched, scen)
+        if sol.status == "Optimal" and bad > cc_threshold(scen.count, params.epsilon):
+            raise AssertionError(
+                f"accepted schedule violates {bad} scenarios, budget "
+                f"{cc_threshold(scen.count, params.epsilon)}")
+        return BnCResult(sol.status, sched, float(sol.obj), float(sol.bound), float(sol.gap),
+                         cuts_added, sol.nodes, elapsed, z, train_violations=bad)
 
     def decode(self, x_vals: np.ndarray) -> Schedule:
         arcs = {arc for arc, j in self.x.items() if x_vals[j] > 0.5}
@@ -198,12 +261,6 @@ class MasterModel:
         for s in bad:
             x[self.z[s]] = 1.0
         return x, float(schedule_cost(self.inst, sched))
-
-
-def build_master(inst: Instance, params: ServiceParams, scen: ScenarioSet,
-                 cfg: BnCConfig, **kw) -> MasterModel:
-    """Construct the master model (flow variables, indicators, budget, rows)."""
-    return MasterModel(inst, params, scen, cfg, **kw)
 
 
 def cut_generation_routine(inst: Instance, params: ServiceParams, scen: ScenarioSet,
@@ -253,44 +310,12 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
 
 
 def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
-              cfg: BnCConfig, z_obj: np.ndarray | None = None,
-              force_z_binary: bool = False,
-              initial_schedule: Schedule | None = None) -> BnCResult:
+              cfg: BnCConfig, initial_schedule: Schedule | None = None) -> BnCResult:
     """Exact solve of the scenario reformulation by branch-and-cut."""
     t0 = time.monotonic()
-    master = MasterModel(inst, params, scen, cfg, z_obj=z_obj,
-                         force_z_binary=force_z_binary)
-    counts = {kind: 0 for kind in CUT_KINDS}
-
-    def lazy(x_vals):
-        sched = master.decode(x_vals)
-        zv = master.z_values(x_vals)
-        cuts = cut_generation_routine(inst, params, scen, cfg, sched, zv, master.pool)
-        for c in cuts:
-            counts[c.kind] += 1
-        return [master.cut_row(c) for c in cuts]
-
-    incumbent0 = None
-    if cfg.warm_start and initial_schedule is not None:
-        incumbent0 = master.encode_incumbent(initial_schedule)
-    sol = bnb_solve(master.model, lazy=lazy, gap_tol=cfg.gap_tol,
-                    time_limit=cfg.time_limit, node_limit=cfg.node_limit,
-                    incumbent0=incumbent0)
-    elapsed = time.monotonic() - t0
-    if sol.x is None:
-        return BnCResult(sol.status, None, float("nan"), sol.bound, sol.gap,
-                         {k: v for k, v in counts.items() if v}, sol.nodes, elapsed, ())
-    sched = master.decode(sol.x)
-    validate_schedule(inst, sched)
-    z = tuple(float(v) for v in master.z_values(sol.x))
-    bad = count_violated_scenarios(inst, params, sched, scen)
-    if sol.status == "Optimal" and bad > cc_threshold(scen.count, params.epsilon):
-        raise AssertionError(
-            f"accepted schedule violates {bad} scenarios, budget "
-            f"{cc_threshold(scen.count, params.epsilon)}")
-    return BnCResult(sol.status, sched, float(sol.obj), float(sol.bound), float(sol.gap),
-                     {k: v for k, v in counts.items() if v}, sol.nodes, elapsed, z,
-                     train_violations=bad)
+    res = MasterModel(inst, params, scen, cfg).solve(cfg.time_limit, initial_schedule)
+    res.time_s = time.monotonic() - t0
+    return res
 
 
 def save_result(res: BnCResult, path) -> None:

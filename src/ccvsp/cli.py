@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
         cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on",
                         relax_z=args.zc == "on")
         res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
-                               group_time_limit=args.time_limit)
+                               time_limit=args.time_limit)
         doc = {"status": res.status, "method": "lagr", "objective": res.objective,
                "violations": res.violations, "feasible": res.feasible,
                "primal_bound": res.primal_bound, "dual_bound": res.dual_bound,

@@ -6,16 +6,22 @@ the first group's scenario indicators to dominate the others' is dualized;
 the dual is maximized with a proximal bundle method. Every iteration the group
 schedules are recombined (with depot reassignment when capacities overflow)
 and evaluated against the full instance's requirements to drive an incumbent.
+
+Between iterations only the multipliers, and so the indicator objective of
+each group, change. Each group's master is therefore built once per run and
+re-priced before every solve, and its root LP starts from the basis the
+previous iteration's root LP ended with (re-optimised by the dual simplex).
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bnc import BnCConfig, solve_bnc
+from .bnc import BnCConfig, MasterModel, solve_bnc
 from .core import (
     Bus,
     Instance,
@@ -27,6 +33,7 @@ from .core import (
     schedule_cost,
     validate_schedule,
 )
+from .milp import INF, LESS, MilpModel, lp_solve
 from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios
 
@@ -113,17 +120,31 @@ def penalty_coefficient(p: int, n_groups: int) -> int:
     return -(n_groups - 1) if p == 1 else 1
 
 
+def group_master(sub: SubInstance, params: ServiceParams, cfg: BnCConfig) -> MasterModel:
+    return MasterModel(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg)
+
+
 def solve_group(sub: SubInstance, params: ServiceParams, cfg: BnCConfig,
-                mu: np.ndarray, p: int, n_groups: int):
+                mu: np.ndarray, p: int, n_groups: int,
+                master: MasterModel | None = None):
     """Exact solve of one group with the penalized indicator objective.
 
-    Returns (schedule in original ids, z vector, value, solved_to_optimality).
+    ``master`` is the group's master from earlier solves (see
+    ``group_master``); it is re-priced for ``mu`` and its root LP starts from
+    the previous solve's root basis. Without one a fresh master is built.
+    ``cfg.time_limit`` bounds the solve.
+
+    Returns (schedule in original ids, z vector, value, solved_to_optimality);
+    the schedule and z vector are None when the time limit passed before any
+    schedule was found.
     """
-    z_obj = penalty_coefficient(p, n_groups) * mu
-    res = solve_bnc(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg,
-                    z_obj=z_obj if np.any(z_obj != 0) else None,
-                    force_z_binary=bool(np.any(z_obj != 0)))
+    if master is None:
+        master = group_master(sub, params, cfg)
+    master.reprice(penalty_coefficient(p, n_groups) * mu)
+    res = master.solve(cfg.time_limit)
     if res.schedule is None:
+        if res.status == "IterLimit":
+            return None, None, math.nan, False
         raise ValidationError(f"group {p} has no feasible schedule")
     buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
                   for b in res.schedule.buses)
@@ -201,6 +222,21 @@ class BundleModel:
         mu = mu_of(nu)
         return mu, self.model_value(mu)
 
+    def maximum(self) -> float:
+        """Optimum of the over-model: max theta s.t. theta <= c_l + g_l . mu
+        for every cut, mu >= 0; +inf when it is unbounded.
+
+        Every cut is a supergradient inequality of the concave dual, so this
+        bounds the dual from above and with it every Lagrangian value.
+        """
+        lp = MilpModel("bundle-over-model")
+        theta = lp.add_var(-INF, INF, -1.0)
+        mu = [lp.add_var(0.0, INF) for _ in range(self.dim)]
+        for c, g in zip(self.consts, self.grads):
+            lp.add_constr({theta: 1.0, **{j: -float(gs) for j, gs in zip(mu, g)}}, LESS, c)
+        sol = lp_solve(lp)
+        return -sol.obj if sol.status == "Optimal" else math.inf
+
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
@@ -209,10 +245,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1))[0][-1]
     theta = (css[rho] - 1.0) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def bundle_step(model: BundleModel, center: np.ndarray, t: float):
-    return model.proximal_step(center, t)
 
 
 class CapacityError(ValidationError):
@@ -292,24 +324,44 @@ class LagrangianResult:
 def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                      cfg: BnCConfig, m_gr: int, det_sched: Schedule | None = None,
                      max_iters: int = 100, rel_tol: float = 1e-3,
-                     group_time_limit: float | None = 600.0) -> LagrangianResult:
+                     time_limit: float | None = None) -> LagrangianResult:
     """Run the decomposition loop; returns the best recombined schedule found.
 
-    With a single group this is exactly the branch-and-cut solve. The dual
-    bound reported is the bundle's over-model optimum, the primal bound the
-    best penalized subproblem total.
-    """
-    import time as _time
+    With a single group this is exactly the branch-and-cut solve. Each group's
+    master is built once and re-priced for every iteration's multipliers; its
+    root LP warm-starts from the previous iteration's root basis.
 
-    t0 = _time.monotonic()
+    The primal bound is the best Lagrangian value (the penalized group total)
+    seen. The dual bound is the optimum of the bundle's over-model, max theta
+    subject to every cut and mu >= 0 (+inf while it is unbounded), so it lies
+    at or above every Lagrangian value. The per-iteration theta of the
+    proximal step stays in the log.
+
+    ``time_limit`` bounds the whole run in seconds (``cfg.time_limit`` is not
+    read): every group solve gets the time that remains, and once it has
+    passed the loop stops with status IterLimit and the best incumbent so far.
+    """
+    t0 = time.monotonic()
+    deadline = None if time_limit is None else t0 + time_limit
+
+    def remaining():
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
+
     if det_sched is None:
         from .baselines import solve_deterministic
 
-        det_sched = solve_deterministic(inst, ("percentile", 75.0), scen)
+        try:
+            det_sched = solve_deterministic(inst, ("percentile", 75.0), scen,
+                                            time_limit=remaining())
+        except ValidationError:
+            if remaining() != 0.0:
+                raise
+            return LagrangianResult("IterLimit", None, math.nan, None, False, -math.inf,
+                                    math.inf, 0, 0, [], time.monotonic() - t0)
     part = partition_trips(det_sched, m_gr)
     P = len(part.groups)
     if P == 1:
-        res = solve_bnc(inst, params, scen, cfg)
+        res = solve_bnc(inst, params, scen, replace(cfg, time_limit=remaining()))
         return LagrangianResult(
             res.status, res.schedule, res.objective, res.train_violations,
             res.train_violations is not None
@@ -317,10 +369,10 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
             res.objective, res.objective, 1, 1,
             [LagrIterate(0, res.objective, res.objective, "exact", 0.0,
                          res.train_violations, res.objective)],
-            _time.monotonic() - t0)
+            time.monotonic() - t0)
 
     subs = [restrict(inst, scen, g) for g in part.groups]
-    group_cfg = replace(cfg, time_limit=group_time_limit)
+    masters = [group_master(sub, params, cfg) for sub in subs]
     S = scen.count
     budget = cc_threshold(S, params.epsilon)
     center = np.zeros(S)
@@ -328,7 +380,6 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     t = 0.5
     bundle = BundleModel(S)
     best_value = -math.inf          # value at the stability center
-    dual_bound = math.inf
     incumbent: tuple[int, float, Schedule] | None = None
     log: list[LagrIterate] = []
     status = "IterLimit"
@@ -338,11 +389,16 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
 
     for it in range(max_iters):
         scheds, zs, values = [], [], []
-        for p, sub in enumerate(subs, start=1):
-            sched_p, z_p, val_p, _ = solve_group(sub, params, group_cfg, mu, p, P)
+        for p, (sub, master) in enumerate(zip(subs, masters), start=1):
+            group_cfg = replace(cfg, time_limit=remaining())
+            sched_p, z_p, val_p, _ = solve_group(sub, params, group_cfg, mu, p, P, master)
+            if sched_p is None:
+                break
             scheds.append(sched_p)
             zs.append(z_p)
             values.append(val_p)
+        if len(scheds) < P:
+            break                   # out of time before a group found a schedule
         value = float(sum(values))
         g = subgradient(zs)
         try:
@@ -354,6 +410,8 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                 incumbent = cand
         except CapacityError:
             pass
+        if deadline is not None and time.monotonic() > deadline:
+            break                   # group values cut short by the limit are not exact
 
         bundle.add_cut(value, g, mu)
         step_kind = "serious"
@@ -368,7 +426,6 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
             else:
                 t = min(t * 2.0, 0.9)
         mu_new, theta = bundle.proximal_step(center, t)
-        dual_bound = min(dual_bound, theta)
         log.append(LagrIterate(it, value, theta, step_kind, t,
                                None if incumbent is None else incumbent[0],
                                None if incumbent is None else incumbent[1]))
@@ -388,9 +445,10 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
         prev_theta = theta
         mu = np.maximum(mu_new, 0.0)
 
+    dual_bound = bundle.maximum()
     if incumbent is None:
         return LagrangianResult(status, None, math.nan, None, False, best_value,
-                                dual_bound, len(log), P, log, _time.monotonic() - t0)
+                                dual_bound, len(log), P, log, time.monotonic() - t0)
     bad, cost, sched = incumbent
     return LagrangianResult(status, sched, cost, bad, bad <= budget, best_value,
-                            dual_bound, len(log), P, log, _time.monotonic() - t0)
+                            dual_bound, len(log), P, log, time.monotonic() - t0)

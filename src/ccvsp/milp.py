@@ -2,11 +2,12 @@
 
 A dense revised simplex over bounded variables (two-phase, Dantzig pricing
 with a Bland fallback under degeneracy) and a best-bound branch-and-bound with
-a lazy-constraint hook. Only the root LP is solved cold: node and post-cut
-re-solves warm-start from the parent's final basis and re-optimise it with a
-bounded dual simplex (dual steepest-edge pricing, bound-flipping ratio test).
-Built for the master problems and test oracles in this package, not for
-industrial scale.
+a lazy-constraint hook. Node and post-cut re-solves warm-start from the
+parent's final basis and re-optimise it with a bounded dual simplex (dual
+steepest-edge pricing, bound-flipping ratio test). The root LP is solved cold
+unless the caller hands in the root basis of an earlier solve of the same rows
+under another objective, as the Lagrangian group solves do. Built for the
+master problems and test oracles in this package, not for industrial scale.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -111,6 +113,8 @@ class MilpSolution:
     gap: float = math.inf
     nodes: int = 0
     iterations: int = 0
+    # final basis of the first root LP, before any lazy rows; see bnb_solve
+    root_basis: list[int] | None = None
 
 
 class _Simplex:
@@ -120,25 +124,26 @@ class _Simplex:
         n, m = model.n_vars, model.n_rows
         self.n, self.m = n, m
         ncols = n + 2 * m
+        rows = model.rows
+        coeffs = [r[0] for r in rows]
+        counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
+        nnz = int(counts.sum())
+        ri = np.repeat(np.arange(m), counts)
+        cj = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
+        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz)
         self.A = np.zeros((m, ncols))
-        self.b = np.zeros(m)
-        for i, (coeffs, sense, rhs, _) in enumerate(model.rows):
-            for j, v in coeffs.items():
-                self.A[i, j] = v
-            self.b[i] = rhs
-            self.A[i, n + i] = 1.0       # slack
-            self.A[i, n + m + i] = 1.0   # artificial
+        self.A[ri, cj] = vals
+        diag = np.arange(m)
+        self.A[diag, n + diag] = 1.0        # slacks
+        self.A[diag, n + m + diag] = 1.0    # artificials
+        self.b = np.fromiter((r[2] for r in rows), dtype=float, count=m)
+        sense = np.array([r[1] for r in rows], dtype=object)
         self.lo = np.empty(ncols)
         self.hi = np.empty(ncols)
         self.lo[:n] = model.lb if var_lb is None else var_lb
         self.hi[:n] = model.ub if var_ub is None else var_ub
-        for i, (_, sense, _, _) in enumerate(model.rows):
-            if sense == LESS:
-                self.lo[n + i], self.hi[n + i] = 0.0, INF
-            elif sense == GREATER:
-                self.lo[n + i], self.hi[n + i] = -INF, 0.0
-            else:
-                self.lo[n + i], self.hi[n + i] = 0.0, 0.0
+        self.lo[n: n + m] = np.where(sense == GREATER, -INF, 0.0)
+        self.hi[n: n + m] = np.where(sense == LESS, INF, 0.0)
         self.cost = np.zeros(ncols)
         self.cost[:n] = model.obj
         self.iterations = 0
@@ -490,7 +495,7 @@ class _Node:
 
 def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
               time_limit: float | None = None, node_limit: int | None = None,
-              incumbent0=None) -> MilpSolution:
+              incumbent0=None, root_basis: list[int] | None = None) -> MilpSolution:
     """Best-bound branch-and-bound with lazy constraints added globally.
 
     ``lazy(x)`` runs at every integer-feasible point and returns a list of
@@ -502,6 +507,14 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
     configuration. ``incumbent0`` seeds the search with a known feasible
     (x, objective) pair; the caller vouches for its feasibility.
     ``time_limit`` also bounds the time spent inside one LP.
+
+    ``root_basis`` warm-starts the root LP. It is the ``root_basis`` of an
+    earlier solve of this model with the same rows, which may since have been
+    given another objective; an unusable basis falls back to a cold solve.
+    The result's ``root_basis`` is the basis the first root LP ended with,
+    before any lazy rows were added (None when that LP was not optimal), so a
+    caller that re-solves one model under a sequence of objectives passes each
+    solve's root basis to the next.
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
@@ -516,16 +529,19 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
     nodes = 0
     total_iters = 0
     counter = 0
-    heap = [_Node(-INF, counter, {})]
+    heap = [_Node(-INF, counter, {}, root_basis)]
     hit_limit = False
+    first_basis: list[int] | None = None
+
+    def result(status, x, obj, bound, gap):
+        return MilpSolution(status, x, obj, bound, gap, nodes, total_iters, first_basis)
 
     while heap:
         if incumbent is not None:
             # unpruned open nodes may lie above the incumbent
             low = min(inc_obj, min(n.bound for n in heap))
             if _rel_gap(inc_obj, low) <= gap_tol:
-                return MilpSolution("Optimal", incumbent, inc_obj, low,
-                                    _rel_gap(inc_obj, low), nodes, total_iters)
+                return result("Optimal", incumbent, inc_obj, low, _rel_gap(inc_obj, low))
         node = heapq.heappop(heap)
         if incumbent is not None and node.bound >= inc_obj - _gap_slack(inc_obj, gap_tol):
             continue
@@ -544,11 +560,13 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
         while True:
             sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub, deadline=deadline)
             total_iters += sol.iterations
+            if nodes == 1 and first_basis is None:
+                first_basis = sol.basis
             if sol.status == "Infeasible":
                 break
             if sol.status != "Optimal":
-                return MilpSolution(sol.status, incumbent, inc_obj, node.bound,
-                                    _rel_gap(inc_obj, node.bound), nodes, total_iters)
+                return result(sol.status, incumbent, inc_obj, node.bound,
+                              _rel_gap(inc_obj, node.bound))
             if incumbent is not None and sol.obj >= inc_obj - _gap_slack(inc_obj, gap_tol):
                 break
             frac_j = _most_fractional(sol.x, int_vars)
@@ -578,15 +596,14 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
 
     if incumbent is None:
         status = "IterLimit" if hit_limit else "Infeasible"
-        return MilpSolution(status, None, math.nan,
-                            min((n.bound for n in heap), default=-INF),
-                            math.inf, nodes, total_iters)
+        return result(status, None, math.nan,
+                      min((n.bound for n in heap), default=-INF), math.inf)
     if heap:
         low = min(inc_obj, min(n.bound for n in heap))
         gap = _rel_gap(inc_obj, low)
         status = "Optimal" if gap <= gap_tol else "IterLimit"
-        return MilpSolution(status, incumbent, inc_obj, low, gap, nodes, total_iters)
-    return MilpSolution("Optimal", incumbent, inc_obj, inc_obj, 0.0, nodes, total_iters)
+        return result(status, incumbent, inc_obj, low, gap)
+    return result("Optimal", incumbent, inc_obj, inc_obj, 0.0)
 
 
 def _gap_slack(inc_obj: float, gap_tol: float) -> float:

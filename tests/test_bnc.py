@@ -174,3 +174,25 @@ def test_gap_stop_bound_never_exceeds_objective():
     assert res.status == "Optimal"
     assert res.bound <= res.objective + 1e-6 * abs(res.objective)
     assert res.gap >= 0.0
+
+
+def test_reprice_restores_base_rows_and_empties_pool():
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    scen = gallery.grid_scenarios()
+    master = MasterModel(inst, params, scen, BnCConfig())
+    base_rows = master.model.n_rows
+    assert master.solve().status == "Optimal"
+    assert master.model.n_rows > base_rows and master.pool
+    z_obj = np.array([0.0, 3.0])
+    master.reprice(z_obj)
+    assert master.model.n_rows == master.n_base_rows == base_rows
+    assert not master.pool
+    assert [master.model.obj[j] for j in master.z] == [0.0, 3.0]
+    assert all(master.model.is_int[j] for j in master.z)
+    warm = master.solve()
+    fresh = MasterModel(inst, params, scen, BnCConfig())
+    fresh.reprice(z_obj)
+    cold = fresh.solve()
+    assert warm.status == cold.status == "Optimal"
+    assert warm.objective == pytest.approx(cold.objective)

@@ -7,12 +7,14 @@ import pytest
 
 from conftest import enumerate_schedules, random_instance, random_scenarios
 
+from ccvsp import baselines, scenarios
 from ccvsp.bnc import BnCConfig, solve_bnc
 from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, schedule_cost
 from ccvsp.lagrangian import (
     BundleModel,
     CapacityError,
     combine_and_repair,
+    group_master,
     partition_trips,
     penalty_coefficient,
     restrict,
@@ -20,7 +22,7 @@ from ccvsp.lagrangian import (
     solve_lagrangian,
     subgradient,
 )
-from ccvsp.subproblem import greedy_evaluate
+from ccvsp.subproblem import count_violated_scenarios, greedy_evaluate
 
 
 def _sched(sizes):
@@ -208,3 +210,92 @@ def test_two_group_run_bounds_and_feasibility():
         assert heur.objective >= det.objective - 1e-6
     counts = [e.incumbent_violations for e in heur.log if e.incumbent_violations is not None]
     assert counts == sorted(counts, reverse=True)  # nonincreasing violations
+
+
+def _demo04(seed):
+    """The tight 24-trip instance of demo 04 and its deterministic start."""
+    inst = scenarios.generate_instance(scenarios.GenParams(
+        n_trips=24, n_depots=2, trips_per_route=12, grid_width=80, grid_height=80,
+        headway_buffer=(0, 4), seed=seed))
+    scen = scenarios.sample_scenarios(inst, 20, seed=303)
+    params = ServiceParams.for_instance(inst, lb=1, ub=4, delta_trip=1.0,
+                                        delta_route=1.0, epsilon=0.1)
+    return inst, params, scen, baselines.solve_deterministic(inst, baselines.percentile(75), scen)
+
+
+def _group_solves(inst, params, scen, groups, mus, reuse):
+    cfg = BnCConfig()
+    subs = [restrict(inst, scen, g) for g in groups]
+    masters = [group_master(sub, params, cfg) if reuse else None for sub in subs]
+    return [solve_group(sub, params, cfg, mu, p, len(subs), master)
+            for mu in mus for p, (sub, master) in enumerate(zip(subs, masters), start=1)]
+
+
+def _mu_sequence(S, scale, seed):
+    rng = np.random.default_rng(seed)
+    return [np.zeros(S)] + [np.abs(rng.normal(0, scale, size=S)) for _ in range(3)]
+
+
+def test_reused_group_master_matches_fresh_master():
+    inst, params, scen, det = _demo04(22)
+    groups = partition_trips(det, 12).groups
+    assert len(groups) == 2
+    mus = _mu_sequence(scen.count, 30.0, 200)
+    reused = _group_solves(inst, params, scen, groups, mus, reuse=True)
+    fresh = _group_solves(inst, params, scen, groups, mus, reuse=False)
+    for (sched_r, z_r, val_r, opt_r), (sched_f, z_f, val_f, opt_f) in zip(reused, fresh):
+        assert opt_r and opt_f
+        assert val_r == pytest.approx(val_f, rel=1e-9)
+        assert list(z_r) == list(z_f)
+        assert sched_r == sched_f
+
+
+def test_reused_group_master_matches_fresh_master_on_random_instances():
+    """Ties between optimal schedules may break differently from another root
+    basis, so only the values, indicators and schedule costs must agree."""
+    for seed in range(10, 16):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_trips=8, n_depots=2)
+        params = ServiceParams.for_instance(inst, lb=1, ub=2, delta_trip=0.8,
+                                            delta_route=0.5, epsilon=0.4)
+        scen = random_scenarios(rng, inst, 4, spread=7)
+        mus = _mu_sequence(scen.count, 5.0, 100 + seed)
+        groups = [(1, 2, 3, 4), (5, 6, 7, 8)]
+        reused = _group_solves(inst, params, scen, groups, mus, reuse=True)
+        fresh = _group_solves(inst, params, scen, groups, mus, reuse=False)
+        for (sched_r, z_r, val_r, _), (sched_f, z_f, val_f, _) in zip(reused, fresh):
+            assert val_r == pytest.approx(val_f, rel=1e-9), seed
+            assert list(z_r) == list(z_f), seed
+            assert schedule_cost(inst, sched_r) == schedule_cost(inst, sched_f), seed
+
+
+@pytest.mark.parametrize("seed", [22, 24])
+def test_dual_bound_not_below_primal_bound(seed):
+    inst, params, scen, det = _demo04(seed)
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                           max_iters=30, rel_tol=1e-6)
+    assert res.n_groups == 2
+    assert res.primal_bound <= res.dual_bound + 1e-9 * max(1.0, abs(res.dual_bound))
+    assert max(e.primal for e in res.log) == res.primal_bound
+
+
+def test_time_limit_bounds_the_whole_run():
+    inst, params, scen, det = _demo04(22)
+    full = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                            max_iters=30, rel_tol=1e-6)
+    assert full.status == "Converged"
+    limit = full.time_s / 3
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                           max_iters=30, rel_tol=1e-6, time_limit=limit)
+    assert res.status == "IterLimit"
+    assert res.time_s < limit + 0.5
+    assert res.iterations < full.iterations
+    if res.schedule is not None:
+        assert res.violations == count_violated_scenarios(inst, params, res.schedule, scen)
+    # so short that the first group stops without a schedule
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                           time_limit=1e-6)
+    assert (res.status, res.schedule, res.iterations) == ("IterLimit", None, 0)
+    # the deterministic start is bounded by the same limit
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, time_limit=1e-6)
+    assert (res.status, res.schedule) == ("IterLimit", None)

@@ -1,5 +1,6 @@
 """LP kernel and branch-and-bound checks."""
 
+import copy
 import itertools
 import time
 
@@ -241,6 +242,69 @@ def test_warm_resolve_matches_cold_solve(monkeypatch):
             assert warm.obj == pytest.approx(cold.obj, rel=1e-7, abs=1e-7), trial
     assert min(seen.values()) >= 10, seen
     assert fallbacks == 0, fallbacks
+
+
+def test_matrix_fill_matches_elementwise_fill():
+    rng = np.random.default_rng(99)
+    for trial in range(60):
+        model = _random_lp(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(0, 7)))
+        if trial % 4 == 0:
+            model.add_constr({0: 2.0}, EQUAL, 1.0)
+            model.add_constr({}, LESS, 0.0)
+        n, m = model.n_vars, model.n_rows
+        A = np.zeros((m, n + 2 * m))
+        lo, hi = np.empty(m), np.empty(m)
+        for i, (coeffs, sense, rhs, _) in enumerate(model.rows):
+            for j, v in coeffs.items():
+                A[i, j] = v
+            A[i, n + i] = 1.0
+            A[i, n + m + i] = 1.0
+            lo[i], hi[i] = {LESS: (0.0, np.inf), GREATER: (-np.inf, 0.0),
+                            EQUAL: (0.0, 0.0)}[sense]
+        sim = _Simplex(model)
+        assert np.array_equal(sim.A, A), trial
+        assert np.array_equal(sim.b, [r[2] for r in model.rows]), trial
+        assert np.array_equal(sim.lo[n: n + m], lo), trial
+        assert np.array_equal(sim.hi[n: n + m], hi), trial
+
+
+def test_root_basis_warm_start_matches_cold_solve(monkeypatch):
+    """A root basis from another solve of the same rows, re-used under a changed
+    objective, gives the status and objective of a cold solve."""
+    cold_runs = []
+    cold_solve = _Simplex.solve
+    monkeypatch.setattr(_Simplex, "solve",
+                        lambda self, *a: cold_runs.append(1) or cold_solve(self, *a))
+    rng = np.random.default_rng(77)
+    seen = {"Optimal": 0, "Infeasible": 0, "lazy rows": 0, "no fallback": 0}
+    for trial in range(200):
+        base = _random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 6)))
+        for j in range(base.n_vars):
+            base.is_int[j] = bool(rng.random() < 0.7)
+        cap = float(rng.integers(2, 12))
+
+        def lazy(x, cap=cap):
+            if x.sum() > cap + 1e-6:
+                return [({j: 1.0 for j in range(len(x))}, LESS, cap)]
+            return []
+
+        first_model = copy.deepcopy(base)
+        first = bnb_solve(first_model, lazy=lazy)
+        seen["lazy rows"] += first_model.n_rows > base.n_rows
+        # taken before the lazy rows joined
+        assert len(first.root_basis) == base.n_rows, trial
+        for j in rng.choice(base.n_vars, size=max(1, base.n_vars // 2), replace=False):
+            base.obj[j] = float(rng.integers(-5, 6))
+        before = len(cold_runs)
+        warm = bnb_solve(copy.deepcopy(base), lazy=lazy, root_basis=first.root_basis)
+        seen["no fallback"] += len(cold_runs) == before
+        cold = bnb_solve(copy.deepcopy(base), lazy=lazy)
+        assert warm.status == cold.status, trial
+        seen[cold.status] += 1
+        if cold.status == "Optimal":
+            assert warm.obj == pytest.approx(cold.obj, rel=1e-7, abs=1e-7), trial
+    assert min(seen["Optimal"], seen["Infeasible"], seen["lazy rows"]) >= 30, seen
+    assert seen["no fallback"] >= 100, seen
 
 
 def test_time_limit_holds_inside_one_lp(monkeypatch):
