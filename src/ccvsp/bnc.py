@@ -42,7 +42,7 @@ from .cuts import (
 )
 from .milp import EQUAL, LESS, MilpModel, bnb_solve
 from .scenarios import ScenarioSet
-from .subproblem import count_violated_scenarios, greedy_evaluate
+from .subproblem import count_violated_scenarios, evaluate_scenarios, greedy_evaluate
 
 VARIANTS = {
     "Nn": (False, False),   # no enhancements
@@ -61,7 +61,6 @@ class BnCConfig:
     gap_tol: float = 1e-6
     warm_start: bool = False
     node_limit: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.cut_family not in CUT_KINDS:
@@ -251,15 +250,13 @@ class MasterModel:
         """Feasible start point: the schedule's arcs plus honest indicators."""
         from .core import schedule_cost, schedule_to_arcs
 
-        bad = [s for s in range(self.scen.count)
-               if greedy_evaluate(self.inst, self.params, sched, self.scen, s).z_star]
-        if len(bad) > cc_threshold(self.scen.count, self.params.epsilon):
+        z_star = evaluate_scenarios(self.inst, self.params, sched, self.scen)[0]
+        if z_star.sum() > cc_threshold(self.scen.count, self.params.epsilon):
             return None
         x = np.zeros(self.model.n_vars)
         for arc in schedule_to_arcs(sched):
             x[self.x[arc]] = 1.0
-        for s in bad:
-            x[self.z[s]] = 1.0
+        x[self.z] = z_star
         return x, float(schedule_cost(self.inst, sched))
 
 
@@ -268,20 +265,19 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
                            pool: set | None = None) -> list[Cut]:
     """All violated cuts of the configured family across unserved scenarios.
 
-    Scenarios the master claims satisfied (indicator below one) are re-checked
-    with the greedy evaluator; each violation yields cuts of the configured
-    family, one per violated requirement for the subsequence families. A
-    strong no-good backstop guarantees progress if a family ever returns
-    nothing new for a violated scenario.
+    The scenario evaluator screens every scenario at once; only scenarios the
+    master claims satisfied (indicator below one) that the schedule in fact
+    breaks are evaluated again with the greedy evaluator, whose result the cut
+    builders need. Each yields cuts of the configured family, one per violated
+    requirement for the subsequence families. A strong no-good backstop
+    guarantees progress if a family ever returns nothing new for a violated
+    scenario.
     """
     out: list[Cut] = []
     threshold = 0.5 if not cfg.relax_z else 1.0 - 1e-6
-    for s in range(scen.count):
-        if z_vals[s] >= threshold:
-            continue
+    broken = evaluate_scenarios(inst, params, sched, scen)[0]
+    for s in np.flatnonzero(broken & (z_vals < threshold)).tolist():
         g = greedy_evaluate(inst, params, sched, scen, s)
-        if g.z_star == 0:
-            continue
         produced: list[Cut] = []
         if cfg.cut_family == NO_GOOD:
             produced.append(no_good_cut(inst, params, sched, scen, s))

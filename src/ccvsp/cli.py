@@ -155,7 +155,7 @@ def cmd_solve(args) -> int:
                "iterations": res.iterations, "n_groups": res.n_groups,
                "schedule": schedule_to_json(res.schedule) if res.schedule else None,
                "time_s": res.time_s, "log": res.log_csv()}
-        if res.schedule is None:
+        if res.status == "Infeasible":
             _write_json(args.output, doc)
             return EXIT_INFEASIBLE
     _write_json(args.output, doc)

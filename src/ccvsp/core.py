@@ -195,10 +195,6 @@ class Instance:
 
     # -- derived data -------------------------------------------------------
 
-    def leg_time(self, i: TripId, j: TripId) -> int:
-        """Mean duration of trip i plus mean deadhead from i's end to j's start."""
-        return self.trip(i).mean_dur + int(self.dh_time[i - 1, j - 1])
-
     def arc_count(self) -> int:
         """Total arcs in the flow network: |C| + 2 K I."""
         return len(self.compat) + 2 * self.n_depots * self.n_trips

@@ -7,12 +7,19 @@ plain and strong no-good cuts, infeasible-subsequence (minimal) cuts built by
 backtracking over the greedy evaluation, their head-replacement extensions,
 a deletion-filter minimizer used as an independent oracle, and an exact dual
 certificate tying the subsequence cuts to Benders cuts of a tightened LP.
+
+The master's per-scenario valid inequalities are built here too, from the
+planning pairs that are operationally late in each scenario; the late test
+runs once over all scenarios and pairs as numpy arrays, and
+``operational_compat`` is its per-scenario form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .core import Arc, Instance, Pair, Schedule, ServiceParams, schedule_to_arcs
 from .scenarios import ScenarioSet
@@ -117,24 +124,36 @@ def valid_inequalities(inst: Instance, params: ServiceParams,
     capped by the number of delays the requirement tolerates (I - f); with it
     on, by the number of trips that can be made late at all. Rows that can
     never bind are dropped.
+
+    The late test of ``operational_compat`` is made once for all scenarios,
+    as an (S, P) mask over the P planning pairs; rows come out scenario by
+    scenario, the fleet-wide row before the route rows.
     """
+    pairs = sorted(inst.compat)
+    ij = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
+    pi, pj = ij[:, 0], ij[:, 1]
+    start = np.array([t.start for t in inst.trips], dtype=np.int64)
+    express = np.array([t.max_express for t in inst.trips], dtype=np.int64)
+    ready = (start[pi] - params.lb - express[pi]) + scen.dur[:, pi] + scen.travel[:, pi, pj]
+    late = ready > start[pj] + params.ub
+    # delayable[s, j-1]: some planning pair into trip j is late in scenario s
+    into = np.zeros((len(pairs), inst.n_trips), dtype=np.int64)
+    into[np.arange(len(pairs)), pj] = 1
+    delayable = late.astype(np.int64) @ into > 0
+    pair_route = np.array([inst.route_of[j + 1] for j in pj], dtype=np.int64)
+    scopes = [(None, inst.n_trips - params.f_trip, delayable.sum(axis=1),
+               np.ones(len(pairs), dtype=bool))]
+    for r, members in enumerate(inst.routes, start=1):
+        scopes.append((r, len(members) - params.f_route[r - 1],
+                       delayable[:, np.asarray(members, dtype=np.intp) - 1].sum(axis=1),
+                       pair_route == r))
     out = []
     for s in range(scen.count):
-        c_s = operational_compat(inst, params, scen, s)
-        late = {(i, j) for (i, j) in inst.compat if (i, j) not in c_s}
-        if late:
-            i_s = len({j for (_, j) in late})
-            allowed = inst.n_trips - params.f_trip
-            if allowed < i_s:
-                out.append(ValidInequality(s, frozenset(late), i_s, allowed, None))
-        for r, members in enumerate(inst.routes, start=1):
-            route_late = {(i, j) for (i, j) in late if j in set(members)}
-            if route_late:
-                i_rs = len({j for (_, j) in route_late})
-                allowed = len(members) - params.f_route[r - 1]
-                if allowed < i_rs:
-                    out.append(ValidInequality(s, frozenset(route_late), i_rs,
-                                               allowed, r))
+        for scope, allowed, n_delayable, in_scope in scopes:
+            i_s = int(n_delayable[s])
+            if i_s > max(allowed, 0):
+                row = frozenset(pairs[k] for k in np.flatnonzero(late[s] & in_scope))
+                out.append(ValidInequality(s, row, i_s, allowed, scope))
     return out
 
 

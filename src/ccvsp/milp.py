@@ -333,7 +333,8 @@ class _Simplex:
             ratio = np.maximum(d[cand] / -gc, 0.0)
             order = np.lexsort((-np.abs(gc), ratio))
             reach = np.abs(gc[order]) * (hi[cand] - lo[cand])[order]
-            stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= 0.0)
+            # a reach short of the infeasibility by no more than FEAS_TOL suffices
+            stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= FEAS_TOL)
             if not stop.size:
                 if pivots:
                     # rule out drift in the updated values before declaring infeasibility

@@ -51,10 +51,6 @@ class ScenarioSet:
     def count(self) -> int:
         return self.dur.shape[0]
 
-    def leg_time(self, s: int, i: int, j: int) -> int:
-        """Duration of trip i plus deadhead to trip j's start, in scenario s."""
-        return int(self.dur[s, i - 1]) + int(self.travel[s, i - 1, j - 1])
-
 
 @dataclass(frozen=True)
 class GenParams:

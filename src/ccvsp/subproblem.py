@@ -1,9 +1,14 @@
-"""Evaluate a candidate schedule under one travel-time scenario.
+"""Evaluate a candidate schedule under the travel-time scenarios.
 
 The greedy evaluator propagates earliest start times bus by bus (expressing
 fixed at its maximum), flags late trips and checks the service requirements in
-O(I). A small MILP oracle solves the same feasibility model directly and is
-used to cross-validate the greedy answer in the tests.
+O(I) for one scenario, and returns what the cut builders need. The scenario
+evaluator runs the same propagation for every scenario at once: it loops over
+buses and positions only and carries numpy vectors along the scenario axis,
+in the same integer arithmetic, so its verdicts equal the greedy ones. Batch
+callers (violation counts, cut screening, incumbent encoding) use it. A small
+MILP oracle solves the feasibility model directly and is used to
+cross-validate the greedy answer in the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Schedule, ServiceParams, cc_threshold
+from .core import Instance, Schedule, ServiceParams
 from .milp import GREATER, LESS, MilpModel, bnb_solve
 from .scenarios import ScenarioSet
 
@@ -83,6 +88,31 @@ def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
     return GreedyResult(1 if violated else 0, y, v, u, delayed, violated)
 
 
+def evaluate_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,
+                       scen: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts and on-time flags of the schedule in every scenario at once.
+
+    Returns ``(z_star, v_star)``: ``z_star[s]`` is True when scenario s breaks
+    a requirement, and ``v_star[s, i-1]`` flags trip i on time in scenario s,
+    both equal to what ``greedy_evaluate`` gives for that scenario.
+    """
+    S = scen.count
+    start = np.array([t.start for t in inst.trips], dtype=np.int64)
+    express = np.array([t.max_express for t in inst.trips], dtype=np.int64)
+    v = np.ones((S, inst.n_trips), dtype=bool)
+    for bus in sched.buses:
+        y = np.full(S, start[bus.trips[0] - 1] - params.lb)
+        for prev, i in zip(bus.trips, bus.trips[1:]):
+            arrive = (y + scen.dur[:, prev - 1] + scen.travel[:, prev - 1, i - 1]
+                      - express[prev - 1])
+            y = np.maximum(start[i - 1] - params.lb, arrive)
+            v[:, i - 1] = y <= start[i - 1] + params.ub
+    broken = v.sum(axis=1) < params.f_trip
+    for members, f_r in zip(inst.routes, params.f_route):
+        broken |= v[:, np.asarray(members, dtype=np.intp) - 1].sum(axis=1) < f_r
+    return broken, v
+
+
 def count_violated_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,
                              scen: ScenarioSet) -> int:
     """Number of scenarios whose requirements the schedule breaks.
@@ -90,14 +120,7 @@ def count_violated_scenarios(inst: Instance, params: ServiceParams, sched: Sched
     The schedule is feasible for the chance constraint iff this is at most
     floor(S * epsilon).
     """
-    return sum(greedy_evaluate(inst, params, sched, scen, s).z_star
-               for s in range(scen.count))
-
-
-def is_cc_feasible(inst: Instance, params: ServiceParams, sched: Schedule,
-                   scen: ScenarioSet) -> bool:
-    return count_violated_scenarios(inst, params, sched, scen) <= \
-        cc_threshold(scen.count, params.epsilon)
+    return int(evaluate_scenarios(inst, params, sched, scen)[0].sum())
 
 
 def subproblem_big_ms(inst: Instance, params: ServiceParams, scen: ScenarioSet, s: int):

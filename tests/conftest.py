@@ -3,10 +3,15 @@
 import itertools
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from ccvsp.core import Bus, Depot, Instance, Schedule, Trip, cc_threshold
+from ccvsp.core import Bus, Depot, Instance, Schedule, ServiceParams, Trip, cc_threshold
 from ccvsp.scenarios import ScenarioSet
 from ccvsp.subproblem import greedy_evaluate
+
+# property tests draw the same examples on every run and keep no example store
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def random_instance(rng, n_trips=6, n_depots=2, n_routes=2, span=30, horizon=400,
@@ -130,3 +135,25 @@ def brute_force_cc_optimum(inst, params, scen):
             if best is None or c < best:
                 best = c
     return best
+
+
+@st.composite
+def random_cases(draw):
+    """(inst, params, scen, sched) from the helpers above, on a drawn seed and
+    sizes; tight windows and high service rates make late pairs and broken
+    scenarios common. Some cases drop every compatible pair, so code that
+    indexes by pairs meets empty arrays."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_trips = draw(st.integers(3, 9))
+    inst = random_instance(rng, n_trips=n_trips, n_routes=draw(st.integers(1, min(3, n_trips))),
+                           horizon=draw(st.integers(80, 400)))
+    if draw(st.integers(0, 4)) == 4:
+        inst = Instance(inst.trips, inst.depots, inst.routes, inst.dh_time, inst.out_time,
+                        inst.in_time, inst.cost, inst.out_cost, inst.in_cost, compat=[])
+    params = ServiceParams.for_instance(
+        inst, lb=draw(st.integers(0, 3)), ub=draw(st.integers(0, 5)),
+        delta_trip=draw(st.sampled_from([0.6, 0.8, 0.9, 1.0])),
+        delta_route=draw(st.sampled_from([0.5, 0.8, 1.0])), epsilon=0.2)
+    scen = random_scenarios(rng, inst, draw(st.integers(1, 6)),
+                            spread=draw(st.integers(1, 30)))
+    return inst, params, scen, random_schedule(rng, inst)

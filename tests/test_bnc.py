@@ -1,5 +1,7 @@
 """Exact branch-and-cut against exhaustive enumeration."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from conftest import (
     random_scenarios,
 )
 
-from ccvsp import gallery
+from ccvsp import gallery, milp
 from ccvsp.bnc import VARIANTS, BnCConfig, MasterModel, cut_generation_routine, solve_bnc
 from ccvsp.core import ServiceParams, cc_threshold, schedule_cost
 from ccvsp.cuts import CUT_KINDS
@@ -174,6 +176,33 @@ def test_gap_stop_bound_never_exceeds_objective():
     assert res.status == "Optimal"
     assert res.bound <= res.objective + 1e-6 * abs(res.objective)
     assert res.gap >= 0.0
+
+
+def test_node_lps_reported_infeasible_are_infeasible(monkeypatch):
+    # this rung has node LPs whose bound-flipping reach matches a row's
+    # infeasibility only up to rounding; they are feasible, not prunable
+    inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
+    scen = sample_scenarios(inst, 300, seed=2)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    infeasible = []
+    lp_solve = milp.lp_solve
+
+    def recording(model, **kw):
+        sol = lp_solve(model, **kw)
+        if sol.status == "Infeasible":
+            snapshot = copy.copy(model)
+            snapshot.rows = list(model.rows)
+            infeasible.append((snapshot, kw["var_lb"], kw["var_ub"]))
+        return sol
+
+    monkeypatch.setattr(milp, "lp_solve", recording)
+    res = solve_bnc(inst, params, scen, BnCConfig())
+    assert res.status == "Optimal"
+    assert res.objective == pytest.approx(3291)
+    for model, lb, ub in infeasible:
+        cold = milp._Simplex(model, var_lb=lb, var_ub=ub).solve(10**6)
+        assert cold.status == "Infeasible", (model.n_rows, cold.status, cold.obj)
 
 
 def test_reprice_restores_base_rows_and_empties_pool():

@@ -160,3 +160,20 @@ def test_cli_solve_infeasible_exits_two(tmp_path):
                  "--delta-trip", "0.9", "--delta-route", "0.5",
                  "-o", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_cli_lagr_time_limit_stop_exits_zero(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    out = tmp_path / "lagr.json"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "1",
+                 "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
+                 "--seed", "2", "-o", str(scen_path)]) == 0
+    # a stop on the time limit proves nothing: no schedule, but not infeasible
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "lagr", "--group-size", "12", "--time-limit", "0.001",
+                 "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "IterLimit"
+    assert doc["schedule"] is None

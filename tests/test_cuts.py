@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_instance, random_scenarios, random_schedule
+from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
 from ccvsp import gallery
 from ccvsp.core import Bus, Schedule, ServiceParams
 from ccvsp.cuts import (
+    ValidInequality,
     build_cmis,
     cmis_cut,
     dual_certificate,
@@ -159,6 +161,35 @@ def test_valid_inequality_never_cuts_feasible_point():
         for vi in vis:
             z = greedy_evaluate(inst, params, sched, scen, vi.s).z_star
             assert vi.satisfied_by(sched, z), (vi, sched)
+
+
+def per_scenario_valid_inequalities(inst, params, scen):
+    """The inequalities built one scenario at a time from operational_compat."""
+    out = []
+    for s in range(scen.count):
+        c_s = operational_compat(inst, params, scen, s)
+        late = {(i, j) for (i, j) in inst.compat if (i, j) not in c_s}
+        if late:
+            i_s = len({j for (_, j) in late})
+            allowed = inst.n_trips - params.f_trip
+            if allowed < i_s:
+                out.append(ValidInequality(s, frozenset(late), i_s, allowed, None))
+        for r, members in enumerate(inst.routes, start=1):
+            route_late = {(i, j) for (i, j) in late if j in set(members)}
+            if route_late:
+                i_rs = len({j for (_, j) in route_late})
+                allowed = len(members) - params.f_route[r - 1]
+                if allowed < i_rs:
+                    out.append(ValidInequality(s, frozenset(route_late), i_rs, allowed, r))
+    return out
+
+
+@PROPERTY
+@given(random_cases())
+def test_valid_inequalities_match_per_scenario_construction(case):
+    inst, params, scen, _ = case
+    assert valid_inequalities(inst, params, scen) == \
+        per_scenario_valid_inequalities(inst, params, scen)
 
 
 def test_valid_inequalities_empty_when_all_compatible():

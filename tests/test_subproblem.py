@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_instance, random_scenarios, random_schedule
+from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
 from ccvsp import gallery
 from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold
 from ccvsp.subproblem import (
     TRIP_LEVEL,
     count_violated_scenarios,
+    evaluate_scenarios,
     greedy_evaluate,
     milp_subproblem_oracle,
     violated_requirements,
@@ -47,6 +49,19 @@ def test_grid_scenarios_reproduce_known_delays():
     assert count_violated_scenarios(inst, params, left, scen) == 2
     assert count_violated_scenarios(inst, params, right, scen) == 0
     assert cc_threshold(scen.count, params.epsilon) == 1
+
+
+@PROPERTY
+@given(random_cases())
+def test_scenario_evaluator_matches_greedy(case):
+    inst, params, scen, sched = case
+    z_star, v_star = evaluate_scenarios(inst, params, sched, scen)
+    assert z_star.shape == (scen.count,) and v_star.shape == (scen.count, inst.n_trips)
+    for s in range(scen.count):
+        g = greedy_evaluate(inst, params, sched, scen, s)
+        assert z_star[s] == g.z_star
+        assert np.array_equal(v_star[s], g.v_star)
+    assert count_violated_scenarios(inst, params, sched, scen) == int(z_star.sum())
 
 
 def test_violation_threshold_formula():
