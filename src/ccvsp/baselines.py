@@ -9,7 +9,7 @@ model over an independent scenario set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ def solve_deterministic(inst: Instance, times=MEAN,
     elif kind == "percentile":
         if scen is None:
             raise ValidationError("percentile baseline needs sampled scenarios")
+        scen.check_instance(inst)
         dur, travel, _, _ = percentile_times(inst, scen, q)
     else:
         raise ValidationError(f"unknown time table {times!r}")
@@ -100,9 +101,7 @@ class EvalReport:
     objective: float
     eval_sat_pct: float
     train_sat_pct: float | None = None
-    obj_diff_vs_mean_pct: float | None = None
     time_s: float = 0.0
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.eval_sat_pct <= 100.0:
@@ -121,15 +120,15 @@ def evaluate_out_of_sample(inst: Instance, params: ServiceParams, sched: Schedul
                            train_scen: ScenarioSet | None = None,
                            time_s: float = 0.0) -> EvalReport:
     """Percent of evaluation scenarios in which every requirement holds."""
+    for scen in (eval_scen, train_scen):
+        if scen is not None:
+            scen.check_instance(inst)
     t0 = time.monotonic()
     pct = satisfaction_pct(inst, params, sched, eval_scen)
     train = satisfaction_pct(inst, params, sched, train_scen) if train_scen else None
     return EvalReport(method=method, objective=float(schedule_cost(inst, sched)),
                       eval_sat_pct=pct, train_sat_pct=train,
-                      time_s=time_s or (time.monotonic() - t0),
-                      config={"epsilon": params.epsilon,
-                              "delta_trip": params.delta_trip,
-                              "delta_route": params.delta_route})
+                      time_s=time_s or (time.monotonic() - t0))
 
 
 COMPARE_HEADER = "method,instance,I,K,S,objective,obj_diff_vs_mean_pct,train_sat_pct,eval_sat_pct,time_s"

@@ -308,6 +308,7 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
 def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
               cfg: BnCConfig, initial_schedule: Schedule | None = None) -> BnCResult:
     """Exact solve of the scenario reformulation by branch-and-cut."""
+    scen.check_instance(inst)
     t0 = time.monotonic()
     res = MasterModel(inst, params, scen, cfg).solve(cfg.time_limit, initial_schedule)
     res.time_s = time.monotonic() - t0

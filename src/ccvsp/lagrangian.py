@@ -192,30 +192,31 @@ class BundleModel:
         def mu_of(nu):
             return np.maximum(0.0, center + t * (G.T @ nu))
 
-        def q(nu):
+        def q_and_grad(nu):
+            """Dual value q(nu) and its gradient, from one mu and one G @ mu."""
             mu = mu_of(nu)
-            return float(nu @ c + (G @ mu) @ nu - ((mu - center) ** 2).sum() / (2 * t))
-
-        def grad_q(nu):
-            return c + G @ mu_of(nu)
+            g_mu = G @ mu
+            val = float(nu @ c + g_mu @ nu - ((mu - center) ** 2).sum() / (2 * t))
+            return val, c + g_mu
 
         nu = np.full(L, 1.0 / L)
         step = t / (1.0 + float((G * G).sum()))
-        val = q(nu)
+        val, grad = q_and_grad(nu)
         ok = True
         for _ in range(self.max_qp_iters):
-            nu_new = _project_simplex(nu - step * grad_q(nu))
+            nu_new = _project_simplex(nu - step * grad)
             if np.linalg.norm(nu_new - nu) < self.qp_tol:
                 nu = nu_new
                 break
-            val_new = q(nu_new)
+            val_new, grad_new = q_and_grad(nu_new)
             if val_new > val + 1e-12:
+                # rejected: retry from the same nu, whose gradient is stored
                 step *= 0.5
                 if step < 1e-14:
                     ok = False
                     break
                 continue
-            nu, val = nu_new, val_new
+            nu, val, grad = nu_new, val_new, grad_new
         if not ok:
             mu = np.maximum(0.0, center + t * self.grads[-1])
             return mu, self.model_value(mu)
@@ -341,6 +342,7 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     read): every group solve gets the time that remains, and once it has
     passed the loop stops with status IterLimit and the best incumbent so far.
     """
+    scen.check_instance(inst)
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
 

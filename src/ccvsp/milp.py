@@ -8,6 +8,13 @@ steepest-edge pricing, bound-flipping ratio test). The root LP is solved cold
 unless the caller hands in the root basis of an earlier solve of the same rows
 under another objective, as the Lagrangian group solves do. Built for the
 master problems and test oracles in this package, not for industrial scale.
+
+The inverse is dense and each pivot costs a few dense products, so an
+iteration's fixed numpy work matters as much as the iteration count: the
+primal pricing skips the artificials once phase 1 has fixed them at zero, both
+loops keep the mask of nonbasic movable columns across pivots instead of
+rebuilding it, and the rank-1 inverse update writes into the existing array.
+These keep every pivot decision bit for bit.
 """
 
 from __future__ import annotations
@@ -151,16 +158,16 @@ class _Simplex:
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.x = np.zeros(ncols)
         self.binv = np.eye(m)
+        # nonbasic columns that are not fixed: each loop sets it, _pivot updates it
+        self.free = np.zeros(ncols, dtype=bool)
+        self._outer = np.empty((m, m))       # buffer of the rank-1 update
 
     def set_start_point(self):
         """All-artificial starting basis absorbing the residual of each row."""
         n, m = self.n, self.m
         x = np.zeros(n + 2 * m)
-        for j in range(n + m):
-            if self.lo[j] > -INF:
-                x[j] = self.lo[j]
-            elif self.hi[j] < INF:
-                x[j] = self.hi[j]
+        lo, hi = self.lo[: n + m], self.hi[: n + m]
+        x[: n + m] = np.where(lo > -INF, lo, np.where(hi < INF, hi, 0.0))
         resid = self.b - self.A[:, : n + m] @ x[: n + m]
         art = np.arange(n + m, n + 2 * m)
         x[art] = resid
@@ -194,57 +201,62 @@ class _Simplex:
         self._set_basics()
 
     def _pivot(self, basis_arr, leave: int, enter: int, w: np.ndarray):
-        self.in_basis[basis_arr[leave]] = False
+        out = basis_arr[leave]
+        self.in_basis[out] = False
         self.in_basis[enter] = True
+        self.free[out] = self.lo[out] < self.hi[out]
+        self.free[enter] = False
         basis_arr[leave] = enter
         row = self.binv[leave] / w[leave]
-        self.binv -= np.outer(w, row)
+        # rank-1 update in place: binv -= outer(w, row), through a reused buffer
+        np.multiply(w[:, None], row, out=self._outer)
+        self.binv -= self._outer
         self.binv[leave] = row
 
     def _iterate(self, cost, max_iter, deadline) -> str:
-        m = self.m
+        n, m = self.n, self.m
         basis_arr = np.array(self.basis, dtype=int)
         bland = False
         degen_streak = 0
         pivots = 0
         movable = self.lo < self.hi
+        self.free = ~self.in_basis & movable
+        # price only the columns that can enter: in phase 2 the artificials are
+        # fixed at zero, so the first n + m columns
+        k = len(cost) if movable[n + m:].any() else n + m
+        A, cost_k, x, free = self.A[:, :k], cost[:k], self.x[:k], self.free[:k]
+        lo_tol, hi_tol = self.lo[:k] + FEAS_TOL, self.hi[:k] - FEAS_TOL
         while True:
             if self.iterations >= max_iter or _expired(deadline):
                 self.basis = list(basis_arr)
                 return "IterLimit"
             self.iterations += 1
             y = cost[basis_arr] @ self.binv
-            d = cost - y @ self.A
-            at_lo = self.x <= self.lo + FEAS_TOL
-            at_hi = self.x >= self.hi - FEAS_TOL
-            free_nb = ~at_lo & ~at_hi
-            ok = ~self.in_basis & movable
-            up = ok & ((at_lo & (d < -OPT_TOL)) | (free_nb & (d < -OPT_TOL)))
-            dn = ok & ((at_hi & (d > OPT_TOL)) | (free_nb & (d > OPT_TOL)))
-            score = np.where(up, -d, 0.0) + np.where(dn, d, 0.0)
-            if not score.any():
+            d = cost_k - y @ A
+            at_lo = x <= lo_tol
+            at_hi = x >= hi_tol
+            # a column at its lower bound (or strictly between) may rise, one at
+            # its upper bound (or strictly between) may fall
+            up = free & (d < -OPT_TOL) & (at_lo | ~at_hi)
+            dn = free & (d > OPT_TOL) & (at_hi | ~at_lo)
+            can = up | dn
+            if not can.any():
                 self.basis = list(basis_arr)
                 return "Optimal"
             if bland:
-                enter = int(np.flatnonzero(score > 0)[0])
+                enter = int(np.flatnonzero(can)[0])
             else:
-                enter = int(np.argmax(score))
+                enter = int(np.argmax(np.where(can, np.abs(d), 0.0)))
             direction = 1.0 if up[enter] else -1.0
             w = self.binv @ self.A[:, enter]
             # ratio test; entering moves t*direction, basics move -t*direction*w
+            # toward the bound ahead of them; a row whose |step| is within
+            # FEAS_TOL of zero sets no limit
             step = -direction * w
             xb = self.x[basis_arr]
-            lob = self.lo[basis_arr]
-            hib = self.hi[basis_arr]
-            t_rows = np.full(m, INF)
-            dec = step < -FEAS_TOL
-            has_lo = lob > -INF
-            sel = dec & has_lo
-            t_rows[sel] = (xb[sel] - lob[sel]) / -step[sel]
-            inc = step > FEAS_TOL
-            has_hi = hib < INF
-            sel = inc & has_hi
-            t_rows[sel] = (hib[sel] - xb[sel]) / step[sel]
+            bound = np.where(step < 0, self.lo[basis_arr], self.hi[basis_arr])
+            t_rows = np.divide(bound - xb, step, out=np.full(m, INF),
+                               where=np.abs(step) > FEAS_TOL)
             t_flip = self.hi[enter] - self.lo[enter]
             if m:
                 leave = int(np.argmin(t_rows))
@@ -269,8 +281,7 @@ class _Simplex:
                 t = max(t_limit, 0.0)
                 self.x[enter] += direction * t
                 self.x[basis_arr] -= direction * t * w
-                out = basis_arr[leave]
-                self.x[out] = lob[leave] if step[leave] < 0 else hib[leave]
+                self.x[basis_arr[leave]] = bound[leave]
                 self._pivot(basis_arr, leave, enter, w)
                 pivots += 1
                 if pivots >= REFACTOR_EVERY:
@@ -298,8 +309,12 @@ class _Simplex:
         n, m = self.n, self.m
         basis_arr = np.array(self.basis, dtype=int)
         lo, hi = self.lo[: n + m], self.hi[: n + m]
+        span = hi - lo
+        lo_tol, hi_tol = lo + FEAS_TOL, hi - FEAS_TOL
         A = self.A[:, : n + m]          # artificials stay nonbasic at zero
         d = d[: n + m].copy()
+        self.free = ~self.in_basis & (self.lo < self.hi)
+        free = self.free[: n + m]
         cap = self.iterations + n + m
         pivots = 0
         while True:
@@ -322,9 +337,8 @@ class _Simplex:
             sign = 1.0 if below[r] > 0 else -1.0     # +1: the basic must rise to its lower bound
             g = sign * (self.binv[r] @ A)
             xn = self.x[: n + m]
-            movable = ~self.in_basis[: n + m] & (lo < hi)
-            can_rise = movable & (xn < hi - FEAS_TOL) & (g < -PIVOT_TOL)
-            can_fall = movable & (xn > lo + FEAS_TOL) & (g > PIVOT_TOL)
+            can_rise = free & (xn < hi_tol) & (g < -PIVOT_TOL)
+            can_fall = free & (xn > lo_tol) & (g > PIVOT_TOL)
             cand = np.flatnonzero(can_rise | can_fall)
             # bound-flipping ratio test: walk the breakpoints in ratio order; a
             # boxed column whose whole range still leaves row r out of bounds
@@ -332,7 +346,7 @@ class _Simplex:
             gc = g[cand]
             ratio = np.maximum(d[cand] / -gc, 0.0)
             order = np.lexsort((-np.abs(gc), ratio))
-            reach = np.abs(gc[order]) * (hi[cand] - lo[cand])[order]
+            reach = np.abs(gc[order]) * span[cand][order]
             # a reach short of the infeasibility by no more than FEAS_TOL suffices
             stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= FEAS_TOL)
             if not stop.size:
@@ -352,7 +366,7 @@ class _Simplex:
             enter = int(cand[pick])
             flips = cand[order[:k]]
             if flips.size:
-                step = np.where(can_rise[flips], hi[flips] - lo[flips], lo[flips] - hi[flips])
+                step = np.where(can_rise[flips], span[flips], -span[flips])
                 self.x[flips] += step
                 self.x[basis_arr] -= self.binv @ (A[:, flips] @ step)
             d += ratio[pick] * g
@@ -376,14 +390,11 @@ class _Simplex:
         y = self.cost[self.basis] @ self.binv
         obj = float(self.cost[: n + m] @ self.x[: n + m])
         d = self.cost[:n] - y @ self.A[:, :n]
-        dual_obj = float(y @ self.b)
-        for j in range(n):
-            if self.in_basis[j]:
-                continue
-            if d[j] > 0 and self.lo[j] > -INF:
-                dual_obj += d[j] * self.lo[j]
-            elif d[j] < 0 and self.hi[j] < INF:
-                dual_obj += d[j] * self.hi[j]
+        # each nonbasic structural adds its reduced cost times the bound that
+        # cost's sign points to, when that bound is finite
+        bound = np.where(d > 0, self.lo[:n], np.where(d < 0, self.hi[:n], 0.0))
+        use = ~self.in_basis[:n] & np.isfinite(bound)
+        dual_obj = float(y @ self.b) + float(d[use] @ bound[use])
         # artificial i and slack i are the same column e_i; naming the slack keeps
         # the basis valid after rows are appended (artificial indices shift)
         basis = [j - m if j >= n + m else j for j in self.basis]
@@ -519,7 +530,7 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
     """
     t0 = time.monotonic()
     deadline = None if time_limit is None else t0 + time_limit
-    int_vars = [j for j in range(model.n_vars) if model.is_int[j]]
+    int_vars = np.flatnonzero(model.is_int)
     base_lb = np.array(model.lb)
     base_ub = np.array(model.ub)
     incumbent: np.ndarray | None = None
@@ -579,8 +590,7 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
                     basis = sol.basis
                     continue  # re-solve this node under the new rows
                 x = sol.x.copy()
-                for j in int_vars:
-                    x[j] = round(x[j])
+                x[int_vars] = np.round(x[int_vars]) + 0.0   # + 0.0 turns -0.0 into 0.0
                 incumbent, inc_obj = x, sol.obj
                 break
             lo_val = math.floor(sol.x[frac_j] + INT_TOL)
@@ -617,14 +627,17 @@ def _rel_gap(inc: float, bound: float) -> float:
     return (inc - bound) / max(1.0, abs(inc))
 
 
-def _most_fractional(x: np.ndarray, int_vars: list[int]):
-    """Integer variable whose fraction is closest to 1/2, or None if all integral."""
+def _most_fractional(x: np.ndarray, int_vars: np.ndarray):
+    """Integer variable whose fraction is closest to 1/2, or None if all integral.
+
+    Scanning in index order, a variable replaces the best so far only when its
+    score is higher by more than 1e-12, so near-ties go to the lowest index.
+    """
+    xi = x[int_vars]
+    frac = np.abs(xi - np.round(xi))
+    keep = frac > INT_TOL
     best, best_score = None, 0.0
-    for j in int_vars:
-        frac = abs(x[j] - round(x[j]))
-        if frac <= INT_TOL:
-            continue
-        score = 0.5 - abs(frac - 0.5)
+    for j, score in zip(int_vars[keep].tolist(), (0.5 - np.abs(frac[keep] - 0.5)).tolist()):
         if best is None or score > best_score + 1e-12:
             best, best_score = j, score
     return best

@@ -51,6 +51,17 @@ class ScenarioSet:
     def count(self) -> int:
         return self.dur.shape[0]
 
+    def check_instance(self, inst: Instance) -> None:
+        """Raise ValidationError unless every table is shaped for ``inst``."""
+        S, I, K = self.count, inst.n_trips, inst.n_depots
+        for name, shape in (("dur", (S, I)), ("travel", (S, I, I)),
+                            ("out_t", (S, K, I)), ("in_t", (S, I, K))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValidationError(
+                    f"scenario table {name} has shape {got}, but an instance with "
+                    f"{I} trips and {K} depots needs {shape}")
+
 
 @dataclass(frozen=True)
 class GenParams:

@@ -168,13 +168,6 @@ def milp_subproblem_oracle(inst: Instance, params: ServiceParams, sched: Schedul
         # y_j + leg - u_j - M(1 - x_ji) <= y_i with x fixed by the schedule
         model.add_constr({yv[i - 1]: 1.0, yv[j - 1]: -1.0, uv[j - 1]: 1.0},
                          GREATER, leg - m_start[(j, i)] * (1.0 - active), f"seq{j}_{i}")
-    # depot pull-out rows, kept for completeness; redundant because first trips
-    # are dispatched to start at s_i - lb regardless of the pull-out time
-    for k in range(1, inst.n_depots + 1):
-        for i in range(1, I + 1):
-            t_ki = int(scen.out_t[s, k - 1, i - 1])
-            model.add_constr({yv[i - 1]: 1.0}, GREATER, float(t_ki - (y_max + t_ki)),
-                             f"pull{k}_{i}")
     for i in range(1, I + 1):
         t = inst.trips[i - 1]
         # y_i <= s_i + ub v_i + M_otp (1 - v_i)

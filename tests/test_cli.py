@@ -177,3 +177,22 @@ def test_cli_lagr_time_limit_stop_exits_zero(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["status"] == "IterLimit"
     assert doc["schedule"] is None
+
+
+def test_cli_solve_mismatched_scenarios_exits_one(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    small_path = tmp_path / "small.json"
+    scen_path = tmp_path / "scen.npz"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "2",
+                 "-o", str(inst_path)]) == 0
+    assert main(["generate", "--trips", "12", "--depots", "2", "--seed", "2",
+                 "-o", str(small_path)]) == 0
+    assert main(["sample", "--instance", str(small_path), "--scenarios", "10",
+                 "--seed", "3", "-o", str(scen_path)]) == 0
+    capsys.readouterr()
+    for method in ("bnc", "lagr", "det-p75"):
+        assert main(["solve", "--instance", str(inst_path), "--scenarios-file",
+                     str(scen_path), "--method", method,
+                     "-o", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert "scenario table dur has shape (10, 12)" in err, err

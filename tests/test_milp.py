@@ -6,8 +6,22 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ccvsp.milp import GREATER, LESS, EQUAL, MilpModel, _Simplex, bnb_solve, lp_solve
+from ccvsp.milp import (
+    EQUAL,
+    GREATER,
+    INT_TOL,
+    LESS,
+    MilpModel,
+    _most_fractional,
+    _Simplex,
+    bnb_solve,
+    lp_solve,
+)
+
+from conftest import PROPERTY
 
 
 def test_min_x_above_three():
@@ -336,3 +350,97 @@ def test_write_lp_mentions_vars():
     m.add_constr({x: 2.0}, LESS, 1.0, name="limit")
     text = m.write_lp()
     assert "pick" in text and "limit" in text and "General" in text
+
+
+def _most_fractional_loop(x, int_vars):
+    """The sequential rule, one variable at a time: the reference."""
+    best, best_score = None, 0.0
+    for j in int_vars:
+        frac = abs(x[j] - round(x[j]))
+        if frac <= INT_TOL:
+            continue
+        score = 0.5 - abs(frac - 0.5)
+        if best is None or score > best_score + 1e-12:
+            best, best_score = j, score
+    return best
+
+
+@st.composite
+def _fractional_points(draw):
+    """Values that are integral, within INT_TOL of an integer, near-tied in
+    fraction (within about 1e-12 of a shared base fraction) or arbitrary."""
+    n = draw(st.integers(1, 12))
+    base = draw(st.floats(0.0, 1.0))
+    x = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["integral", "tolerance", "tolerance", "tie", "tie", "any"]))
+        if kind == "integral":
+            x.append(float(draw(st.integers(-5, 5))))
+        elif kind == "tolerance":
+            # on zero, INT_TOL itself is a fraction of exactly INT_TOL
+            off = draw(st.sampled_from([INT_TOL, -INT_TOL, 0.5 * INT_TOL, 2 * INT_TOL]))
+            x.append(draw(st.sampled_from([0, 0, -3, 4])) + off)
+        elif kind == "tie":
+            off = base + draw(st.sampled_from([0.0, -1.5e-12, -1e-12, -4e-13, 4e-13,
+                                               1e-12, 1.5e-12]))
+            x.append(draw(st.integers(-5, 5)) + off)
+        else:
+            x.append(draw(st.floats(-6.0, 6.0)))
+    int_vars = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return np.array(x), int_vars
+
+
+@PROPERTY
+@given(_fractional_points())
+def test_most_fractional_matches_sequential_rule(case):
+    x, int_vars = case
+    got = _most_fractional(x, np.array(int_vars, dtype=np.intp))
+    assert got == _most_fractional_loop(x, int_vars)
+    assert got is None or type(got) is int
+
+
+def test_most_fractional_none_when_all_integral():
+    x = np.array([1.0, 2.0 + 0.5 * INT_TOL, -3.0 - 0.5 * INT_TOL, 0.0, INT_TOL, 0.25])
+    assert _most_fractional(x, np.arange(5)) is None
+    assert _most_fractional(x, np.array([], dtype=np.intp)) is None
+    assert _most_fractional(x, np.arange(6)) == 5
+
+
+def _dual_objective_loop(sim, y):
+    """y.b plus, for each nonbasic structural, its reduced cost times the
+    finite bound that cost's sign points to, summed column by column."""
+    n = sim.n
+    d = sim.cost[:n] - y @ sim.A[:, :n]
+    total, terms = float(y @ sim.b), 0
+    for j in range(n):
+        if sim.in_basis[j]:
+            continue
+        if d[j] > 0 and sim.lo[j] > -np.inf:
+            total += d[j] * sim.lo[j]
+            terms += sim.lo[j] != 0.0
+        elif d[j] < 0 and sim.hi[j] < np.inf:
+            total += d[j] * sim.hi[j]
+            terms += 1
+    return total, terms
+
+
+def test_extract_dual_objective_matches_per_column_sum():
+    rng = np.random.default_rng(11)
+    solved = terms = 0
+    for trial in range(200):
+        model = _random_lp(rng, n=int(rng.integers(2, 10)), m=int(rng.integers(1, 7)))
+        for j in range(model.n_vars):
+            # some columns without a lower bound, some with a nonzero one
+            if rng.random() < 0.2:
+                model.lb[j] = -np.inf
+            elif rng.random() < 0.2:
+                model.lb[j] = -float(rng.integers(1, 4))
+        sim = _Simplex(model)
+        sol = sim.solve(10_000)
+        if sol.status != "Optimal":
+            continue
+        expected, k = _dual_objective_loop(sim, sol.duals)
+        assert sol.dual_obj == pytest.approx(expected, rel=0.0, abs=1e-9), trial
+        solved += 1
+        terms += k
+    assert solved >= 100 and terms >= 100, (solved, terms)

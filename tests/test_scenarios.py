@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from ccvsp.core import ValidationError
+from ccvsp.baselines import evaluate_out_of_sample
+from ccvsp.bnc import BnCConfig, solve_bnc
+from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError
+from ccvsp.lagrangian import solve_lagrangian
 from ccvsp.scenarios import (
     GenParams,
     ScenarioSet,
@@ -104,3 +107,34 @@ def test_generated_instance_validates():
         inst = generate_instance(GenParams(n_trips=40, n_depots=3, seed=seed))
         assert inst.n_trips == 40
         assert inst.arc_count() == len(inst.compat) + 2 * 3 * 40
+
+
+@pytest.mark.parametrize("source_trips", [12, 30])
+def test_scenarios_from_another_instance_rejected(source_trips):
+    inst = generate_instance(GenParams(n_trips=24, n_depots=2, seed=2))
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    other = generate_instance(GenParams(n_trips=source_trips, n_depots=2, seed=2))
+    scen = sample_scenarios(other, 10, seed=3)
+    singles = Schedule(tuple(Bus(1, (i,)) for i in range(1, 25)))
+    with pytest.raises(ValidationError, match="scenario table dur has shape"):
+        solve_bnc(inst, params, scen, BnCConfig())
+    with pytest.raises(ValidationError, match="24 trips and 2 depots"):
+        solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12)
+    with pytest.raises(ValidationError, match="scenario table"):
+        evaluate_out_of_sample(inst, params, singles, scen)
+    own = sample_scenarios(inst, 10, seed=3)
+    with pytest.raises(ValidationError, match="scenario table"):
+        evaluate_out_of_sample(inst, params, singles, own, train_scen=scen)
+
+
+def test_scenario_shape_check_names_each_table():
+    inst = generate_instance(GenParams(n_trips=6, n_depots=2, trips_per_route=3, seed=1))
+    scen = sample_scenarios(inst, 4, seed=2)
+    scen.check_instance(inst)
+    for name, bad in (("travel", scen.travel[:, :, :5]), ("out_t", scen.out_t[:, :1]),
+                      ("in_t", scen.in_t[:, :, :1])):
+        tables = {k: getattr(scen, k) for k in ("dur", "travel", "out_t", "in_t")}
+        tables[name] = bad
+        with pytest.raises(ValidationError, match=f"scenario table {name} has shape"):
+            ScenarioSet(**tables).check_instance(inst)
