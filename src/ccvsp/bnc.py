@@ -11,6 +11,7 @@ schedule, so branching on indicators is unnecessary).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,10 @@ from .core import (
     Schedule,
     ServiceParams,
     cc_threshold,
+    schedule_cost,
     schedule_from_arcs,
+    schedule_to_arcs,
+    schedule_to_json,
     validate_schedule,
 )
 from .cuts import (
@@ -74,9 +78,14 @@ class BnCConfig:
 
 @dataclass
 class BnCResult:
+    """``objective`` is the schedule's integer cost (nan without a schedule);
+    ``lp_objective`` is the master's objective value there as the LP kernel
+    computed it, which adds the indicator charges of a re-priced master."""
+
     status: str
     schedule: Schedule | None
-    objective: float
+    objective: int | float
+    lp_objective: float
     bound: float
     gap: float
     cuts_added: dict[str, int]
@@ -86,11 +95,10 @@ class BnCResult:
     train_violations: int | None = None
 
     def to_json(self) -> dict:
-        from .core import schedule_to_json
-
         return {
             "status": self.status,
             "objective": self.objective,
+            "lp_objective": self.lp_objective,
             "bound": self.bound,
             "gap": self.gap,
             "nodes": self.nodes,
@@ -216,7 +224,7 @@ class MasterModel:
         elapsed = time.monotonic() - t0
         cuts_added = {k: v for k, v in counts.items() if v}
         if sol.x is None:
-            return BnCResult(sol.status, None, float("nan"), sol.bound, sol.gap,
+            return BnCResult(sol.status, None, math.nan, math.nan, sol.bound, sol.gap,
                              cuts_added, sol.nodes, elapsed, ())
         sched = self.decode(sol.x)
         validate_schedule(inst, sched)
@@ -226,8 +234,9 @@ class MasterModel:
             raise AssertionError(
                 f"accepted schedule violates {bad} scenarios, budget "
                 f"{cc_threshold(scen.count, params.epsilon)}")
-        return BnCResult(sol.status, sched, float(sol.obj), float(sol.bound), float(sol.gap),
-                         cuts_added, sol.nodes, elapsed, z, train_violations=bad)
+        return BnCResult(sol.status, sched, schedule_cost(inst, sched), float(sol.obj),
+                         float(sol.bound), float(sol.gap), cuts_added, sol.nodes, elapsed, z,
+                         train_violations=bad)
 
     def decode(self, x_vals: np.ndarray) -> Schedule:
         arcs = {arc for arc, j in self.x.items() if x_vals[j] > 0.5}
@@ -248,8 +257,6 @@ class MasterModel:
 
     def encode_incumbent(self, sched: Schedule):
         """Feasible start point: the schedule's arcs plus honest indicators."""
-        from .core import schedule_cost, schedule_to_arcs
-
         z_star = evaluate_scenarios(self.inst, self.params, sched, self.scen)[0]
         if z_star.sum() > cc_threshold(self.scen.count, self.params.epsilon):
             return None

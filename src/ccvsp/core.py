@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,6 +64,14 @@ class Bus:
     trips: tuple[TripId, ...]
 
 
+class ChainIndex(NamedTuple):
+    """A schedule's sequenced pairs as 0-based trip indexes, in bus order."""
+
+    prev: np.ndarray    # first trip of each pair
+    nxt: np.ndarray     # second trip of each pair
+    chains: tuple[tuple[int, tuple[int, ...]], ...]   # per non-empty bus: (first, later)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A candidate vehicle schedule as a list of buses.
@@ -83,6 +92,15 @@ class Schedule:
         for bus in self.buses:
             out.extend(zip(bus.trips, bus.trips[1:]))
         return out
+
+    @cached_property
+    def chain_index(self) -> ChainIndex:
+        """The sequenced pairs as index arrays, built once per schedule."""
+        pairs = self.sequenced_pairs()
+        return ChainIndex(np.array([i - 1 for i, _ in pairs], dtype=np.intp),
+                          np.array([j - 1 for _, j in pairs], dtype=np.intp),
+                          tuple((b.trips[0] - 1, tuple(i - 1 for i in b.trips[1:]))
+                                for b in self.buses if b.trips))
 
 
 class Instance:
@@ -119,6 +137,8 @@ class Instance:
         self.meta = dict(meta or {})
         self._validate()
         self.route_of = {i: t.route_id for i, t in zip(self._ids, self.trips)}
+        self.starts = [t.start for t in self.trips]
+        self.max_express = np.array([t.max_express for t in self.trips], dtype=np.int64)
         self.succ = {i: sorted(j for (a, j) in self.compat if a == i) for i in self._ids}
         self.pred = {j: sorted(i for (i, b) in self.compat if b == j) for j in self._ids}
 
@@ -200,25 +220,19 @@ class Instance:
         return len(self.compat) + 2 * self.n_depots * self.n_trips
 
 
-def build_compat(trips: Sequence[Trip], dh_time: np.ndarray, conservative: bool = False,
+def build_compat(trips: Sequence[Trip], dh_time: np.ndarray,
                  dur: np.ndarray | None = None) -> set[Pair]:
-    """Planning-compatible ordered pairs under the given duration/deadhead estimates.
-
-    Default estimates are the mean values; ``conservative`` replaces trip
-    durations with the supplied per-trip minima ``dur`` (smaller estimates keep
-    more pairs).
-    """
-    if conservative and dur is None:
-        raise ValueError("conservative mode requires explicit duration estimates")
-    pairs = set()
-    for a, ti in enumerate(trips):
-        d = int(dur[a]) if conservative else ti.mean_dur
-        for b, tj in enumerate(trips):
-            if a == b:
-                continue
-            if ti.start + d + int(dh_time[a, b]) <= tj.start:
-                pairs.add((a + 1, b + 1))
-    return pairs
+    """Ordered pairs (i, j) with s_i + d_i + t_ij <= s_j: planning-compatible
+    under the per-trip durations ``dur`` (default: the means) and the
+    deadheads ``dh_time``."""
+    start = np.array([t.start for t in trips], dtype=np.int64)
+    if dur is None:
+        dur = [t.mean_dur for t in trips]
+    ready = start + np.asarray(dur).astype(np.int64)
+    ok = ready[:, None] + np.asarray(dh_time).astype(np.int64) <= start[None, :]
+    np.fill_diagonal(ok, False)
+    a, b = np.nonzero(ok)
+    return set(zip((a + 1).tolist(), (b + 1).tolist()))
 
 
 @dataclass(frozen=True)

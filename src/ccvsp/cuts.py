@@ -132,9 +132,8 @@ def valid_inequalities(inst: Instance, params: ServiceParams,
     pairs = sorted(inst.compat)
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
     pi, pj = ij[:, 0], ij[:, 1]
-    start = np.array([t.start for t in inst.trips], dtype=np.int64)
-    express = np.array([t.max_express for t in inst.trips], dtype=np.int64)
-    ready = (start[pi] - params.lb - express[pi]) + scen.dur[:, pi] + scen.travel[:, pi, pj]
+    start = np.array(inst.starts, dtype=np.int64)
+    ready = (start[pi] - params.lb - inst.max_express[pi]) + scen.dur[:, pi] + scen.travel[:, pi, pj]
     late = ready > start[pj] + params.ub
     # delayable[s, j-1]: some planning pair into trip j is late in scenario s
     into = np.zeros((len(pairs), inst.n_trips), dtype=np.int64)

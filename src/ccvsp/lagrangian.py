@@ -149,7 +149,7 @@ def solve_group(sub: SubInstance, params: ServiceParams, cfg: BnCConfig,
     buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
                   for b in res.schedule.buses)
     z = np.array([round(v) for v in res.z], dtype=int)
-    return Schedule(buses), z, float(res.objective), res.status == "Optimal"
+    return Schedule(buses), z, res.lp_objective, res.status == "Optimal"
 
 
 def subgradient(z_by_group: list[np.ndarray]) -> np.ndarray:
@@ -296,14 +296,14 @@ class LagrIterate:
     step: str
     t: float
     incumbent_violations: int | None
-    incumbent_cost: float | None
+    incumbent_cost: int | None
 
 
 @dataclass
 class LagrangianResult:
     status: str
     schedule: Schedule | None
-    objective: float
+    objective: int | float          # the schedule's cost; nan without a schedule
     violations: int | None
     feasible: bool
     primal_bound: float
@@ -382,7 +382,7 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     t = 0.5
     bundle = BundleModel(S)
     best_value = -math.inf          # value at the stability center
-    incumbent: tuple[int, float, Schedule] | None = None
+    incumbent: tuple[int, int, Schedule] | None = None
     log: list[LagrIterate] = []
     status = "IterLimit"
     prev_value = None
@@ -407,7 +407,7 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
             combined = combine_and_repair(scheds, inst)
             bad = count_violated_scenarios(inst, params, combined, scen)
             cost = schedule_cost(inst, combined)
-            cand = (bad, float(cost), combined)
+            cand = (bad, cost, combined)
             if incumbent is None or (cand[0], cand[1]) < (incumbent[0], incumbent[1]):
                 incumbent = cand
         except CapacityError:

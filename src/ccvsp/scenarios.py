@@ -257,12 +257,7 @@ def percentile_times(inst: Instance, scen: ScenarioSet, q: float):
 
 def compat_for_times(inst: Instance, dur: np.ndarray, travel: np.ndarray) -> set[Pair]:
     """Planning compatibility recomputed for an alternative time table."""
-    pairs = set()
-    for a, ti in enumerate(inst.trips):
-        for b, tj in enumerate(inst.trips):
-            if a != b and ti.start + int(dur[a]) + int(travel[a, b]) <= tj.start:
-                pairs.add((a + 1, b + 1))
-    return pairs
+    return build_compat(inst.trips, travel, dur)
 
 
 def save_scenarios(scen: ScenarioSet, path) -> None:

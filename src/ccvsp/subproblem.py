@@ -2,13 +2,17 @@
 
 The greedy evaluator propagates earliest start times bus by bus (expressing
 fixed at its maximum), flags late trips and checks the service requirements in
-O(I) for one scenario, and returns what the cut builders need. The scenario
-evaluator runs the same propagation for every scenario at once: it loops over
-buses and positions only and carries numpy vectors along the scenario axis,
-in the same integer arithmetic, so its verdicts equal the greedy ones. Batch
-callers (violation counts, cut screening, incumbent encoding) use it. A small
-MILP oracle solves the feasibility model directly and is used to
-cross-validate the greedy answer in the tests.
+O(I) for one scenario, and returns what the cut builders need. It gathers the
+legs of all sequenced pairs with one numpy call, from index arrays the
+schedule builds once (``Schedule.chain_index``) and the instance's start and
+expressing tables, and then propagates on Python ints; the requirement
+verdicts come from the late-trip count per route. The scenario evaluator runs
+the same propagation for every scenario at once: it gathers the same legs for
+all scenarios, loops over the sequenced pairs only and carries numpy vectors
+along the scenario axis, in the same integer arithmetic, so its verdicts equal
+the greedy ones. Batch callers (violation counts, cut screening, incumbent
+encoding) use it. A small MILP oracle solves the feasibility model directly
+and is used to cross-validate the greedy answer in the tests.
 """
 
 from __future__ import annotations
@@ -48,15 +52,28 @@ class GreedyResult:
         return int(self.v_star.sum())
 
 
+def _violated(inst: Instance, params: ServiceParams, late: list[int]) -> tuple[Requirement, ...]:
+    """Requirements broken when exactly the trips ``late`` (ids) start late."""
+    per_route = [0] * len(inst.routes)
+    for i in late:
+        per_route[inst.route_of[i] - 1] += 1
+    out = [TRIP_LEVEL] if inst.n_trips - len(late) < params.f_trip else []
+    out += [Requirement(r) for r, (members, f_r, n_late)
+            in enumerate(zip(inst.routes, params.f_route, per_route), start=1)
+            if len(members) - n_late < f_r]
+    return tuple(out)
+
+
 def violated_requirements(inst: Instance, params: ServiceParams, v: np.ndarray) -> tuple[Requirement, ...]:
     """Requirements broken by an on-time flag vector; recomputable from (v, params)."""
-    out = []
-    if int(v.sum()) < params.f_trip:
-        out.append(TRIP_LEVEL)
-    for r, members in enumerate(inst.routes, start=1):
-        if sum(int(v[i - 1]) for i in members) < params.f_route[r - 1]:
-            out.append(Requirement(r))
-    return tuple(out)
+    return _violated(inst, params, (np.flatnonzero(np.logical_not(v)) + 1).tolist())
+
+
+def _legs(inst: Instance, sched: Schedule, scen: ScenarioSet, s) -> np.ndarray:
+    """d_prev + t_prev,next - e_prev of every sequenced pair (last axis, in bus
+    order), in scenario ``s``: an index, or ``slice(None)`` for all."""
+    prev, nxt, _ = sched.chain_index
+    return scen.dur[s, prev] + scen.travel[s, prev, nxt] - inst.max_express[prev]
 
 
 def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
@@ -64,28 +81,35 @@ def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
     """Exact earliest-start propagation for scenario s.
 
     The first trip of each bus starts at s_i - lb; each later trip starts at
-    max(s_i - lb, y_prev + d_prev + t_prev,i - e_prev).
+    max(s_i - lb, y_prev + d_prev + t_prev,i - e_prev). One gather gives the
+    legs of all sequenced pairs, in bus order; the propagation then runs on
+    Python ints. Trips the schedule leaves out keep y = 0 and count as on
+    time; a trip is expected on at most one bus.
     """
-    I = inst.n_trips
-    u = np.array([t.max_express for t in inst.trips], dtype=np.int64)
-    y = np.zeros(I, dtype=np.int64)
-    v = np.ones(I, dtype=bool)
-    dur = scen.dur[s]
-    travel = scen.travel[s]
-    for bus in sched.buses:
-        prev = None
-        for i in bus.trips:
-            t = inst.trips[i - 1]
-            if prev is None:
-                y[i - 1] = t.start - params.lb
+    legs = iter(_legs(inst, sched, scen, s).tolist())
+    lb = params.lb
+    slack = lb + params.ub          # late once y > (s_i - lb) + slack
+    start = inst.starts
+    y = [0] * inst.n_trips
+    late = []
+    for first, later in sched.chain_index.chains:
+        t = y[first] = start[first] - lb
+        # zip stops on ``later`` before it draws from ``legs``, so each bus
+        # takes exactly its own legs
+        for i, leg in zip(later, legs):
+            t += leg
+            earliest = start[i] - lb
+            if t > earliest:
+                if t > earliest + slack:
+                    late.append(i + 1)
             else:
-                arrive = y[prev - 1] + dur[prev - 1] + travel[prev - 1, i - 1] - u[prev - 1]
-                y[i - 1] = max(t.start - params.lb, arrive)
-                v[i - 1] = y[i - 1] <= t.start + params.ub
-            prev = i
-    violated = violated_requirements(inst, params, v)
-    delayed = frozenset(int(i) for i in np.flatnonzero(~v) + 1)
-    return GreedyResult(1 if violated else 0, y, v, u, delayed, violated)
+                t = earliest
+            y[i] = t
+    v = np.ones(inst.n_trips, dtype=bool)
+    v[np.array(late, dtype=np.intp) - 1] = False
+    violated = _violated(inst, params, late)
+    return GreedyResult(1 if violated else 0, np.array(y, dtype=np.int64), v,
+                        inst.max_express.copy(), frozenset(late), violated)
 
 
 def evaluate_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,
@@ -96,17 +120,17 @@ def evaluate_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,
     a requirement, and ``v_star[s, i-1]`` flags trip i on time in scenario s,
     both equal to what ``greedy_evaluate`` gives for that scenario.
     """
-    S = scen.count
-    start = np.array([t.start for t in inst.trips], dtype=np.int64)
-    express = np.array([t.max_express for t in inst.trips], dtype=np.int64)
-    v = np.ones((S, inst.n_trips), dtype=bool)
-    for bus in sched.buses:
-        y = np.full(S, start[bus.trips[0] - 1] - params.lb)
-        for prev, i in zip(bus.trips, bus.trips[1:]):
-            arrive = (y + scen.dur[:, prev - 1] + scen.travel[:, prev - 1, i - 1]
-                      - express[prev - 1])
-            y = np.maximum(start[i - 1] - params.lb, arrive)
-            v[:, i - 1] = y <= start[i - 1] + params.ub
+    # legs[k] is pair k's leg in every scenario, one contiguous row per pair
+    legs = np.ascontiguousarray(_legs(inst, sched, scen, slice(None)).T)
+    start, lb, ub = inst.starts, params.lb, params.ub
+    v = np.ones((scen.count, inst.n_trips), dtype=bool)
+    k = 0
+    for first, later in sched.chain_index.chains:
+        y = np.full(scen.count, start[first] - lb)
+        for i in later:
+            y = np.maximum(start[i] - lb, y + legs[k])
+            v[:, i] = y <= start[i] + ub
+            k += 1
     broken = v.sum(axis=1) < params.f_trip
     for members, f_r in zip(inst.routes, params.f_route):
         broken |= v[:, np.asarray(members, dtype=np.intp) - 1].sum(axis=1) < f_r

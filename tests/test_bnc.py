@@ -54,6 +54,19 @@ def test_grid_bnc_picks_right_schedule():
     assert count_violated_scenarios(inst, params, gallery.grid_schedule_left(), scen) == 2
 
 
+def test_objective_is_the_integer_schedule_cost():
+    inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
+    scen = sample_scenarios(inst, 50, seed=2)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    res = solve_bnc(inst, params, scen, BnCConfig())
+    assert type(res.objective) is int
+    assert res.objective == schedule_cost(inst, res.schedule)
+    assert res.lp_objective == pytest.approx(res.objective)
+    doc = res.to_json()
+    assert (doc["objective"], doc["lp_objective"]) == (res.objective, res.lp_objective)
+
+
 def test_cuts_never_fire_when_mean_solution_reliable():
     rng = np.random.default_rng(4)
     inst = random_instance(rng, n_trips=5)

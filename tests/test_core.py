@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import PROPERTY
 
 from ccvsp import gallery
 from ccvsp.core import (
     Bus,
     Instance,
     Schedule,
+    Trip,
     ValidationError,
+    build_compat,
     cc_threshold,
     floor_frac,
     instance_from_json,
@@ -135,3 +141,33 @@ def test_service_params_derivation(grid):
     params = gallery.grid_service_params(grid)
     assert params.f_trip == 7
     assert params.f_route == (1, 1, 1, 1)
+
+
+@st.composite
+def compat_inputs(draw):
+    """Trips, a deadhead table with a zero diagonal and optional duration
+    estimates; an estimate may be zero, so a trip can meet the test against
+    itself."""
+    n = draw(st.integers(0, 8))
+    times = st.lists(st.integers(0, 30), min_size=n, max_size=n)
+    starts, means = draw(times), draw(times)
+    trips = [Trip(i, 1, (0, 0), (0, 0), 10 * starts[i - 1], means[i - 1] + 1, 0)
+             for i in range(1, n + 1)]
+    dh = np.array(draw(st.lists(st.integers(0, 20), min_size=n * n, max_size=n * n)),
+                  dtype=np.int64).reshape(n, n)
+    np.fill_diagonal(dh, 0)
+    dur = draw(st.none() | times.map(lambda d: np.array(d, dtype=np.int64)))
+    return trips, dh, dur
+
+
+@PROPERTY
+@given(compat_inputs())
+def test_build_compat_matches_double_loop(case):
+    trips, dh, dur = case
+    d = [t.mean_dur for t in trips] if dur is None else dur.tolist()
+    expected = set()
+    for a, ti in enumerate(trips):
+        for b, tj in enumerate(trips):
+            if a != b and ti.start + d[a] + int(dh[a, b]) <= tj.start:
+                expected.add((a + 1, b + 1))
+    assert build_compat(trips, dh, dur) == expected

@@ -148,6 +148,20 @@ def test_group_solve_zero_penalty_matches_plain():
     assert val == pytest.approx(plain.objective)
 
 
+def test_group_value_carries_the_indicator_charges():
+    rng = np.random.default_rng(12)
+    inst = random_instance(rng, n_trips=6)
+    params = ServiceParams.for_instance(inst, lb=1, ub=2, delta_trip=0.8,
+                                        delta_route=0.5, epsilon=0.34)
+    scen = random_scenarios(rng, inst, 3, spread=6)
+    sub = restrict(inst, scen, [1, 2, 3])
+    mu = np.full(3, 7.0)
+    # group 1 is charged -(P-1) mu per indicator, so the budget's worth turn on
+    sched, z, val, opt = solve_group(sub, params, BnCConfig(), mu, p=1, n_groups=2)
+    assert opt and z.sum() == cc_threshold(scen.count, params.epsilon) > 0
+    assert val == pytest.approx(schedule_cost(inst, sched) - mu @ z)
+
+
 def _joint_optimum(inst, params, scen, groups):
     """Brute force the linked two-group model."""
     budget = cc_threshold(scen.count, params.epsilon)

@@ -1,20 +1,29 @@
 """Instance generation and scenario sampling."""
 
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+
+from conftest import PROPERTY, random_cases
 
 from ccvsp.baselines import evaluate_out_of_sample
 from ccvsp.bnc import BnCConfig, solve_bnc
-from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError
+from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, instance_from_json, instance_to_json
 from ccvsp.lagrangian import solve_lagrangian
 from ccvsp.scenarios import (
     GenParams,
     ScenarioSet,
     compat_for_times,
     generate_instance,
+    load_scenarios,
     percentile_times,
     sample_scenarios,
+    save_scenarios,
 )
+from ccvsp.subproblem import evaluate_scenarios, greedy_evaluate
 
 
 def test_fifty_trips_make_five_routes_with_shared_endpoints():
@@ -138,3 +147,32 @@ def test_scenario_shape_check_names_each_table():
         tables[name] = bad
         with pytest.raises(ValidationError, match=f"scenario table {name} has shape"):
             ScenarioSet(**tables).check_instance(inst)
+
+
+@PROPERTY
+@given(random_cases())
+def test_instance_and_scenarios_survive_round_trip(case):
+    inst, params, scen, sched = case
+    loaded = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
+    buf = io.BytesIO()
+    save_scenarios(scen, buf)
+    buf.seek(0)
+    scen2 = load_scenarios(buf)
+    assert (loaded.trips, loaded.depots, loaded.routes, loaded.compat) == \
+        (inst.trips, inst.depots, inst.routes, inst.compat)
+    for name in ("dh_time", "out_time", "in_time", "cost", "out_cost", "in_cost"):
+        a, b = getattr(inst, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("dur", "travel", "out_t", "in_t"):
+        a, b = getattr(scen, name), getattr(scen2, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert scen2.rng_seed == scen.rng_seed
+    params2 = params.scaled_to(loaded)
+    assert params2 == params
+    z, v = evaluate_scenarios(inst, params, sched, scen)
+    z2, v2 = evaluate_scenarios(loaded, params2, sched, scen2)
+    assert np.array_equal(z, z2) and np.array_equal(v, v2)
+    for s in range(scen.count):
+        g = greedy_evaluate(inst, params, sched, scen, s)
+        g2 = greedy_evaluate(loaded, params2, sched, scen2, s)
+        assert np.array_equal(g.y_star, g2.y_star) and g.violated == g2.violated

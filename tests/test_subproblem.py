@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
 from ccvsp import gallery
-from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold
+from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, validate_schedule
+from ccvsp.lagrangian import restrict
 from ccvsp.subproblem import (
     TRIP_LEVEL,
+    Requirement,
     count_violated_scenarios,
     evaluate_scenarios,
     greedy_evaluate,
@@ -62,6 +65,104 @@ def test_scenario_evaluator_matches_greedy(case):
         assert z_star[s] == g.z_star
         assert np.array_equal(v_star[s], g.v_star)
     assert count_violated_scenarios(inst, params, sched, scen) == int(z_star.sum())
+
+
+def reference_greedy(inst, params, sched, scen, s):
+    """Earliest starts, on-time flags and broken requirements, trip by trip
+    from the model's definition."""
+    y = [0] * inst.n_trips
+    v = [True] * inst.n_trips
+    for bus in sched.buses:
+        for pos, i in enumerate(bus.trips):
+            trip = inst.trips[i - 1]
+            if pos == 0:
+                y[i - 1] = trip.start - params.lb
+                continue
+            p = bus.trips[pos - 1]
+            arrive = (y[p - 1] + int(scen.dur[s, p - 1]) + int(scen.travel[s, p - 1, i - 1])
+                      - inst.trips[p - 1].max_express)
+            y[i - 1] = max(trip.start - params.lb, arrive)
+            v[i - 1] = y[i - 1] <= trip.start + params.ub
+    violated = [TRIP_LEVEL] if sum(v) < params.f_trip else []
+    for r, members in enumerate(inst.routes, start=1):
+        if sum(v[i - 1] for i in members) < params.f_route[r - 1]:
+            violated.append(Requirement(r))
+    return y, v, tuple(violated)
+
+
+@st.composite
+def evaluator_cases(draw):
+    """``random_cases`` cut down: up to two buses dropped (a partial schedule),
+    sometimes restricted to the kept trips as a Lagrangian sub-instance, with
+    a drawn window whose lb or ub is often zero."""
+    inst, params, scen, sched = draw(random_cases())
+    dropped = draw(st.sets(st.integers(0, len(sched.buses) - 1), max_size=2))
+    buses = tuple(b for k, b in enumerate(sched.buses) if k not in dropped)
+    if buses and draw(st.booleans()):
+        sub = restrict(inst, scen, [i for b in buses for i in b.trips])
+        to_local = {o: l for l, o in sub.to_orig.items()}
+        inst, scen = sub.inst, sub.scen
+        buses = tuple(Bus(b.depot, tuple(to_local[i] for i in b.trips)) for b in buses)
+    params = ServiceParams.for_instance(
+        inst, lb=draw(st.integers(0, 3)), ub=draw(st.integers(0, 3)),
+        delta_trip=params.delta_trip, delta_route=params.delta_route, epsilon=params.epsilon)
+    return inst, params, scen, Schedule(buses)
+
+
+@PROPERTY
+@given(evaluator_cases())
+def test_greedy_matches_reference_propagation(case):
+    inst, params, scen, sched = case
+    z_rows, v_rows = evaluate_scenarios(inst, params, sched, scen)
+    for s in range(scen.count):
+        g = greedy_evaluate(inst, params, sched, scen, s)
+        y, v, violated = reference_greedy(inst, params, sched, scen, s)
+        assert g.y_star.dtype == np.int64 and g.y_star.tolist() == y
+        assert g.v_star.dtype == bool and g.v_star.tolist() == v
+        assert g.u_star.dtype == np.int64
+        assert g.u_star.tolist() == [t.max_express for t in inst.trips]
+        assert g.delayed == {i for i, ok in enumerate(v, start=1) if not ok}
+        assert g.violated == violated and g.z_star == (1 if violated else 0)
+        assert violated_requirements(inst, params, np.array(v)) == violated
+        assert z_rows[s] == g.z_star and np.array_equal(v_rows[s], g.v_star)
+
+
+def test_on_time_window_includes_its_upper_end():
+    inst, params, sched, scen = gallery.delay_chain()
+    y = greedy_evaluate(inst, params, sched, scen, 0).y_star
+    for i in range(1, inst.n_trips + 1):
+        ub = int(y[i - 1]) - inst.trips[i - 1].start
+        if ub < 1:
+            continue
+        for bound, late in ((ub, False), (ub - 1, True)):
+            p = ServiceParams.for_instance(inst, params.lb, bound, params.delta_trip,
+                                           params.delta_route, params.epsilon)
+            assert (i in greedy_evaluate(inst, p, sched, scen, 0).delayed) == late
+            assert reference_greedy(inst, p, sched, scen, 0)[1][i - 1] != late
+
+
+@PROPERTY
+@given(random_cases())
+def test_changing_a_result_leaves_the_next_call_alone(case):
+    inst, params, scen, sched = case
+    first = greedy_evaluate(inst, params, sched, scen, 0)
+    y = first.y_star.tolist()
+    first.u_star[:] = -1000
+    first.y_star[:] = -1
+    again = greedy_evaluate(inst, params, sched, scen, 0)
+    assert again.y_star.tolist() == y
+    assert again.u_star.tolist() == [t.max_express for t in inst.trips]
+
+
+def test_empty_bus_changes_no_verdict():
+    inst, params, sched, scen = gallery.delay_chain()
+    padded = Schedule(sched.buses + (Bus(1, ()),))
+    validate_schedule(inst, padded)
+    for got, want in zip(evaluate_scenarios(inst, params, padded, scen),
+                         evaluate_scenarios(inst, params, sched, scen)):
+        assert np.array_equal(got, want)
+    got, want = (greedy_evaluate(inst, params, x, scen, 0) for x in (padded, sched))
+    assert np.array_equal(got.y_star, want.y_star) and got.violated == want.violated
 
 
 def test_violation_threshold_formula():
