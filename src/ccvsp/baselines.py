@@ -104,8 +104,9 @@ class EvalReport:
     time_s: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.eval_sat_pct <= 100.0:
-            raise ValidationError("satisfaction percentage outside [0, 100]")
+        for pct in (self.eval_sat_pct, self.train_sat_pct):
+            if pct is not None and not 0.0 <= pct <= 100.0:
+                raise ValidationError(f"satisfaction percentage {pct} outside [0, 100]")
 
 
 def satisfaction_pct(inst: Instance, params: ServiceParams, sched: Schedule,
@@ -133,24 +134,51 @@ def evaluate_out_of_sample(inst: Instance, params: ServiceParams, sched: Schedul
 
 COMPARE_HEADER = "method,instance,I,K,S,objective,obj_diff_vs_mean_pct,train_sat_pct,eval_sat_pct,time_s"
 
+# one table row: (instance label, trips I, depots K, evaluation scenarios S, report)
+ReportRow = tuple[str, int, int, int, EvalReport]
 
-def compare_table(reports: list[tuple[str, Instance, int, EvalReport]]) -> str:
-    """Aggregate (instance label, instance, S, report) rows into one CSV.
+
+def report_table(rows: list[ReportRow]) -> str:
+    """The comparison table as CSV text, header first, without a final newline.
 
     The objective difference column is relative to the mean-times baseline of
     the same instance label, when present.
     """
-    mean_obj: dict[str, float] = {}
-    for label, _, _, rep in reports:
-        if rep.method == "det-mean":
-            mean_obj[label] = rep.objective
-    rows = [COMPARE_HEADER]
-    for label, inst, S, rep in reports:
-        diff = ""
-        if label in mean_obj and mean_obj[label] > 0:
-            diff = f"{100.0 * (rep.objective - mean_obj[label]) / mean_obj[label]:.3f}"
+    mean_obj = {label: rep.objective for label, *_, rep in rows if rep.method == "det-mean"}
+    lines = [COMPARE_HEADER]
+    for label, I, K, S, rep in rows:
+        base = mean_obj.get(label, 0.0)
+        diff = f"{100.0 * (rep.objective - base) / base:.3f}" if base > 0 else ""
         train = "" if rep.train_sat_pct is None else f"{rep.train_sat_pct:.2f}"
-        rows.append(f"{rep.method},{label},{inst.n_trips},{inst.n_depots},{S},"
-                    f"{rep.objective:.1f},{diff},{train},{rep.eval_sat_pct:.2f},"
-                    f"{rep.time_s:.2f}")
-    return "\n".join(rows)
+        lines.append(f"{rep.method},{label},{I},{K},{S},{rep.objective:.1f},{diff},{train},"
+                     f"{rep.eval_sat_pct:.2f},{rep.time_s:.2f}")
+    return "\n".join(lines)
+
+
+def read_report(path) -> list[ReportRow]:
+    """The rows of a ``report_table`` file, checked line by line; the
+    objective difference column is not read, as ``report_table`` derives it."""
+    with open(path) as fh:
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != COMPARE_HEADER:
+        raise ValidationError(f"{path} is not an evaluation report")
+    width = COMPARE_HEADER.count(",") + 1
+    rows = []
+    for n, line in lines[1:]:
+        cols = line.split(",")
+        try:
+            if len(cols) != width:
+                raise ValidationError(f"{len(cols)} columns, expected {width}")
+            method, label, I, K, S, obj, _, train, pct, t = cols
+            rep = EvalReport(method, float(obj), float(pct),
+                             float(train) if train else None, float(t))
+            rows.append((label, int(I), int(K), int(S), rep))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{n}: {exc}") from None
+    return rows
+
+
+def compare_table(reports: list[tuple[str, Instance, int, EvalReport]]) -> str:
+    """Aggregate (instance label, instance, S, report) rows into one CSV."""
+    return report_table([(label, inst.n_trips, inst.n_depots, S, rep)
+                         for label, inst, S, rep in reports])

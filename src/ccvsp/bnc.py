@@ -10,7 +10,6 @@ schedule, so branching on indicators is unnecessary).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -48,6 +47,8 @@ from .milp import EQUAL, LESS, MilpModel, bnb_solve
 from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios, evaluate_scenarios, greedy_evaluate
 
+MASTER_VAR_CAP = 200_000
+
 VARIANTS = {
     "Nn": (False, False),   # no enhancements
     "VI": (True, False),    # valid inequalities only
@@ -62,9 +63,7 @@ class BnCConfig:
     use_vi: bool = True
     relax_z: bool = True
     time_limit: float | None = None
-    gap_tol: float = 1e-6
     warm_start: bool = False
-    node_limit: int | None = None
 
     def __post_init__(self):
         if self.cut_family not in CUT_KINDS:
@@ -120,15 +119,15 @@ class MasterModel:
     """
 
     def __init__(self, inst: Instance, params: ServiceParams, scen: ScenarioSet,
-                 cfg: BnCConfig, var_cap: int = 200_000):
+                 cfg: BnCConfig):
         self.inst = inst
         self.params = params
         self.scen = scen
         self.cfg = cfg
         model = MilpModel("saa-master")
         I, K = inst.n_trips, inst.n_depots
-        if (len(inst.compat) + 2 * K * I) * K + scen.count > var_cap:
-            raise ValueError("master model exceeds the configured size cap")
+        if (len(inst.compat) + 2 * K * I) * K + scen.count > MASTER_VAR_CAP:
+            raise ValueError(f"master model exceeds the cap of {MASTER_VAR_CAP} variables")
         self.x: dict[Arc, int] = {}
         for k in range(1, K + 1):
             for i in range(1, I + 1):
@@ -216,8 +215,7 @@ class MasterModel:
         incumbent0 = None
         if cfg.warm_start and initial_schedule is not None:
             incumbent0 = self.encode_incumbent(initial_schedule)
-        sol = bnb_solve(self.model, lazy=lazy, gap_tol=cfg.gap_tol,
-                        time_limit=time_limit, node_limit=cfg.node_limit,
+        sol = bnb_solve(self.model, lazy=lazy, time_limit=time_limit,
                         incumbent0=incumbent0, root_basis=self.root_basis)
         if sol.root_basis is not None:
             self.root_basis = sol.root_basis
@@ -320,8 +318,3 @@ def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     res = MasterModel(inst, params, scen, cfg).solve(cfg.time_limit, initial_schedule)
     res.time_s = time.monotonic() - t0
     return res
-
-
-def save_result(res: BnCResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(res.to_json(), fh, indent=1)

@@ -10,12 +10,14 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .baselines import (
-    COMPARE_HEADER,
     MEAN,
     evaluate_out_of_sample,
     percentile,
+    read_report,
+    report_table,
     solve_deterministic,
 )
 from .bnc import BnCConfig, solve_bnc
@@ -141,9 +143,6 @@ def cmd_solve(args) -> int:
                         relax_z=args.zc == "on", time_limit=args.time_limit)
         res = solve_bnc(inst, params, scen, cfg)
         doc = res.to_json() | {"method": "bnc"}
-        if res.status == "Infeasible":
-            _write_json(args.output, doc)
-            return EXIT_INFEASIBLE
     else:
         cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on",
                         relax_z=args.zc == "on")
@@ -155,17 +154,11 @@ def cmd_solve(args) -> int:
                "iterations": res.iterations, "n_groups": res.n_groups,
                "schedule": schedule_to_json(res.schedule) if res.schedule else None,
                "time_s": res.time_s, "log": res.log_csv()}
-        if res.status == "Infeasible":
-            _write_json(args.output, doc)
-            return EXIT_INFEASIBLE
-    _write_json(args.output, doc)
+    Path(args.output).write_text(json.dumps(doc, indent=1))
+    if doc["status"] == "Infeasible":
+        return EXIT_INFEASIBLE
     print(f"{args.method}: objective {doc.get('objective')}")
     return EXIT_OK
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
 
 
 def cmd_evaluate(args) -> int:
@@ -173,45 +166,31 @@ def cmd_evaluate(args) -> int:
     params = _load_params(inst, args)
     with open(args.schedule) as fh:
         doc = json.load(fh)
+    if doc.get("schedule") is None:
+        raise ValidationError(f"{args.schedule} holds no schedule "
+                              f"(status {doc.get('status')})")
     sched = schedule_from_json(doc["schedule"])
+    # check only what a schedule of another instance breaks; planning
+    # compatibility and depot capacity are the solvers' concern
+    if sorted(sched.trip_ids()) != list(range(1, inst.n_trips + 1)) or \
+            any(not 1 <= b.depot <= inst.n_depots for b in sched.buses):
+        raise ValidationError(f"{args.schedule} does not fit {args.instance}: it must serve "
+                              f"each of trips 1..{inst.n_trips} once from depots 1..{inst.n_depots}")
     eval_scen = sample_scenarios(inst, args.eval_scenarios, args.seed)
     train = load_scenarios(args.train_scenarios_file) if args.train_scenarios_file else None
     rep = evaluate_out_of_sample(inst, params, sched, eval_scen,
                                  method=doc.get("method", "unknown"),
                                  train_scen=train, time_s=doc.get("time_s", 0.0))
-    rows = [COMPARE_HEADER,
-            f"{rep.method},{args.instance},{inst.n_trips},{inst.n_depots},"
-            f"{eval_scen.count},{rep.objective:.1f},,"
-            f"{'' if rep.train_sat_pct is None else f'{rep.train_sat_pct:.2f}'},"
-            f"{rep.eval_sat_pct:.2f},{rep.time_s:.2f}"]
-    with open(args.output, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    table = report_table([(args.instance, inst.n_trips, inst.n_depots, eval_scen.count, rep)])
+    Path(args.output).write_text(table + "\n")
     print(f"{rep.method}: {rep.eval_sat_pct:.2f}% of scenarios satisfied")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    rows = [COMPARE_HEADER]
-    parsed = []
-    for path in args.reports:
-        with open(path) as fh:
-            lines = [l.strip() for l in fh if l.strip()]
-        if not lines or lines[0] != COMPARE_HEADER:
-            raise ValidationError(f"{path} is not an evaluation report")
-        for line in lines[1:]:
-            parsed.append(line.split(","))
-    mean_obj = {}
-    for cols in parsed:
-        if cols[0] == "det-mean":
-            mean_obj[cols[1]] = float(cols[5])
-    for cols in parsed:
-        base = mean_obj.get(cols[1])
-        if base:
-            cols[6] = f"{100.0 * (float(cols[5]) - base) / base:.3f}"
-        rows.append(",".join(cols))
-    with open(args.output, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    print(f"wrote {args.output}: {len(rows) - 1} rows")
+    rows = [row for path in args.reports for row in read_report(path)]
+    Path(args.output).write_text(report_table(rows) + "\n")
+    print(f"wrote {args.output}: {len(rows)} rows")
     return EXIT_OK
 
 

@@ -74,14 +74,9 @@ class ChainIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class Schedule:
-    """A candidate vehicle schedule as a list of buses.
-
-    ``capacity_relaxed`` marks intermediate schedules (from recombining group
-    solutions) that are allowed to exceed depot capacities before repair.
-    """
+    """A candidate vehicle schedule as a list of buses."""
 
     buses: tuple[Bus, ...]
-    capacity_relaxed: bool = False
 
     def trip_ids(self) -> list[TripId]:
         return [i for bus in self.buses for i in bus.trips]
@@ -282,7 +277,7 @@ def cc_threshold(n_scenarios: int, epsilon: float) -> int:
 # -- schedules ---------------------------------------------------------------
 
 def validate_schedule(inst: Instance, sched: Schedule) -> None:
-    """Check coverage, pairwise compatibility and (unless relaxed) depot capacity."""
+    """Check coverage, pairwise compatibility and depot capacity."""
     ids = sched.trip_ids()
     if len(ids) != len(set(ids)):
         dup = sorted({i for i in ids if ids.count(i) > 1})
@@ -296,11 +291,10 @@ def validate_schedule(inst: Instance, sched: Schedule) -> None:
         for i, j in zip(bus.trips, bus.trips[1:]):
             if (i, j) not in inst.compat:
                 raise ValidationError(f"consecutive pair ({i},{j}) is not planning compatible")
-    if not sched.capacity_relaxed:
-        for k in range(1, inst.n_depots + 1):
-            used = sum(1 for b in sched.buses if b.depot == k)
-            if used > inst.depot(k).capacity:
-                raise ValidationError(f"depot {k} hosts {used} buses, capacity {inst.depot(k).capacity}")
+    for k in range(1, inst.n_depots + 1):
+        used = sum(1 for b in sched.buses if b.depot == k)
+        if used > inst.depot(k).capacity:
+            raise ValidationError(f"depot {k} hosts {used} buses, capacity {inst.depot(k).capacity}")
 
 
 def schedule_cost(inst: Instance, sched: Schedule) -> int:

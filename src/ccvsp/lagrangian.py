@@ -38,10 +38,14 @@ from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios
 
 
+# the proximal master's projected gradient stops on a step below QP_TOL or at QP_ITER_CAP
+QP_TOL = 1e-8
+QP_ITER_CAP = 2000
+
+
 @dataclass(frozen=True)
 class Partition:
     groups: tuple[tuple[int, ...], ...]
-    min_group_size: int
 
     def __post_init__(self):
         seen = [i for g in self.groups for i in g]
@@ -67,7 +71,7 @@ def partition_trips(det_sched: Schedule, m_gr: int) -> Partition:
             current = []
     if current:
         groups.append(current)
-    return Partition(tuple(tuple(g) for g in groups), m_gr)
+    return Partition(tuple(tuple(g) for g in groups))
 
 
 @dataclass
@@ -168,12 +172,10 @@ class BundleModel:
     solved through its simplex-constrained dual by projected gradient.
     """
 
-    def __init__(self, dim: int, qp_tol: float = 1e-8, max_qp_iters: int = 2000):
+    def __init__(self, dim: int):
         self.dim = dim
         self.consts: list[float] = []     # c_l = value_l - g_l . anchor_l
         self.grads: list[np.ndarray] = []
-        self.qp_tol = qp_tol
-        self.max_qp_iters = max_qp_iters
 
     def add_cut(self, value: float, g: np.ndarray, anchor: np.ndarray) -> None:
         self.consts.append(float(value - g @ anchor))
@@ -203,9 +205,9 @@ class BundleModel:
         step = t / (1.0 + float((G * G).sum()))
         val, grad = q_and_grad(nu)
         ok = True
-        for _ in range(self.max_qp_iters):
+        for _ in range(QP_ITER_CAP):
             nu_new = _project_simplex(nu - step * grad)
-            if np.linalg.norm(nu_new - nu) < self.qp_tol:
+            if np.linalg.norm(nu_new - nu) < QP_TOL:
                 nu = nu_new
                 break
             val_new, grad_new = q_and_grad(nu_new)

@@ -473,18 +473,17 @@ def _expired(deadline: float | None) -> bool:
 
 
 def lp_solve(model: MilpModel, warm_start: list[int] | None = None,
-             var_lb=None, var_ub=None, max_iter: int | None = None,
-             deadline: float | None = None) -> LpSolution:
+             var_lb=None, var_ub=None, deadline: float | None = None) -> LpSolution:
     """Solve the LP relaxation; returns a primal-dual pair on Optimal.
 
     ``warm_start`` is the ``basis`` of an earlier solution of this model, which
     may since have gained rows or been given other variable bounds; the dual
     simplex re-optimises it, and an unusable basis falls back to a cold solve.
     ``deadline`` is a ``time.monotonic()`` instant; once it passes, the solve
-    stops with status IterLimit.
+    stops with status IterLimit, as it does after 2000 + 200 (rows + columns)
+    simplex iterations.
     """
-    if max_iter is None:
-        max_iter = 2000 + 200 * (model.n_rows + model.n_vars)
+    max_iter = 2000 + 200 * (model.n_rows + model.n_vars)
     sim = _Simplex(model, var_lb=var_lb, var_ub=var_ub)
     if warm_start is not None:
         sol = sim.solve_from_basis(warm_start, max_iter, deadline)
@@ -505,8 +504,7 @@ class _Node:
     basis: list[int] | None = field(compare=False, default=None)
 
 
-def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
-              time_limit: float | None = None, node_limit: int | None = None,
+def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
               incumbent0=None, root_basis: list[int] | None = None) -> MilpSolution:
     """Best-bound branch-and-bound with lazy constraints added globally.
 
@@ -518,7 +516,8 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
     one half (ties: lowest index). Deterministic for identical inputs and
     configuration. ``incumbent0`` seeds the search with a known feasible
     (x, objective) pair; the caller vouches for its feasibility.
-    ``time_limit`` also bounds the time spent inside one LP.
+    ``time_limit`` also bounds the time spent inside one LP. The search stops
+    as Optimal once the relative gap is at most ``GAP_TOL``.
 
     ``root_basis`` warm-starts the root LP. It is the ``root_basis`` of an
     earlier solve of this model with the same rows, which may since have been
@@ -552,13 +551,12 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
         if incumbent is not None:
             # unpruned open nodes may lie above the incumbent
             low = min(inc_obj, min(n.bound for n in heap))
-            if _rel_gap(inc_obj, low) <= gap_tol:
+            if _rel_gap(inc_obj, low) <= GAP_TOL:
                 return result("Optimal", incumbent, inc_obj, low, _rel_gap(inc_obj, low))
         node = heapq.heappop(heap)
-        if incumbent is not None and node.bound >= inc_obj - _gap_slack(inc_obj, gap_tol):
+        if incumbent is not None and node.bound >= inc_obj - _gap_slack(inc_obj):
             continue
-        if (time_limit is not None and time.monotonic() - t0 > time_limit) or \
-           (node_limit is not None and nodes >= node_limit):
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
             heapq.heappush(heap, node)
             hit_limit = True
             break
@@ -579,7 +577,7 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
             if sol.status != "Optimal":
                 return result(sol.status, incumbent, inc_obj, node.bound,
                               _rel_gap(inc_obj, node.bound))
-            if incumbent is not None and sol.obj >= inc_obj - _gap_slack(inc_obj, gap_tol):
+            if incumbent is not None and sol.obj >= inc_obj - _gap_slack(inc_obj):
                 break
             frac_j = _most_fractional(sol.x, int_vars)
             if frac_j is None:
@@ -612,13 +610,13 @@ def bnb_solve(model: MilpModel, lazy=None, gap_tol: float = GAP_TOL,
     if heap:
         low = min(inc_obj, min(n.bound for n in heap))
         gap = _rel_gap(inc_obj, low)
-        status = "Optimal" if gap <= gap_tol else "IterLimit"
+        status = "Optimal" if gap <= GAP_TOL else "IterLimit"
         return result(status, incumbent, inc_obj, low, gap)
     return result("Optimal", incumbent, inc_obj, inc_obj, 0.0)
 
 
-def _gap_slack(inc_obj: float, gap_tol: float) -> float:
-    return max(gap_tol * abs(inc_obj), 1e-9)
+def _gap_slack(inc_obj: float) -> float:
+    return max(GAP_TOL * abs(inc_obj), 1e-9)
 
 
 def _rel_gap(inc: float, bound: float) -> float:

@@ -8,7 +8,7 @@ import pytest
 from ccvsp import gallery
 from ccvsp.baselines import MEAN, compare_table, evaluate_out_of_sample, solve_deterministic
 from ccvsp.cli import main
-from ccvsp.core import Bus, Schedule, schedule_cost
+from ccvsp.core import Bus, Schedule, ServiceParams, schedule_cost
 from ccvsp.scenarios import GenParams, compat_for_times, generate_instance, percentile_times, sample_scenarios
 
 
@@ -196,3 +196,109 @@ def test_cli_solve_mismatched_scenarios_exits_one(tmp_path, capsys):
                      "-o", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert "scenario table dur has shape (10, 12)" in err, err
+
+
+def _solved_pair(tmp_path):
+    """A small instance, its training scenarios and det-mean / det-p75 results."""
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    assert main(["generate", "--trips", "10", "--depots", "2", "--route-size", "5",
+                 "--seed", "3", "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "8",
+                 "--seed", "4", "-o", str(scen_path)]) == 0
+    results = {}
+    for method in ("det-mean", "det-p75"):
+        results[method] = tmp_path / f"{method}.json"
+        assert main(["solve", "--instance", str(inst_path), "--scenarios-file",
+                     str(scen_path), "--method", method, "-o", str(results[method])]) == 0
+    return inst_path, scen_path, results
+
+
+def test_cli_compare_matches_compare_table(tmp_path):
+    from ccvsp.core import load_instance, schedule_from_json
+    from ccvsp.scenarios import load_scenarios
+
+    inst_path, scen_path, results = _solved_pair(tmp_path)
+    reports = []
+    for method, train in (("det-mean", None), ("det-p75", scen_path)):
+        reports.append(tmp_path / f"{method}.csv")
+        argv = ["evaluate", "--instance", str(inst_path), "--schedule", str(results[method]),
+                "--eval-scenarios", "40", "--seed", "9", "-o", str(reports[-1])]
+        assert main(argv + (["--train-scenarios-file", str(train)] if train else [])) == 0
+    table_path = tmp_path / "table.csv"
+    assert main(["compare", *map(str, reports), "-o", str(table_path)]) == 0
+
+    inst = load_instance(inst_path)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,   # CLI defaults
+                                        delta_route=0.8, epsilon=0.05)
+    ev = sample_scenarios(inst, 40, 9)
+    rows = []
+    for method, train in (("det-mean", None), ("det-p75", load_scenarios(scen_path))):
+        doc = json.loads(results[method].read_text())
+        rep = evaluate_out_of_sample(inst, params, schedule_from_json(doc["schedule"]), ev,
+                                     method=method, train_scen=train, time_s=doc["time_s"])
+        rows.append((str(inst_path), inst, ev.count, rep))
+    lines = table_path.read_text().splitlines()
+    assert lines == compare_table(rows).splitlines()
+    mean_row, p75_row = (line.split(",") for line in lines[1:])
+    assert mean_row[6] == "0.000" and mean_row[7] == ""   # det-mean, no training set
+    assert p75_row[6] != "" and p75_row[7] != ""
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda cols: cols[:4], "4 columns, expected 10"),
+    (lambda cols: cols[:5] + ["cheap"] + cols[6:], "could not convert string to float"),
+    (lambda cols: cols[:8] + ["180.00"] + cols[9:], "satisfaction percentage 180.0"),
+], ids=["short-row", "text-objective", "pct-above-100"])
+def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, edit, expected):
+    from ccvsp.baselines import COMPARE_HEADER
+
+    good = "det-mean,inst.json,10,2,40,5530.0,,,81.73,0.12"
+    bad = ",".join(edit(good.split(",")))
+    path = tmp_path / "report.csv"
+    path.write_text(f"{COMPARE_HEADER}\n{good}\n\n{bad}\n")
+    capsys.readouterr()
+    assert main(["compare", str(path), "-o", str(tmp_path / "table.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:4: " in err and expected in err, err
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_cli_evaluate_rejects_result_without_schedule(tmp_path, capsys):
+    inst_path, _, results = _solved_pair(tmp_path)
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"status": "IterLimit", "method": "lagr", "schedule": None}))
+    capsys.readouterr()
+    assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(empty),
+                 "-o", str(tmp_path / "report.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{empty} holds no schedule (status IterLimit)" in err, err
+
+
+def test_cli_evaluate_rejects_schedule_of_another_instance(tmp_path, capsys):
+    _, _, results = _solved_pair(tmp_path)
+    small_path = tmp_path / "small.json"
+    assert main(["generate", "--trips", "6", "--depots", "2", "--route-size", "3",
+                 "--seed", "3", "-o", str(small_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--instance", str(small_path),
+                 "--schedule", str(results["det-mean"]),
+                 "-o", str(tmp_path / "report.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"does not fit {small_path}: it must serve each of trips 1..6 once from depots 1..2" \
+        in err, err
+
+
+def test_cli_evaluate_replays_schedule_over_depot_capacity(tmp_path):
+    from ccvsp.core import load_instance, schedule_to_json
+
+    inst_path, _, _ = _solved_pair(tmp_path)
+    inst = load_instance(inst_path)
+    singles = Schedule(tuple(Bus(1, (i,)) for i in range(1, inst.n_trips + 1)))
+    assert len(singles.buses) > inst.depot(1).capacity   # validate_schedule would refuse it
+    result = tmp_path / "singles.json"
+    result.write_text(json.dumps({"method": "singles", "schedule": schedule_to_json(singles)}))
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(result),
+                 "--eval-scenarios", "20", "-o", str(report)]) == 0
+    assert report.read_text().splitlines()[1].split(",")[8] == "100.00"
