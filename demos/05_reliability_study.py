@@ -29,7 +29,7 @@ for seed in range(3):
     label = f"rand-{seed}"
     mean_s = solve_deterministic(inst, MEAN)
     p75_s = solve_deterministic(inst, percentile(75), scen)
-    cc = solve_bnc(inst, params, scen, BnCConfig(warm_start=True, time_limit=90),
+    cc = solve_bnc(inst, params, scen, BnCConfig(time_limit=90),
                    initial_schedule=p75_s)
     for method, sched, t in [("det-mean", mean_s, 0.0), ("det-p75", p75_s, 0.0),
                              ("cc", cc.schedule, cc.time_s)]:

@@ -11,18 +11,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Instance,
     Schedule,
     ServiceParams,
     ValidationError,
+    build_compat,
     schedule_cost,
     schedule_from_arcs,
 )
 from .milp import EQUAL, LESS, MilpModel, bnb_solve
-from .scenarios import ScenarioSet, compat_for_times, percentile_times
+from .scenarios import ScenarioSet, percentile_times
 from .subproblem import greedy_evaluate
 
 MEAN = ("mean", None)
@@ -38,35 +37,31 @@ def solve_deterministic(inst: Instance, times=MEAN,
     """Minimum-cost flow schedule under one deterministic time table.
 
     ``times`` is ("mean", None) or ("percentile", q); percentiles need the
-    sampled scenarios. Compatibility is recomputed from the chosen table, so
-    the result may sequence pairs outside the instance's planning set when the
-    table runs shorter than the means.
+    sampled scenarios. The schedule sequences only pairs of the instance's
+    planning set that the chosen table also finds compatible, so it passes
+    ``validate_schedule`` and ``schedule_cost`` prices it.
     """
     kind, q = times
     if kind == "mean":
-        dur = np.array([t.mean_dur for t in inst.trips], dtype=np.int64)
-        travel = inst.dh_time
+        compat = inst.compat
     elif kind == "percentile":
         if scen is None:
             raise ValidationError("percentile baseline needs sampled scenarios")
         scen.check_instance(inst)
         dur, travel, _, _ = percentile_times(inst, scen, q)
+        compat = build_compat(inst.trips, travel, dur) & inst.compat
     else:
         raise ValidationError(f"unknown time table {times!r}")
-    compat = compat_for_times(inst, dur, travel)
 
-    model = MilpModel(f"det-{kind}")
+    model = MilpModel()
     I, K = inst.n_trips, inst.n_depots
     x = {}
     for k in range(1, K + 1):
         for i in range(1, I + 1):
-            x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]),
-                                          True, f"o{k}_{i}")
-            x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]),
-                                          True, f"i{i}_{k}")
+            x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]), True)
+            x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
         for (i, j) in sorted(compat):
-            x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]),
-                                         True, f"x{i}_{j}_{k}")
+            x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
     pred = {j: [i for (i, jj) in compat if jj == j] for j in range(1, I + 1)}
     succ = {i: [j for (ii, j) in compat if ii == i] for i in range(1, I + 1)}
     for j in range(1, I + 1):
@@ -74,23 +69,24 @@ def solve_deterministic(inst: Instance, times=MEAN,
         for i in pred[j]:
             for k in range(1, K + 1):
                 coeffs[x[(i, j, k)]] = 1.0
-        model.add_constr(coeffs, EQUAL, 1.0, f"cover{j}")
+        model.add_constr(coeffs, EQUAL, 1.0)
     for k in range(1, K + 1):
         model.add_constr({x[(-k, i, k)]: 1.0 for i in range(1, I + 1)}, LESS,
-                         float(inst.depot(k).capacity), f"cap{k}")
+                         float(inst.depot(k).capacity))
         for i in range(1, I + 1):
             coeffs = {x[(-k, i, k)]: 1.0, x[(i, -k, k)]: -1.0}
             for j in pred[i]:
                 coeffs[x[(j, i, k)]] = 1.0
             for j in succ[i]:
                 coeffs[x[(i, j, k)]] = -1.0
-            model.add_constr(coeffs, EQUAL, 0.0, f"flow{i}_{k}")
+            model.add_constr(coeffs, EQUAL, 0.0)
     sol = bnb_solve(model, time_limit=time_limit)
     if sol.x is None:
-        raise ValidationError(f"deterministic model is {sol.status}: "
-                              "likely insufficient depot capacity")
+        cause = ("likely insufficient depot capacity" if sol.status == "Infeasible"
+                 else "no schedule found within the time limit")
+        raise ValidationError(f"deterministic model is {sol.status}: {cause}")
     arcs = {arc for arc, j in x.items() if sol.x[j] > 0.5}
-    return schedule_from_arcs(inst, arcs, validate=False)
+    return schedule_from_arcs(inst, arcs)
 
 
 @dataclass

@@ -63,7 +63,6 @@ class BnCConfig:
     use_vi: bool = True
     relax_z: bool = True
     time_limit: float | None = None
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.cut_family not in CUT_KINDS:
@@ -124,33 +123,29 @@ class MasterModel:
         self.params = params
         self.scen = scen
         self.cfg = cfg
-        model = MilpModel("saa-master")
+        model = MilpModel()
         I, K = inst.n_trips, inst.n_depots
         if (len(inst.compat) + 2 * K * I) * K + scen.count > MASTER_VAR_CAP:
             raise ValueError(f"master model exceeds the cap of {MASTER_VAR_CAP} variables")
         self.x: dict[Arc, int] = {}
         for k in range(1, K + 1):
             for i in range(1, I + 1):
-                self.x[(-k, i, k)] = model.add_var(
-                    0, 1, float(inst.out_cost[k - 1, i - 1]), True, f"x_o{k}_{i}")
-                self.x[(i, -k, k)] = model.add_var(
-                    0, 1, float(inst.in_cost[i - 1, k - 1]), True, f"x_i{i}_{k}")
+                self.x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]), True)
+                self.x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
             for (i, j) in sorted(inst.compat):
-                self.x[(i, j, k)] = model.add_var(
-                    0, 1, float(inst.cost[i - 1, j - 1]), True, f"x_{i}_{j}_{k}")
-        self.z = [model.add_var(0, 1, 0.0, not cfg.relax_z, f"z{s}")
-                  for s in range(scen.count)]
+                self.x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
+        self.z = [model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
         # each trip is reached exactly once, over all commodities
         for j in range(1, I + 1):
             coeffs = {self.x[(-k, j, k)]: 1.0 for k in range(1, K + 1)}
             for i in inst.pred[j]:
                 for k in range(1, K + 1):
                     coeffs[self.x[(i, j, k)]] = 1.0
-            model.add_constr(coeffs, EQUAL, 1.0, f"cover{j}")
+            model.add_constr(coeffs, EQUAL, 1.0)
         # depot capacities on pull-outs
         for k in range(1, K + 1):
             model.add_constr({self.x[(-k, i, k)]: 1.0 for i in range(1, I + 1)},
-                             LESS, float(inst.depot(k).capacity), f"cap{k}")
+                             LESS, float(inst.depot(k).capacity))
         # per-commodity flow balance at every trip node
         for k in range(1, K + 1):
             for i in range(1, I + 1):
@@ -159,10 +154,10 @@ class MasterModel:
                     coeffs[self.x[(j, i, k)]] = 1.0
                 for j in inst.succ[i]:
                     coeffs[self.x[(i, j, k)]] = coeffs.get(self.x[(i, j, k)], 0.0) - 1.0
-                model.add_constr(coeffs, EQUAL, 0.0, f"flow{i}_{k}")
+                model.add_constr(coeffs, EQUAL, 0.0)
         # violation budget
         model.add_constr({zv: 1.0 for zv in self.z}, LESS,
-                         float(cc_threshold(scen.count, params.epsilon)), "budget")
+                         float(cc_threshold(scen.count, params.epsilon)))
         if cfg.use_vi:
             for vi in valid_inequalities(inst, params, scen):
                 coeffs = {}
@@ -171,8 +166,7 @@ class MasterModel:
                         coeffs[self.x[(i, j, k)]] = 1.0
                 # sum x <= theta1 + (theta0 - theta1) z
                 coeffs[self.z[vi.s]] = float(vi.theta1 - vi.theta0)
-                model.add_constr(coeffs, LESS, float(vi.theta1),
-                                 f"vi{vi.s}_{vi.scope or 0}")
+                model.add_constr(coeffs, LESS, float(vi.theta1))
         self.model = model
         self.n_base_rows = model.n_rows
         self.pool: set = set()
@@ -198,7 +192,9 @@ class MasterModel:
         """Branch-and-cut on this master as it stands; lazy rows stay added.
 
         The root LP starts from ``root_basis``, which is then replaced by the
-        basis this solve's first root LP ended with.
+        basis this solve's first root LP ended with. ``initial_schedule``, a
+        schedule of this instance, seeds the search as its first incumbent
+        when it breaks no more scenarios than the budget allows.
         """
         t0 = time.monotonic()
         inst, params, scen, cfg = self.inst, self.params, self.scen, self.cfg
@@ -212,9 +208,7 @@ class MasterModel:
                 counts[c.kind] += 1
             return [self.cut_row(c) for c in cuts]
 
-        incumbent0 = None
-        if cfg.warm_start and initial_schedule is not None:
-            incumbent0 = self.encode_incumbent(initial_schedule)
+        incumbent0 = None if initial_schedule is None else self.encode_incumbent(initial_schedule)
         sol = bnb_solve(self.model, lazy=lazy, time_limit=time_limit,
                         incumbent0=incumbent0, root_basis=self.root_basis)
         if sol.root_basis is not None:
@@ -267,16 +261,18 @@ class MasterModel:
 
 def cut_generation_routine(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                            cfg: BnCConfig, sched: Schedule, z_vals: np.ndarray,
-                           pool: set | None = None) -> list[Cut]:
+                           pool: set) -> list[Cut]:
     """All violated cuts of the configured family across unserved scenarios.
 
     The scenario evaluator screens every scenario at once; only scenarios the
     master claims satisfied (indicator below one) that the schedule in fact
     breaks are evaluated again with the greedy evaluator, whose result the cut
     builders need. Each yields cuts of the configured family, one per violated
-    requirement for the subsequence families. A strong no-good backstop
-    guarantees progress if a family ever returns nothing new for a violated
-    scenario.
+    requirement for the subsequence families. Cuts whose key is in ``pool``
+    are dropped and the keys of the returned cuts join it; keys carry the
+    scenario index, so a fresh ``set()`` drops nothing. A strong no-good
+    backstop guarantees progress if a family ever returns nothing new for a
+    violated scenario.
     """
     out: list[Cut] = []
     threshold = 0.5 if not cfg.relax_z else 1.0 - 1e-6
@@ -298,14 +294,12 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
                 if cfg.cut_family == ECMIS:
                     ctx = extend_cmis(inst, params, scen, s, ctx)
                 produced.append(cmis_cut(ctx))
-        fresh = [c for c in produced if pool is None or c.key() not in pool]
+        fresh = [c for c in produced if c.key() not in pool]
         if not fresh:
             backstop = strong_no_good_cut(inst, params, sched, scen, s)
-            if pool is None or backstop.key() not in pool:
+            if backstop.key() not in pool:
                 fresh = [backstop]
-        for c in fresh:
-            if pool is not None:
-                pool.add(c.key())
+        pool.update(c.key() for c in fresh)
         out.extend(fresh)
     return out
 

@@ -327,12 +327,9 @@ def schedule_to_arcs(sched: Schedule) -> set[Arc]:
     return arcs
 
 
-def schedule_from_arcs(inst: Instance, arcs: Iterable[Arc], validate: bool = True) -> Schedule:
-    """Rebuild the bus sequences from a unit-flow arc set (inverse of the encoding).
-
-    ``validate=False`` skips the planning-compatibility check, for schedules
-    built against an alternative time table (deterministic baselines).
-    """
+def schedule_from_arcs(inst: Instance, arcs: Iterable[Arc]) -> Schedule:
+    """Rebuild the bus sequences from a unit-flow arc set (inverse of the
+    encoding), checked with ``validate_schedule``."""
     arcs = set(arcs)
     nxt: dict[int, tuple[int, int]] = {}
     starts: list[tuple[int, int]] = []
@@ -371,8 +368,7 @@ def schedule_from_arcs(inst: Instance, arcs: Iterable[Arc], validate: bool = Tru
         missing = sorted(set(range(1, inst.n_trips + 1)) - set(covered))
         raise ValidationError(f"arcs do not cover trips {missing}")
     sched = Schedule(tuple(buses))
-    if validate:
-        validate_schedule(inst, sched)
+    validate_schedule(inst, sched)
     return sched
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Arc, Instance, Pair, Schedule, ServiceParams, schedule_to_arcs
 from .scenarios import ScenarioSet
-from .subproblem import GreedyResult, Requirement, greedy_evaluate
+from .subproblem import GreedyResult, Requirement, _violated, greedy_evaluate
 
 NO_GOOD = "nogood"
 STRONG_NO_GOOD = "snogood"
@@ -59,11 +59,8 @@ class Cut:
         return lhs > self.rhs_const - 1 + z_s + 1e-9
 
     def evaluate(self, sched: Schedule) -> int:
-        seq = {}
-        for bus in sched.buses:
-            for i, j in zip(bus.trips, bus.trips[1:]):
-                seq[(i, j)] = bus.depot
-        lhs = sum(c for (i, j), c in self.pairs if (i, j) in seq)
+        seq = set(sched.sequenced_pairs())
+        lhs = sum(c for p, c in self.pairs if p in seq)
         if self.depot_terms:
             arcs = schedule_to_arcs(sched)
             lhs += sum(c for a, c in self.depot_terms if a in arcs)
@@ -81,10 +78,7 @@ class ValidInequality:
     scope: int | None = None     # None = all trips, else route id
 
     def satisfied_by(self, sched: Schedule, z_s: int) -> bool:
-        seq = set()
-        for bus in sched.buses:
-            seq.update(zip(bus.trips, bus.trips[1:]))
-        lhs = len(self.pairs & seq)
+        lhs = len(self.pairs.intersection(sched.sequenced_pairs()))
         return lhs <= self.theta0 * z_s + self.theta1 * (1 - z_s) + 1e-9
 
 
@@ -320,31 +314,20 @@ def is_infeasible_set(inst: Instance, params: ServiceParams, scen: ScenarioSet,
 
     Each path is propagated with its head starting as early as possible and
     expressing at its maximum; a trip is forced late when its earliest start
-    exceeds s + ub regardless of the rest of the schedule. With ``con`` given,
-    only that requirement counts (the subsystem minimal subsequences are built
+    exceeds s + ub regardless of the rest of the schedule. The forced trips
+    break requirements by the evaluator's rule. With ``con`` given, only that
+    requirement counts (the subsystem minimal subsequences are built
     against); by default any requirement does.
     """
     for p in pairs:
         if tuple(p) not in inst.compat:
             raise ValueError(f"pair {p} is not planning compatible")
-    paths = pairs_to_paths(pairs)
-    forced: set[int] = set()
-    for path in paths:
+    forced = []
+    for path in pairs_to_paths(pairs):
         y = _propagate_path(inst, params, scen, s, path)
-        for i in path:
-            if y[i] > inst.trips[i - 1].start + params.ub:
-                forced.add(i)
-    if con is None or con.route is None:
-        if len(forced) > inst.n_trips - params.f_trip:
-            return True
-    if con is not None and con.route is not None:
-        members = inst.routes[con.route - 1]
-        return len(forced & set(members)) > len(members) - params.f_route[con.route - 1]
-    if con is None:
-        for r, members in enumerate(inst.routes, start=1):
-            if len(forced & set(members)) > len(members) - params.f_route[r - 1]:
-                return True
-    return False
+        forced += [i for i in path if y[i] > inst.trips[i - 1].start + params.ub]
+    violated = _violated(inst, params, forced)
+    return bool(violated) if con is None else con in violated
 
 
 def mis_deletion_filter(inst: Instance, params: ServiceParams, scen: ScenarioSet,

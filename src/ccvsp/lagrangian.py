@@ -232,7 +232,7 @@ class BundleModel:
         Every cut is a supergradient inequality of the concave dual, so this
         bounds the dual from above and with it every Lagrangian value.
         """
-        lp = MilpModel("bundle-over-model")
+        lp = MilpModel()
         theta = lp.add_var(-INF, INF, -1.0)
         mu = [lp.add_var(0.0, INF) for _ in range(self.dim)]
         for c, g in zip(self.consts, self.grads):

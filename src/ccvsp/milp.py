@@ -41,18 +41,16 @@ LESS, GREATER, EQUAL = "<=", ">=", "=="
 class MilpModel:
     """Bounded-variable LP/MILP in row form, minimization."""
 
-    def __init__(self, name: str = "model"):
-        self.name = name
+    def __init__(self):
         self.obj: list[float] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.is_int: list[bool] = []
-        self.var_names: list[str] = []
-        # each row: (coeffs {var: coef}, sense, rhs, name)
-        self.rows: list[tuple[dict[int, float], str, float, str]] = []
+        # each row: (coeffs {var: coef}, sense, rhs)
+        self.rows: list[tuple[dict[int, float], str, float]] = []
 
     def add_var(self, lb: float = 0.0, ub: float = INF, obj: float = 0.0,
-                is_int: bool = False, name: str | None = None) -> int:
+                is_int: bool = False) -> int:
         if lb > ub + FEAS_TOL:
             raise ValueError(f"variable bounds cross: [{lb}, {ub}]")
         if is_int and (lb == -INF or ub == INF):
@@ -61,15 +59,13 @@ class MilpModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_int.append(bool(is_int))
-        self.var_names.append(name or f"x{len(self.obj) - 1}")
         return len(self.obj) - 1
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float,
-                   name: str | None = None) -> int:
+    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         if sense not in (LESS, GREATER, EQUAL):
             raise ValueError(f"unknown sense {sense!r}")
         self.rows.append(({int(k): float(v) for k, v in coeffs.items() if v != 0.0},
-                          sense, float(rhs), name or f"c{len(self.rows)}"))
+                          sense, float(rhs)))
         return len(self.rows) - 1
 
     @property
@@ -79,25 +75,6 @@ class MilpModel:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def write_lp(self) -> str:
-        """Model in the standard LP text format, for external debugging."""
-        obj_terms = " + ".join(f"{c} {self.var_names[j]}" for j, c in enumerate(self.obj) if c)
-        out = ["Minimize", " obj: " + (obj_terms or "0"), "Subject To"]
-        for coeffs, sense, rhs, name in self.rows:
-            terms = " + ".join(f"{v} {self.var_names[j]}" for j, v in sorted(coeffs.items()))
-            op = {LESS: "<=", GREATER: ">=", EQUAL: "="}[sense]
-            out.append(f" {name}: {terms} {op} {rhs}")
-        out.append("Bounds")
-        for j in range(self.n_vars):
-            lo = "-inf" if self.lb[j] == -INF else str(self.lb[j])
-            hi = "+inf" if self.ub[j] == INF else str(self.ub[j])
-            out.append(f" {lo} <= {self.var_names[j]} <= {hi}")
-        ints = [self.var_names[j] for j in range(self.n_vars) if self.is_int[j]]
-        if ints:
-            out.extend(["General", " " + " ".join(ints)])
-        out.append("End")
-        return "\n".join(out)
 
 
 @dataclass

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     Depot,
     Instance,
-    Pair,
     Trip,
     ValidationError,
     build_compat,
@@ -207,12 +206,12 @@ def _lognormal_rounded(rng: np.random.Generator, means: np.ndarray, cv: float) -
 
 
 def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
-                     cv: float | None = None, degenerate: bool = False) -> ScenarioSet:
+                     cv: float | None = None) -> ScenarioSet:
     """Sample S scenarios of all travel times; deterministic for a fixed seed.
 
     Each scenario draws from an independent substream keyed by (seed, s), so
-    results do not depend on evaluation order. ``degenerate`` short-circuits
-    the sampler to the rounded means (the cv -> 0 limit), for testing.
+    results do not depend on evaluation order. ``cv`` defaults to the
+    generator's ``lognormal_cv`` recorded in the instance meta.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
@@ -225,12 +224,6 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     out_t = np.zeros((n_scenarios, K, I), dtype=np.int64)
     in_t = np.zeros((n_scenarios, I, K), dtype=np.int64)
     for s in range(n_scenarios):
-        if degenerate:
-            dur[s] = np.rint(mean_dur)
-            travel[s] = inst.dh_time
-            out_t[s] = inst.out_time
-            in_t[s] = inst.in_time
-            continue
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
         dur[s] = _lognormal_rounded(rng, mean_dur, cv)
         travel[s] = _lognormal_rounded(rng, inst.dh_time.astype(float), cv)
@@ -253,11 +246,6 @@ def percentile_times(inst: Instance, scen: ScenarioSet, q: float):
         return np.sort(arr, axis=0)[rank - 1]
 
     return pick(scen.dur), pick(scen.travel), pick(scen.out_t), pick(scen.in_t)
-
-
-def compat_for_times(inst: Instance, dur: np.ndarray, travel: np.ndarray) -> set[Pair]:
-    """Planning compatibility recomputed for an alternative time table."""
-    return build_compat(inst.trips, travel, dur)
 
 
 def save_scenarios(scen: ScenarioSet, path) -> None:

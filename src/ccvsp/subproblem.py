@@ -171,33 +171,32 @@ def milp_subproblem_oracle(inst: Instance, params: ServiceParams, sched: Schedul
     Returns (z, y, v).
     """
     I = inst.n_trips
-    model = MilpModel(f"scenario-{s}")
+    model = MilpModel()
     y_max, m_start, m_otp = subproblem_big_ms(inst, params, scen, s)
-    z = model.add_var(lb=0, ub=1, obj=float(I + 1), is_int=True, name="z")
-    yv = [model.add_var(lb=0, ub=float(y_max + 1), name=f"y{i}") for i in range(1, I + 1)]
-    vv = [model.add_var(lb=0, ub=1, obj=-1.0, is_int=True, name=f"v{i}") for i in range(1, I + 1)]
-    uv = [model.add_var(lb=0, ub=float(inst.trips[i - 1].max_express), name=f"u{i}")
-          for i in range(1, I + 1)]
+    z = model.add_var(lb=0, ub=1, obj=float(I + 1), is_int=True)
+    yv = [model.add_var(lb=0, ub=float(y_max + 1)) for _ in range(I)]
+    vv = [model.add_var(lb=0, ub=1, obj=-1.0, is_int=True) for _ in range(I)]
+    uv = [model.add_var(lb=0, ub=float(t.max_express)) for t in inst.trips]
     # service requirements, vacuous when z = 1
     model.add_constr({vv[i]: 1.0 for i in range(I)} | {z: float(params.f_trip)},
-                     GREATER, float(params.f_trip), "otp")
+                     GREATER, float(params.f_trip))
     for r, members in enumerate(inst.routes, start=1):
         f_r = params.f_route[r - 1]
         model.add_constr({vv[i - 1]: 1.0 for i in members} | {z: float(f_r)},
-                         GREATER, float(f_r), f"route{r}")
+                         GREATER, float(f_r))
     sequenced = set(sched.sequenced_pairs())
     for (j, i) in sorted(inst.compat):
         leg = int(scen.dur[s, j - 1]) + int(scen.travel[s, j - 1, i - 1])
         active = 1.0 if (j, i) in sequenced else 0.0
         # y_j + leg - u_j - M(1 - x_ji) <= y_i with x fixed by the schedule
         model.add_constr({yv[i - 1]: 1.0, yv[j - 1]: -1.0, uv[j - 1]: 1.0},
-                         GREATER, leg - m_start[(j, i)] * (1.0 - active), f"seq{j}_{i}")
+                         GREATER, leg - m_start[(j, i)] * (1.0 - active))
     for i in range(1, I + 1):
         t = inst.trips[i - 1]
         # y_i <= s_i + ub v_i + M_otp (1 - v_i)
         model.add_constr({yv[i - 1]: 1.0, vv[i - 1]: float(m_otp[i] - params.ub)},
-                         LESS, float(t.start + m_otp[i]), f"otp{i}")
-        model.add_constr({yv[i - 1]: 1.0}, GREATER, float(t.start - params.lb), f"lb{i}")
+                         LESS, float(t.start + m_otp[i]))
+        model.add_constr({yv[i - 1]: 1.0}, GREATER, float(t.start - params.lb))
     sol = bnb_solve(model)
     if sol.status != "Optimal":
         raise RuntimeError(f"subproblem oracle did not solve: {sol.status}")

@@ -173,7 +173,7 @@ def test_c05_cut_and_inequality_validity(exhaustive_pool):
             cfg = BnCConfig(cut_family=family, use_vi=False, relax_z=False)
             for sched in schedules[:200]:
                 collected.extend(cut_generation_routine(
-                    inst, params, scen, cfg, sched, np.zeros(scen.count)))
+                    inst, params, scen, cfg, sched, np.zeros(scen.count), set()))
         vis = valid_inequalities(inst, params, scen)
         for sched, verdicts in feasible:
             for cut in collected:
@@ -359,7 +359,7 @@ def test_c10_reliability_pattern_at_desk_scale():
                                             delta_route=0.8, epsilon=0.05)
         mean_s = solve_deterministic(inst, MEAN)
         p75_s = solve_deterministic(inst, percentile(75), scen)
-        res = solve_bnc(inst, params, scen, BnCConfig(warm_start=True, time_limit=120),
+        res = solve_bnc(inst, params, scen, BnCConfig(time_limit=120),
                         initial_schedule=p75_s)
         rows.append((
             schedule_cost(inst, mean_s), schedule_cost(inst, p75_s), res.objective,

@@ -113,7 +113,7 @@ def test_cut_validity_no_feasible_point_removed():
         collected = []
         for sched in enumerate_schedules(inst):
             zvec = np.zeros(scen.count)
-            collected.extend(cut_generation_routine(inst, params, scen, cfg, sched, zvec))
+            collected.extend(cut_generation_routine(inst, params, scen, cfg, sched, zvec, set()))
         if not collected:
             continue
         total += len(collected)
@@ -135,7 +135,7 @@ def test_warm_start_same_objective():
     params = gallery.grid_service_params(inst)
     scen = gallery.grid_scenarios()
     cold = solve_bnc(inst, params, scen, BnCConfig())
-    warm = solve_bnc(inst, params, scen, BnCConfig(warm_start=True),
+    warm = solve_bnc(inst, params, scen, BnCConfig(),
                      initial_schedule=gallery.grid_schedule_right())
     assert warm.objective == pytest.approx(cold.objective)
 

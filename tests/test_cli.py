@@ -6,10 +6,21 @@ import numpy as np
 import pytest
 
 from ccvsp import gallery
-from ccvsp.baselines import MEAN, compare_table, evaluate_out_of_sample, solve_deterministic
+from ccvsp.baselines import MEAN, compare_table, evaluate_out_of_sample, percentile, solve_deterministic
 from ccvsp.cli import main
-from ccvsp.core import Bus, Schedule, ServiceParams, schedule_cost
-from ccvsp.scenarios import GenParams, compat_for_times, generate_instance, percentile_times, sample_scenarios
+from ccvsp.core import (
+    Bus,
+    Schedule,
+    ServiceParams,
+    ValidationError,
+    build_compat,
+    load_instance,
+    schedule_cost,
+    schedule_from_json,
+    validate_schedule,
+)
+from ccvsp.milp import MilpSolution
+from ccvsp.scenarios import GenParams, generate_instance, percentile_times, sample_scenarios
 
 
 def test_mean_baseline_on_grid_costs_twenty():
@@ -23,7 +34,7 @@ def test_percentile_100_compat_subset_of_mean():
     scen = sample_scenarios(inst, 30, seed=5)
     d100, t100, *_ = percentile_times(inst, scen, 100)
     mean_d = np.array([t.mean_dur for t in inst.trips])
-    hi = compat_for_times(inst, np.maximum(d100, mean_d), np.maximum(t100, inst.dh_time))
+    hi = build_compat(inst.trips, np.maximum(t100, inst.dh_time), np.maximum(d100, mean_d))
     assert hi <= inst.compat
 
 
@@ -114,6 +125,45 @@ def test_cli_deterministic_methods(tmp_path):
                      str(scen_path), "--method", method, "-o", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["objective"] > 0
+
+
+def test_cli_median_baseline_stays_in_planning_set(tmp_path):
+    # at the median, pair (5,8) is compatible under the shorter table but not
+    # under the means; the schedule must still pass the instance's checks
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    out = tmp_path / "p50.json"
+    assert main(["generate", "--trips", "10", "--depots", "2", "--route-size", "5",
+                 "--seed", "17", "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "8", "--seed", "1",
+                 "-o", str(scen_path)]) == 0
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "det-p75", "--percentile", "50", "-o", str(out)]) == 0
+    validate_schedule(load_instance(inst_path),
+                      schedule_from_json(json.loads(out.read_text())["schedule"]))
+    assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(out),
+                 "--eval-scenarios", "20", "-o", str(tmp_path / "p50.csv")]) == 0
+
+
+@pytest.mark.parametrize("seed", [17, 19, 21, 23])
+def test_low_percentile_baselines_stay_in_planning_set(seed):
+    # on these seeds a q = 25 or q = 50 table finds pairs compatible that the
+    # means do not, and the cheapest plan used to sequence one of them
+    inst = generate_instance(GenParams(n_trips=12, n_depots=2, trips_per_route=6, seed=seed))
+    scen = sample_scenarios(inst, 10, seed=seed + 100)
+    for q in (25, 50):
+        sched = solve_deterministic(inst, percentile(q), scen)
+        validate_schedule(inst, sched)
+        assert schedule_cost(inst, sched) > 0
+
+
+def test_deterministic_time_limit_stop_names_the_limit(monkeypatch):
+    from ccvsp import baselines
+
+    monkeypatch.setattr(baselines, "bnb_solve", lambda *a, **kw: MilpSolution("IterLimit"))
+    with pytest.raises(ValidationError, match="within the time limit") as err:
+        solve_deterministic(gallery.two_depot_grid(), MEAN, time_limit=1.0)
+    assert "capacity" not in str(err.value)
 
 
 def test_pipeline_determinism(tmp_path):
@@ -215,7 +265,6 @@ def _solved_pair(tmp_path):
 
 
 def test_cli_compare_matches_compare_table(tmp_path):
-    from ccvsp.core import load_instance, schedule_from_json
     from ccvsp.scenarios import load_scenarios
 
     inst_path, scen_path, results = _solved_pair(tmp_path)
@@ -290,7 +339,7 @@ def test_cli_evaluate_rejects_schedule_of_another_instance(tmp_path, capsys):
 
 
 def test_cli_evaluate_replays_schedule_over_depot_capacity(tmp_path):
-    from ccvsp.core import load_instance, schedule_to_json
+    from ccvsp.core import schedule_to_json
 
     inst_path, _, _ = _solved_pair(tmp_path)
     inst = load_instance(inst_path)

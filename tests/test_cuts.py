@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
@@ -23,7 +24,7 @@ from ccvsp.cuts import (
     strong_no_good_cut,
     valid_inequalities,
 )
-from ccvsp.subproblem import TRIP_LEVEL, greedy_evaluate
+from ccvsp.subproblem import TRIP_LEVEL, Requirement, greedy_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,24 @@ def test_valid_inequalities_match_per_scenario_construction(case):
     inst, params, scen, _ = case
     assert valid_inequalities(inst, params, scen) == \
         per_scenario_valid_inequalities(inst, params, scen)
+
+
+@PROPERTY
+@given(random_cases(), st.data())
+def test_is_infeasible_set_matches_greedy_on_paths(case, data):
+    # any subset of a schedule's sequenced pairs is path-shaped and planning
+    # compatible; run alone, its paths are buses whose heads start at s - lb
+    inst, params, scen, sched = case
+    pairs = sched.sequenced_pairs()
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = [p for p, k in zip(pairs, keep) if k]
+    paths = Schedule(tuple(Bus(1, tuple(path)) for path in pairs_to_paths(chosen)))
+    cons = [None, TRIP_LEVEL] + [Requirement(r) for r in range(1, len(inst.routes) + 1)]
+    for s in range(scen.count):
+        violated = greedy_evaluate(inst, params, paths, scen, s).violated
+        for con in cons:
+            expected = bool(violated) if con is None else con in violated
+            assert is_infeasible_set(inst, params, scen, s, chosen, con) == expected, (s, con)
 
 
 def test_valid_inequalities_empty_when_all_compatible():

@@ -87,7 +87,7 @@ def test_lp_matches_scipy_on_random_instances():
         n, m = int(rng.integers(2, 7)), int(rng.integers(1, 6))
         model = _random_lp(rng, n, m)
         A_ub, b_ub = [], []
-        for coeffs, sense, rhs, _ in model.rows:
+        for coeffs, sense, rhs in model.rows:
             row = np.zeros(n)
             for j, v in coeffs.items():
                 row[j] = v
@@ -268,7 +268,7 @@ def test_matrix_fill_matches_elementwise_fill():
         n, m = model.n_vars, model.n_rows
         A = np.zeros((m, n + 2 * m))
         lo, hi = np.empty(m), np.empty(m)
-        for i, (coeffs, sense, rhs, _) in enumerate(model.rows):
+        for i, (coeffs, sense, rhs) in enumerate(model.rows):
             for j, v in coeffs.items():
                 A[i, j] = v
             A[i, n + i] = 1.0
@@ -342,14 +342,6 @@ def test_time_limit_holds_inside_one_lp(monkeypatch):
     (elapsed, status), = calls
     assert status == "IterLimit"
     assert elapsed < 5.0
-
-
-def test_write_lp_mentions_vars():
-    m = MilpModel()
-    x = m.add_var(lb=0, ub=1, obj=1.0, is_int=True, name="pick")
-    m.add_constr({x: 2.0}, LESS, 1.0, name="limit")
-    text = m.write_lp()
-    assert "pick" in text and "limit" in text and "General" in text
 
 
 def _most_fractional_loop(x, int_vars):

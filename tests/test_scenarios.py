@@ -11,12 +11,19 @@ from conftest import PROPERTY, random_cases
 
 from ccvsp.baselines import evaluate_out_of_sample
 from ccvsp.bnc import BnCConfig, solve_bnc
-from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, instance_from_json, instance_to_json
+from ccvsp.core import (
+    Bus,
+    Schedule,
+    ServiceParams,
+    ValidationError,
+    build_compat,
+    instance_from_json,
+    instance_to_json,
+)
 from ccvsp.lagrangian import solve_lagrangian
 from ccvsp.scenarios import (
     GenParams,
     ScenarioSet,
-    compat_for_times,
     generate_instance,
     load_scenarios,
     percentile_times,
@@ -63,14 +70,11 @@ def test_zero_grid_rejected():
         generate_instance(GenParams(n_trips=10, n_depots=1, grid_width=0))
 
 
-def test_sampling_deterministic_and_degenerate_mode():
+def test_sampling_deterministic():
     inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
     a = sample_scenarios(inst, 5, seed=9)
     b = sample_scenarios(inst, 5, seed=9)
     assert np.array_equal(a.dur, b.dur) and np.array_equal(a.travel, b.travel)
-    d = sample_scenarios(inst, 1, seed=9, degenerate=True)
-    assert np.array_equal(d.dur[0], [t.mean_dur for t in inst.trips])
-    assert np.array_equal(d.travel[0], inst.dh_time)
 
 
 def test_sampler_moments():
@@ -105,9 +109,9 @@ def test_compat_monotone_in_estimates():
     inst = generate_instance(GenParams(n_trips=25, n_depots=2, seed=11))
     scen = sample_scenarios(inst, 40, seed=2)
     d100, t100, *_ = percentile_times(inst, scen, 100)
-    hi = compat_for_times(inst, d100, t100)
+    hi = build_compat(inst.trips, t100, d100)
     mean_d = np.array([t.mean_dur for t in inst.trips])
-    base = compat_for_times(inst, np.maximum(mean_d, d100), np.maximum(inst.dh_time, t100))
+    base = build_compat(inst.trips, np.maximum(inst.dh_time, t100), np.maximum(mean_d, d100))
     assert base <= hi  # larger estimates can only shrink the pair set
 
 
