@@ -194,10 +194,13 @@ class MasterModel:
         The root LP starts from ``root_basis``, which is then replaced by the
         basis this solve's first root LP ended with. ``initial_schedule``, a
         schedule of this instance, seeds the search as its first incumbent
-        when it breaks no more scenarios than the budget allows.
+        when it breaks no more scenarios than the budget allows; one that
+        ``validate_schedule`` rejects raises its ``ValidationError``.
         """
         t0 = time.monotonic()
         inst, params, scen, cfg = self.inst, self.params, self.scen, self.cfg
+        if initial_schedule is not None:
+            validate_schedule(inst, initial_schedule)
         counts = {kind: 0 for kind in CUT_KINDS}
 
         def lazy(x_vals):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -126,6 +127,18 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(value):
+    """The value with every non-finite float (inf, -inf, nan) replaced by None,
+    through dicts and lists, so that it serializes as strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     scen = load_scenarios(args.scenarios_file)
@@ -154,7 +167,7 @@ def cmd_solve(args) -> int:
                "iterations": res.iterations, "n_groups": res.n_groups,
                "schedule": schedule_to_json(res.schedule) if res.schedule else None,
                "time_s": res.time_s, "log": res.log_csv()}
-    Path(args.output).write_text(json.dumps(doc, indent=1))
+    Path(args.output).write_text(json.dumps(_finite_or_null(doc), indent=1, allow_nan=False))
     if doc["status"] == "Infeasible":
         return EXIT_INFEASIBLE
     print(f"{args.method}: objective {doc.get('objective')}")

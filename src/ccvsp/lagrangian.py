@@ -7,6 +7,11 @@ the dual is maximized with a proximal bundle method. Every iteration the group
 schedules are recombined (with depot reassignment when capacities overflow)
 and evaluated against the full instance's requirements to drive an incumbent.
 
+Each bundle step is the exact proximal point: a primal-dual interior-point
+method solves the small QP in (mu, theta), and one linear solve on the face
+it ends on (the tight cuts and the multipliers at zero) gives that face's
+optimum, which replaces the interior-point answer when it is no worse.
+
 Between iterations only the multipliers, and so the indicator objective of
 each group, change. Each group's master is therefore built once per run and
 re-priced before every solve, and its root LP starts from the basis the
@@ -38,9 +43,10 @@ from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios
 
 
-# the proximal master's projected gradient stops on a step below QP_TOL or at QP_ITER_CAP
-QP_TOL = 1e-8
-QP_ITER_CAP = 2000
+# the proximal master's interior-point method stops once its residuals and
+# complementarity fall below IPM_TOL (relative), or after IPM_ITER_CAP steps
+IPM_TOL = 1e-9
+IPM_ITER_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -168,8 +174,9 @@ def subgradient(z_by_group: list[np.ndarray]) -> np.ndarray:
 class BundleModel:
     """Cutting-plane over-model of the concave dual with a proximal master.
 
-    The master  max theta - (1/2t)||mu - center||^2  s.t. the bundle cuts is
-    solved through its simplex-constrained dual by projected gradient.
+    The master  max theta - (1/2t)||mu - center||^2  s.t. the bundle cuts and
+    mu >= 0  is solved exactly: an interior-point method finds the optimal
+    face, and one linear solve on that face gives the proximal point.
     """
 
     def __init__(self, dim: int):
@@ -181,49 +188,46 @@ class BundleModel:
         self.consts.append(float(value - g @ anchor))
         self.grads.append(np.asarray(g, dtype=float).copy())
 
-    def model_value(self, mu: np.ndarray) -> float:
-        return min(c + g @ mu for c, g in zip(self.consts, self.grads))
-
     def proximal_step(self, center: np.ndarray, t: float):
-        """Returns (new mu, model value there); falls back to a plain
-        subgradient step if the inner solve stalls."""
-        L = len(self.consts)
+        """Returns (new mu, model value there) at the exact proximal point.
+
+        In w = (mu - center)/t and tau = (theta - top)/t, with top the highest
+        cut value at the center, the master is the QP
+            min ||w||^2/2 - tau  s.t.  tau - g_l . w <= b_l,  w >= -center/t,
+        b_l = (c_l + g_l . center - top)/t <= 0, whose Hessian is the identity
+        in w. ``_proximal_qp`` solves it to IPM_TOL; then the optimum of the
+        face it found (the cuts it holds tight and the coordinates at zero)
+        is solved for directly and kept when its objective is no worse.
+        """
         G = np.stack(self.grads)                      # (L, S)
         c = np.array(self.consts)
+        at_center = c + G @ center
+        w, tight, at_zero = _proximal_qp(G, (at_center - at_center.max()) / t, -center / t)
 
-        def mu_of(nu):
-            return np.maximum(0.0, center + t * (G.T @ nu))
+        def value(mu):
+            return float((c + G @ mu).min())
 
-        def q_and_grad(nu):
-            """Dual value q(nu) and its gradient, from one mu and one G @ mu."""
-            mu = mu_of(nu)
-            g_mu = G @ mu
-            val = float(nu @ c + g_mu @ nu - ((mu - center) ** 2).sum() / (2 * t))
-            return val, c + g_mu
+        def objective(mu):
+            return value(mu) - float(((mu - center) ** 2).sum()) / (2 * t)
 
-        nu = np.full(L, 1.0 / L)
-        step = t / (1.0 + float((G * G).sum()))
-        val, grad = q_and_grad(nu)
-        ok = True
-        for _ in range(QP_ITER_CAP):
-            nu_new = _project_simplex(nu - step * grad)
-            if np.linalg.norm(nu_new - nu) < QP_TOL:
-                nu = nu_new
-                break
-            val_new, grad_new = q_and_grad(nu_new)
-            if val_new > val + 1e-12:
-                # rejected: retry from the same nu, whose gradient is stored
-                step *= 0.5
-                if step < 1e-14:
-                    ok = False
-                    break
-                continue
-            nu, val, grad = nu_new, val_new, grad_new
-        if not ok:
-            mu = np.maximum(0.0, center + t * self.grads[-1])
-            return mu, self.model_value(mu)
-        mu = mu_of(nu)
-        return mu, self.model_value(mu)
+        mu = np.maximum(0.0, center + t * w)
+        # on the face: mu_F = center_F + t G_TF' nu, theta = c_l + g_l . mu for
+        # every tight cut l, with multipliers nu summing to one, and mu = 0 off F
+        free = ~at_zero
+        G_tf = G[tight][:, free]
+        k = len(G_tf)
+        if k:
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = t * (G_tf @ G_tf.T)
+            kkt[:k, k] = -1.0
+            kkt[k, :k] = 1.0
+            rhs = np.append(-(c[tight] + G_tf @ center[free]), 1.0)
+            nu = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            snapped = np.zeros_like(mu)
+            snapped[free] = np.maximum(0.0, center[free] + t * (G_tf.T @ nu))
+            if objective(snapped) >= objective(mu):
+                mu = snapped
+        return mu, value(mu)
 
     def maximum(self) -> float:
         """Optimum of the over-model: max theta s.t. theta <= c_l + g_l . mu
@@ -241,13 +245,58 @@ class BundleModel:
         return -sol.obj if sol.status == "Optimal" else math.inf
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+def _proximal_qp(G: np.ndarray, b: np.ndarray, lo: np.ndarray):
+    """min ||w||^2/2 - tau  s.t.  tau - G w <= b,  w >= lo, by Mehrotra's
+    primal-dual interior-point method from an infeasible start.
+
+    Returns (w, tight, at_zero): the last iterate's w and the masks of the
+    cut and bound rows whose slack has fallen below their multiplier.
+    """
+    L, S = G.shape
+    A = np.zeros((L + S, S + 1))                  # rows A x <= h, x = (w, tau)
+    A[:L, :S] = -G
+    A[:L, S] = 1.0
+    A[L:, :S] = -np.eye(S)
+    h = np.concatenate([b, -lo])
+    hess = np.append(np.ones(S), 0.0)
+    lin = np.append(np.zeros(S), -1.0)
+    x = np.append(np.zeros(S), b.min() - 1.0)
+    s = np.maximum(h - A @ x, 1.0)
+    z = np.ones(L + S)
+    tol_p = IPM_TOL * (1.0 + np.abs(h).max())
+
+    def max_step(v, dv):
+        shrink = dv < 0
+        return min(1.0, float((-v[shrink] / dv[shrink]).min())) if shrink.any() else 1.0
+
+    for _ in range(IPM_ITER_CAP):
+        r_d = hess * x + lin + A.T @ z
+        r_p = A @ x + s - h
+        gap = float(s @ z)
+        if np.abs(r_p).max() <= tol_p and np.abs(r_d).max() <= IPM_TOL * (1.0 + z.max()) \
+                and gap <= IPM_TOL * (1.0 + abs(0.5 * x[:S] @ x[:S] - x[S])):
+            break
+        K = A.T @ ((z / s)[:, None] * A)
+        K[np.diag_indices(S + 1)] += hess
+
+        def newton(r_c):
+            dx = np.linalg.solve(K, A.T @ ((r_c - z * r_p) / s) - r_d)
+            ds = -r_p - A @ dx
+            return dx, ds, -(r_c + z * ds) / s
+
+        try:
+            dx, ds, dz = newton(s * z)                # affine predictor
+            gap_aff = (s + max_step(s, ds) * ds) @ (z + max_step(z, dz) * dz)
+            sigma = (gap_aff / gap) ** 3
+            dx, ds, dz = newton(s * z + ds * dz - sigma * gap / (L + S))
+        except np.linalg.LinAlgError:
+            break                                     # K lost rank: keep the iterate
+        alpha = 0.99 * min(max_step(s, ds), max_step(z, dz))
+        x += alpha * dx
+        s += alpha * ds
+        z += alpha * dz
+    tight = s < z
+    return x[:S], tight[:L], tight[L:]
 
 
 class CapacityError(ValidationError):
@@ -447,7 +496,7 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
         predicted = theta - best_value
         prev_value = value
         prev_theta = theta
-        mu = np.maximum(mu_new, 0.0)
+        mu = mu_new
 
     dual_bound = bundle.maximum()
     if incumbent is None:

@@ -14,7 +14,7 @@ from conftest import (
 
 from ccvsp import gallery, milp
 from ccvsp.bnc import VARIANTS, BnCConfig, MasterModel, cut_generation_routine, solve_bnc
-from ccvsp.core import ServiceParams, cc_threshold, schedule_cost
+from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, cc_threshold, schedule_cost
 from ccvsp.cuts import CUT_KINDS
 from ccvsp.scenarios import GenParams, generate_instance, sample_scenarios
 from ccvsp.subproblem import count_violated_scenarios, greedy_evaluate
@@ -138,6 +138,18 @@ def test_warm_start_same_objective():
     warm = solve_bnc(inst, params, scen, BnCConfig(),
                      initial_schedule=gallery.grid_schedule_right())
     assert warm.objective == pytest.approx(cold.objective)
+
+
+def test_initial_schedule_outside_planning_set_is_rejected():
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    scen = gallery.grid_scenarios()
+    assert (1, 8) not in inst.compat
+    sched = Schedule((Bus(1, (1, 8)),) + tuple(Bus(1, (i,)) for i in range(2, 8)))
+    with pytest.raises(ValidationError, match=r"\(1,8\) is not planning compatible"):
+        solve_bnc(inst, params, scen, BnCConfig(), initial_schedule=sched)
+    with pytest.raises(ValidationError, match=r"\(1,8\) is not planning compatible"):
+        MasterModel(inst, params, scen, BnCConfig()).solve(initial_schedule=sched)
 
 
 def test_relaxed_z_integral_at_optimum():

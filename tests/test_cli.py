@@ -229,6 +229,36 @@ def test_cli_lagr_time_limit_stop_exits_zero(tmp_path):
     assert doc["schedule"] is None
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_solve_writes_non_finite_numbers_as_null(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "1",
+                 "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
+                 "--seed", "2", "-o", str(scen_path)]) == 0
+    common = ["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path)]
+    # the bundle's over-model is still unbounded when this run stops
+    assert main(common + ["--method", "lagr", "--group-size", "12",
+                          "-o", str(tmp_path / "lagr.json")]) == 0
+    doc = _strict_json((tmp_path / "lagr.json").read_text())
+    assert doc["dual_bound"] is None
+    assert doc["objective"] == schedule_cost(load_instance(inst_path),
+                                             schedule_from_json(doc["schedule"]))
+    # a branch-and-cut stop before any incumbent has no objective and no gap
+    assert main(common + ["--method", "bnc", "--time-limit", "1e-9",
+                          "-o", str(tmp_path / "bnc.json")]) == 0
+    doc = _strict_json((tmp_path / "bnc.json").read_text())
+    assert doc["schedule"] is None
+    assert doc["objective"] is None and doc["gap"] is None
+
+
 def test_cli_solve_mismatched_scenarios_exits_one(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     small_path = tmp_path / "small.json"

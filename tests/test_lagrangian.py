@@ -78,6 +78,83 @@ def test_bundle_stationary_when_gradient_zero():
     assert theta == pytest.approx(5.0)
 
 
+def _proximal_objective(bundle, center, t, mu):
+    G, c = np.stack(bundle.grads), np.array(bundle.consts)
+    return float((c + G @ mu).min()) - float(((mu - center) ** 2).sum()) / (2 * t)
+
+
+def test_bundle_step_exact_when_a_zero_cut_caps_theta_at_the_center():
+    """A bundle from a Lagrangian run: the zero-gradient cut holds theta at
+    4323, so the proximal point is the center itself."""
+    S, e = 20, np.eye(20)
+    bundle = BundleModel(S)
+    for g in (e[1] - e[7] + e[13] - e[19], e[0] + e[1] - e[7] - e[13], e[4] - e[7],
+              e[6] - e[7], np.zeros(S)):
+        bundle.add_cut(value=4323.0, g=g, anchor=np.zeros(S))
+    center = np.zeros(S)
+    center[[0, 1, 4, 13]] = [0.0313581, 0.5313581, 0.0936419, 0.4686419]
+    t = 1 / 32
+    mu, theta = bundle.proximal_step(center, t)
+    assert np.abs(mu - center).max() <= 1e-12
+    assert theta == pytest.approx(4323.0, abs=1e-9)
+    assert _proximal_objective(bundle, center, t, mu) == pytest.approx(4323.0, abs=1e-9)
+
+
+def _random_bundle(rng, L, S):
+    """Cuts shaped like the loop's: small integer subgradients taken at
+    nonnegative anchors, values near one another, one zero-gradient cut and
+    one duplicate among them; the center is one of the anchors."""
+    P = int(rng.integers(2, 5))
+    grads = rng.integers(-(P - 1), 2, size=(L, S)) * (rng.random((L, S)) < 0.3)
+    anchors = np.abs(rng.normal(0.0, 2.0, size=(L, S))) * (rng.random((L, S)) < 0.4)
+    values = 4000.0 + rng.integers(0, 40, size=L)
+    grads[rng.integers(L)] = 0
+    dup = rng.integers(L, size=2)
+    grads[dup[1]], anchors[dup[1]], values[dup[1]] = grads[dup[0]], anchors[dup[0]], values[dup[0]]
+    bundle = BundleModel(S)
+    for v, g, a in zip(values, grads, anchors):
+        bundle.add_cut(float(v), g.astype(float), a)
+    return bundle, anchors[rng.integers(L)]
+
+
+def _slsqp_proximal_point(bundle, center, t, starts):
+    """Best SLSQP optimum of the proximal master over several starts."""
+    from scipy.optimize import minimize
+
+    G, c = np.stack(bundle.grads), np.array(bundle.consts)
+    L, S = G.shape
+    best = -np.inf
+    for mu0 in starts:
+        res = minimize(
+            lambda v: ((v[:S] - center) ** 2).sum() / (2 * t) - v[S],
+            np.append(mu0, (c + G @ mu0).min()),
+            jac=lambda v: np.append((v[:S] - center) / t, -1.0),
+            constraints=[{"type": "ineq", "fun": lambda v: c + G @ v[:S] - v[S],
+                          "jac": lambda v: np.hstack([G, -np.ones((L, 1))])}],
+            bounds=[(0.0, None)] * S + [(None, None)], method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 1000})
+        best = max(best, _proximal_objective(bundle, center, t, np.maximum(res.x[:S], 0.0)))
+    return best
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2, 0.25, 0.9])
+def test_bundle_step_matches_slsqp_on_random_bundles(t):
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(int(1e6 * t))
+    for L, S in [(40, 40), (1, 40), (40, 1), (3, 20)] + \
+            [tuple(rng.integers(1, 41, size=2)) for _ in range(4)]:
+        bundle, center = _random_bundle(rng, int(L), int(S))
+        mu, theta = bundle.proximal_step(center, t)
+        assert (mu >= 0).all()
+        assert theta == pytest.approx(min(c + g @ mu for c, g in zip(bundle.consts, bundle.grads)),
+                                      rel=1e-12)
+        f = _proximal_objective(bundle, center, t, mu)
+        G = np.stack(bundle.grads)
+        ref = _slsqp_proximal_point(bundle, center, t, [
+            center, np.maximum(0.0, center + t * G[-1]), np.maximum(0.0, center + t * G.mean(0))])
+        assert abs(f - ref) <= 1e-9 * (1 + abs(ref)), (L, S)
+
+
 def test_restrict_keeps_structure():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, n_trips=8, n_routes=3)
