@@ -24,7 +24,8 @@ part = partition_trips(det, m_gr=12)
 print(f"{inst.n_trips} trips split into {len(part.groups)} groups of sizes "
       f"{[len(g) for g in part.groups]}; violation budget {budget}\n")
 
-# tight tolerance so the penalty ascent is visible in the log: the groups
+# the run stops once the bundle certifies the best Lagrangian value to within
+# rel_tol; a tight one keeps the penalty ascent visible in the log: the groups
 # initially sacrifice different scenarios (4 joint violations) until the
 # penalties align them
 res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
@@ -35,6 +36,6 @@ print(f"\nincumbent: cost {res.objective:.0f}, violations {res.violations} "
 print(f"bounds: primal {res.primal_bound:.1f}, dual {res.dual_bound:.1f}, "
       f"{res.iterations} iterations, {res.time_s:.1f}s")
 
-exact = solve_bnc(inst, params, scen, BnCConfig(time_limit=120))
+exact = solve_bnc(inst, params, scen, BnCConfig(), time_limit=120)
 print(f"\nreference exact solve: {exact.status}, objective {exact.objective:.0f} "
       f"({exact.time_s:.1f}s)")

@@ -29,8 +29,8 @@ for seed in range(3):
     label = f"rand-{seed}"
     mean_s = solve_deterministic(inst, MEAN)
     p75_s = solve_deterministic(inst, percentile(75), scen)
-    cc = solve_bnc(inst, params, scen, BnCConfig(time_limit=90),
-                   initial_schedule=p75_s)
+    cc = solve_bnc(inst, params, scen, BnCConfig(), initial_schedule=p75_s,
+                   time_limit=90)
     for method, sched, t in [("det-mean", mean_s, 0.0), ("det-p75", p75_s, 0.0),
                              ("cc", cc.schedule, cc.time_s)]:
         rep = evaluate_out_of_sample(inst, params, sched, ev, method=method,

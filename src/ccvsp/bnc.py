@@ -62,7 +62,6 @@ class BnCConfig:
     cut_family: str = ECMIS
     use_vi: bool = True
     relax_z: bool = True
-    time_limit: float | None = None
 
     def __post_init__(self):
         if self.cut_family not in CUT_KINDS:
@@ -308,10 +307,12 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
 
 
 def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
-              cfg: BnCConfig, initial_schedule: Schedule | None = None) -> BnCResult:
-    """Exact solve of the scenario reformulation by branch-and-cut."""
+              cfg: BnCConfig, initial_schedule: Schedule | None = None,
+              time_limit: float | None = None) -> BnCResult:
+    """Exact solve of the scenario reformulation by branch-and-cut; a stop on
+    ``time_limit`` (seconds) returns IterLimit with the best schedule found."""
     scen.check_instance(inst)
     t0 = time.monotonic()
-    res = MasterModel(inst, params, scen, cfg).solve(cfg.time_limit, initial_schedule)
+    res = MasterModel(inst, params, scen, cfg).solve(time_limit, initial_schedule)
     res.time_s = time.monotonic() - t0
     return res

@@ -143,6 +143,7 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     scen = load_scenarios(args.scenarios_file)
     params = _load_params(inst, args)
+    cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on", relax_z=args.zc == "on")
     t0 = time.monotonic()
     if args.method in ("det-mean", "det-p75"):
         table = MEAN if args.method == "det-mean" else percentile(args.percentile)
@@ -152,13 +153,9 @@ def cmd_solve(args) -> int:
                "schedule": schedule_to_json(sched),
                "time_s": time.monotonic() - t0}
     elif args.method == "bnc":
-        cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on",
-                        relax_z=args.zc == "on", time_limit=args.time_limit)
-        res = solve_bnc(inst, params, scen, cfg)
+        res = solve_bnc(inst, params, scen, cfg, time_limit=args.time_limit)
         doc = res.to_json() | {"method": "bnc"}
     else:
-        cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on",
-                        relax_z=args.zc == "on")
         res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
                                time_limit=args.time_limit)
         doc = {"status": res.status, "method": "lagr", "objective": res.objective,

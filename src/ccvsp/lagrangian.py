@@ -12,6 +12,10 @@ method solves the small QP in (mu, theta), and one linear solve on the face
 it ends on (the tight cuts and the multipliers at zero) gives that face's
 optimum, which replaces the interior-point answer when it is no worse.
 
+The loop stops as Converged only when the over-model's optimum (the reported
+dual bound) certifies the best Lagrangian value to within ``rel_tol``. A group
+value not proven optimal adds no cut and stops the run as IterLimit.
+
 Between iterations only the multipliers, and so the indicator objective of
 each group, change. Each group's master is therefore built once per run and
 re-priced before every solve, and its root LP starts from the basis the
@@ -22,11 +26,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bnc import BnCConfig, MasterModel, solve_bnc
+# solve_bnc stays bound here: perfbench's tracer test calls lagrangian.solve_bnc
+from .bnc import BnCConfig, MasterModel, solve_bnc  # noqa: F401
 from .core import (
     Bus,
     Instance,
@@ -134,28 +139,29 @@ def group_master(sub: SubInstance, params: ServiceParams, cfg: BnCConfig) -> Mas
     return MasterModel(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg)
 
 
-def solve_group(sub: SubInstance, params: ServiceParams, cfg: BnCConfig,
-                mu: np.ndarray, p: int, n_groups: int,
-                master: MasterModel | None = None):
+class GroupInfeasible(ValidationError):
+    """A group has no schedule within its scenario budget."""
+
+
+def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
+                n_groups: int, time_limit: float | None = None):
     """Exact solve of one group with the penalized indicator objective.
 
-    ``master`` is the group's master from earlier solves (see
-    ``group_master``); it is re-priced for ``mu`` and its root LP starts from
-    the previous solve's root basis. Without one a fresh master is built.
-    ``cfg.time_limit`` bounds the solve.
+    ``master`` is the group's master (see ``group_master``); it is re-priced
+    for ``mu`` and its root LP starts from the previous solve's root basis.
+    ``time_limit`` bounds the solve in seconds.
 
     Returns (schedule in original ids, z vector, value, solved_to_optimality);
     the schedule and z vector are None when the time limit passed before any
-    schedule was found.
+    schedule was found. A group proven to have no schedule raises
+    ``GroupInfeasible``.
     """
-    if master is None:
-        master = group_master(sub, params, cfg)
     master.reprice(penalty_coefficient(p, n_groups) * mu)
-    res = master.solve(cfg.time_limit)
+    res = master.solve(time_limit)
     if res.schedule is None:
         if res.status == "IterLimit":
             return None, None, math.nan, False
-        raise ValidationError(f"group {p} has no feasible schedule")
+        raise GroupInfeasible(f"group {p} has no feasible schedule")
     buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
                   for b in res.schedule.buses)
     z = np.array([round(v) for v in res.z], dtype=int)
@@ -379,9 +385,10 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                      time_limit: float | None = None) -> LagrangianResult:
     """Run the decomposition loop; returns the best recombined schedule found.
 
-    With a single group this is exactly the branch-and-cut solve. Each group's
-    master is built once and re-priced for every iteration's multipliers; its
-    root LP warm-starts from the previous iteration's root basis.
+    Each group's master is built once and re-priced for every iteration's
+    multipliers; its root LP warm-starts from the previous iteration's root
+    basis. A single group is the whole instance with nothing dualized, so the
+    first iteration solves it exactly and its flat cut certifies it.
 
     The primal bound is the best Lagrangian value (the penalized group total)
     seen. The dual bound is the optimum of the bundle's over-model, max theta
@@ -389,9 +396,15 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     at or above every Lagrangian value. The per-iteration theta of the
     proximal step stays in the log.
 
-    ``time_limit`` bounds the whole run in seconds (``cfg.time_limit`` is not
-    read): every group solve gets the time that remains, and once it has
-    passed the loop stops with status IterLimit and the best incumbent so far.
+    The status is Converged once dual bound - primal bound <= rel_tol *
+    max(1, |primal bound|): ``rel_tol`` is the relative gap that certifies the
+    best value. The proximal theta never exceeds the dual bound, so the
+    over-model's LP runs only once theta is that close.
+
+    ``time_limit`` bounds the whole run in seconds: every group solve gets the
+    time that remains. A group value not proven optimal (cut short by the
+    limit) adds no cut and ends the run as IterLimit, keeping the incumbent.
+    A lone group proven to have no schedule gives status Infeasible.
     """
     scen.check_instance(inst)
     t0 = time.monotonic()
@@ -413,17 +426,6 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                                     math.inf, 0, 0, [], time.monotonic() - t0)
     part = partition_trips(det_sched, m_gr)
     P = len(part.groups)
-    if P == 1:
-        res = solve_bnc(inst, params, scen, replace(cfg, time_limit=remaining()))
-        return LagrangianResult(
-            res.status, res.schedule, res.objective, res.train_violations,
-            res.train_violations is not None
-            and res.train_violations <= cc_threshold(scen.count, params.epsilon),
-            res.objective, res.objective, 1, 1,
-            [LagrIterate(0, res.objective, res.objective, "exact", 0.0,
-                         res.train_violations, res.objective)],
-            time.monotonic() - t0)
-
     subs = [restrict(inst, scen, g) for g in part.groups]
     masters = [group_master(sub, params, cfg) for sub in subs]
     S = scen.count
@@ -437,21 +439,26 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     log: list[LagrIterate] = []
     status = "IterLimit"
     prev_value = None
-    prev_theta = None
     predicted = None
 
     for it in range(max_iters):
-        scheds, zs, values = [], [], []
+        scheds, zs, values, exact = [], [], [], True
         for p, (sub, master) in enumerate(zip(subs, masters), start=1):
-            group_cfg = replace(cfg, time_limit=remaining())
-            sched_p, z_p, val_p, _ = solve_group(sub, params, group_cfg, mu, p, P, master)
+            try:
+                sched_p, z_p, val_p, opt_p = solve_group(sub, master, mu, p, P, remaining())
+            except GroupInfeasible:
+                if P > 1:
+                    raise           # one group of several proves nothing of the whole
+                status = "Infeasible"
+                break
             if sched_p is None:
                 break
             scheds.append(sched_p)
             zs.append(z_p)
             values.append(val_p)
+            exact = exact and opt_p
         if len(scheds) < P:
-            break                   # out of time before a group found a schedule
+            break                   # no schedule: out of time, or proven infeasible
         value = float(sum(values))
         g = subgradient(zs)
         try:
@@ -463,8 +470,8 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                 incumbent = cand
         except CapacityError:
             pass
-        if deadline is not None and time.monotonic() > deadline:
-            break                   # group values cut short by the limit are not exact
+        if not exact:
+            break                   # a group value cut short is no dual value
 
         bundle.add_cut(value, g, mu)
         step_kind = "serious"
@@ -472,7 +479,7 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
             center = mu.copy()
             best_value = value
         if predicted is not None:
-            gain = value - (prev_value if prev_value is not None else value)
+            gain = value - prev_value
             if gain < 0.1 * max(predicted, 1e-12):
                 step_kind = "null"
                 t = max(t / 2.0, 1e-6)
@@ -482,26 +489,18 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
         log.append(LagrIterate(it, value, theta, step_kind, t,
                                None if incumbent is None else incumbent[0],
                                None if incumbent is None else incumbent[1]))
-        denom = max(1.0, abs(value))
-        if np.allclose(g, 0.0):
-            status = "Converged"
-            break
-        if abs(theta - value) / max(1.0, abs(theta)) <= rel_tol:
-            status = "Converged"
-            break
-        if prev_value is not None and abs(value - prev_value) / denom <= rel_tol \
-                and prev_theta is not None and abs(theta - prev_theta) / max(1.0, abs(theta)) <= rel_tol:
-            status = "Converged"
-            break
+        tol = rel_tol * max(1.0, abs(best_value))
+        if theta - best_value <= tol:
+            dual_bound = bundle.maximum()
+            if dual_bound - best_value <= tol:
+                status = "Converged"
+                break
         predicted = theta - best_value
         prev_value = value
-        prev_theta = theta
         mu = mu_new
 
-    dual_bound = bundle.maximum()
-    if incumbent is None:
-        return LagrangianResult(status, None, math.nan, None, False, best_value,
-                                dual_bound, len(log), P, log, time.monotonic() - t0)
-    bad, cost, sched = incumbent
-    return LagrangianResult(status, sched, cost, bad, bad <= budget, best_value,
-                            dual_bound, len(log), P, log, time.monotonic() - t0)
+    if status != "Converged":
+        dual_bound = bundle.maximum()
+    bad, cost, sched = incumbent or (None, math.nan, None)
+    return LagrangianResult(status, sched, cost, bad, bad is not None and bad <= budget,
+                            best_value, dual_bound, len(log), P, log, time.monotonic() - t0)

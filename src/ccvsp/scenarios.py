@@ -62,6 +62,14 @@ class ScenarioSet:
                     f"{I} trips and {K} depots needs {shape}")
 
 
+# generator constants, recorded in instance meta: the share of round trips,
+# the windows over which each route's first departure is uniform, and the
+# coefficient of variation of every sampled time (sample_scenarios' default)
+LONG_TRIP_FRAC = 0.4
+PEAK_WINDOWS = ((360, 600), (840, 1080))
+LOGNORMAL_CV = 0.2
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for the random instance generator; all recorded in instance meta."""
@@ -71,12 +79,8 @@ class GenParams:
     trips_per_route: int = 10
     grid_width: int = 60
     grid_height: int = 60
-    long_trip_frac: float = 0.4
-    # each route's first departure is uniform over one of two peak windows
-    peak_windows: tuple[tuple[int, int], tuple[int, int]] = ((360, 600), (840, 1080))
     # successive departures follow at the running time plus this buffer range
     headway_buffer: tuple[int, int] = (2, 12)
-    lognormal_cv: float = 0.2
     deploy_cost: int = 1000
     seed: int = 0
 
@@ -85,10 +89,6 @@ class GenParams:
             raise ValidationError("n_trips, n_depots and trips_per_route must be positive")
         if self.grid_width < 1 or self.grid_height < 1:
             raise ValidationError("grid must be non-degenerate")
-        if not 0 <= self.long_trip_frac <= 1:
-            raise ValidationError("long_trip_frac must lie in [0, 1]")
-        if self.lognormal_cv <= 0:
-            raise ValidationError("lognormal_cv must be positive")
         if self.headway_buffer[0] < 0 or self.headway_buffer[1] < self.headway_buffer[0]:
             raise ValidationError("headway_buffer must be a non-negative range")
 
@@ -117,13 +117,13 @@ def generate_instance(p: GenParams) -> Instance:
     # running time plus a small buffer, so same-route chains are tight
     next_start = [0] * n_routes
     for r in range(n_routes):
-        lo, hi = p.peak_windows[r % len(p.peak_windows)]
+        lo, hi = PEAK_WINDOWS[r % len(PEAK_WINDOWS)]
         next_start[r] = int(rng.integers(lo, hi, endpoint=True))
     for i in range(1, I + 1):
         r = (i - 1) // p.trips_per_route
         l1, l2 = route_locs[r]
         oneway = max(1, _dist(l1, l2))
-        is_long = rng.random() < p.long_trip_frac
+        is_long = rng.random() < LONG_TRIP_FRAC
         start = next_start[r]
         if is_long:
             # round trip: out to the other endpoint and back
@@ -180,10 +180,10 @@ def generate_instance(p: GenParams) -> Instance:
         "seed": p.seed,
         "generator_params": {
             "n_trips": I, "n_depots": K, "trips_per_route": p.trips_per_route,
-            "grid": [p.grid_width, p.grid_height], "long_trip_frac": p.long_trip_frac,
-            "peak_windows": [list(w) for w in p.peak_windows],
+            "grid": [p.grid_width, p.grid_height], "long_trip_frac": LONG_TRIP_FRAC,
+            "peak_windows": [list(w) for w in PEAK_WINDOWS],
             "headway_buffer": list(p.headway_buffer),
-            "lognormal_cv": p.lognormal_cv, "deploy_cost": p.deploy_cost,
+            "lognormal_cv": LOGNORMAL_CV, "deploy_cost": p.deploy_cost,
             "metric": "euclidean-rounded",
         },
     }
@@ -216,7 +216,7 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
     if cv is None:
-        cv = float(inst.meta.get("generator_params", {}).get("lognormal_cv", 0.2))
+        cv = float(inst.meta.get("generator_params", {}).get("lognormal_cv", LOGNORMAL_CV))
     I, K = inst.n_trips, inst.n_depots
     mean_dur = np.array([t.mean_dur for t in inst.trips], dtype=float)
     dur = np.zeros((n_scenarios, I), dtype=np.int64)

@@ -359,8 +359,8 @@ def test_c10_reliability_pattern_at_desk_scale():
                                             delta_route=0.8, epsilon=0.05)
         mean_s = solve_deterministic(inst, MEAN)
         p75_s = solve_deterministic(inst, percentile(75), scen)
-        res = solve_bnc(inst, params, scen, BnCConfig(time_limit=120),
-                        initial_schedule=p75_s)
+        res = solve_bnc(inst, params, scen, BnCConfig(), initial_schedule=p75_s,
+                        time_limit=120)
         rows.append((
             schedule_cost(inst, mean_s), schedule_cost(inst, p75_s), res.objective,
             satisfaction_pct(inst, params, mean_s, ev),

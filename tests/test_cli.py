@@ -212,6 +212,36 @@ def test_cli_solve_infeasible_exits_two(tmp_path):
     assert code == 2
 
 
+def test_lagr_single_group_infeasible_exits_two(tmp_path):
+    import numpy as np
+
+    from ccvsp.bnc import BnCConfig
+    from ccvsp.core import Depot, Instance, Trip, save_instance
+    from ccvsp.lagrangian import solve_lagrangian
+    from ccvsp.scenarios import ScenarioSet, save_scenarios
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.int64)
+
+    # one bus must chain both trips; trip 1 overruns in one of eight scenarios
+    # and makes trip 2 late, which a budget of zero cannot absorb
+    trips = [Trip(1, 1, (0, 0), (0, 0), 100, 10, 0), Trip(2, 1, (0, 0), (0, 0), 115, 10, 0)]
+    inst = Instance(trips, [Depot(1, (0, 0), 1)], [[1, 2]], zeros(2, 2), zeros(1, 2),
+                    zeros(2, 1), zeros(2, 2), zeros(1, 2), zeros(2, 1), compat=[(1, 2)])
+    dur = np.full((8, 2), 10, dtype=np.int64)
+    dur[7, 0] = 30
+    scen = ScenarioSet(dur, zeros(8, 2, 2), zeros(8, 1, 2), zeros(8, 2, 1))
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=1.0, delta_route=1.0,
+                                        epsilon=0.1)
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=20)
+    assert (res.status, res.n_groups, res.schedule) == ("Infeasible", 1, None)
+    save_instance(inst, tmp_path / "chain.json")
+    save_scenarios(scen, tmp_path / "chain.npz")
+    assert main(["solve", "--instance", str(tmp_path / "chain.json"), "--scenarios-file",
+                 str(tmp_path / "chain.npz"), "--method", "lagr", "--epsilon", "0.1",
+                 "--delta-trip", "1", "--delta-route", "1", "-o", str(tmp_path / "r.json")]) == 2
+
+
 def test_cli_lagr_time_limit_stop_exits_zero(tmp_path):
     inst_path = tmp_path / "inst.json"
     scen_path = tmp_path / "scen.npz"
@@ -244,11 +274,19 @@ def test_cli_solve_writes_non_finite_numbers_as_null(tmp_path):
     assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
                  "--seed", "2", "-o", str(scen_path)]) == 0
     common = ["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path)]
-    # the bundle's over-model is still unbounded when this run stops
-    assert main(common + ["--method", "lagr", "--group-size", "12",
-                          "-o", str(tmp_path / "lagr.json")]) == 0
+    lagr = common + ["--method", "lagr", "--group-size", "12"]
+    # a Lagrangian stop before any group solve has no objective and no bounds
+    assert main(lagr + ["--time-limit", "1e-6", "-o", str(tmp_path / "stop.json")]) == 0
+    doc = _strict_json((tmp_path / "stop.json").read_text())
+    assert doc["objective"] is None
+    assert doc["primal_bound"] is None and doc["dual_bound"] is None
+    # the full run stops only once the bundle bounds the dual at its best value
+    assert main(lagr + ["-o", str(tmp_path / "lagr.json")]) == 0
     doc = _strict_json((tmp_path / "lagr.json").read_text())
-    assert doc["dual_bound"] is None
+    assert (doc["status"], doc["iterations"]) == ("Converged", 2)
+    primal = doc["primal_bound"]
+    assert doc["dual_bound"] is not None
+    assert doc["dual_bound"] >= primal - 1e-9 * max(1.0, abs(primal))
     assert doc["objective"] == schedule_cost(load_instance(inst_path),
                                              schedule_from_json(doc["schedule"]))
     # a branch-and-cut stop before any incumbent has no objective and no gap

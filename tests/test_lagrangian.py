@@ -1,6 +1,8 @@
 """Partitioning, bundle steps, recombination and the decomposition loop."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import enumerate_schedules, random_instance, random_scenarios
 
 from ccvsp import baselines, scenarios
-from ccvsp.bnc import BnCConfig, solve_bnc
+from ccvsp.bnc import BnCConfig, MasterModel, solve_bnc
 from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, schedule_cost
 from ccvsp.lagrangian import (
     BundleModel,
@@ -208,6 +210,9 @@ def test_single_group_reproduces_exact():
     heur = solve_lagrangian(inst, params, scen, cfg, m_gr=100, det_sched=det)
     assert heur.n_groups == 1
     assert heur.objective == pytest.approx(exact.objective)
+    # nothing is dualized, so the first group value is certified at once
+    assert heur.status == "Converged"
+    assert heur.dual_bound == heur.primal_bound
 
 
 def test_group_solve_zero_penalty_matches_plain():
@@ -219,7 +224,7 @@ def test_group_solve_zero_penalty_matches_plain():
     sub = restrict(inst, scen, [1, 2, 3])
     cfg = BnCConfig()
     mu = np.zeros(3)
-    sched, z, val, opt = solve_group(sub, params, cfg, mu, p=2, n_groups=2)
+    sched, z, val, opt = solve_group(sub, group_master(sub, params, cfg), mu, p=2, n_groups=2)
     plain = solve_bnc(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg)
     assert opt
     assert val == pytest.approx(plain.objective)
@@ -234,7 +239,8 @@ def test_group_value_carries_the_indicator_charges():
     sub = restrict(inst, scen, [1, 2, 3])
     mu = np.full(3, 7.0)
     # group 1 is charged -(P-1) mu per indicator, so the budget's worth turn on
-    sched, z, val, opt = solve_group(sub, params, BnCConfig(), mu, p=1, n_groups=2)
+    master = group_master(sub, params, BnCConfig())
+    sched, z, val, opt = solve_group(sub, master, mu, p=1, n_groups=2)
     assert opt and z.sum() == cc_threshold(scen.count, params.epsilon) > 0
     assert val == pytest.approx(schedule_cost(inst, sched) - mu @ z)
 
@@ -275,12 +281,12 @@ def test_weak_duality_against_joint_model():
     if joint is None:
         pytest.skip("joint model infeasible for this draw")
     subs = [restrict(inst, scen, g) for g in groups]
-    cfg = BnCConfig()
+    masters = [group_master(sub, params, BnCConfig()) for sub in subs]
     for trial in range(6):
         mu = np.abs(np.random.default_rng(trial).normal(0, 5, size=3))
         total = 0.0
-        for p, sub in enumerate(subs, start=1):
-            _, _, val, _ = solve_group(sub, params, cfg, mu, p, 2)
+        for p, (sub, master) in enumerate(zip(subs, masters), start=1):
+            _, _, val, _ = solve_group(sub, master, mu, p, 2)
             total += val
         assert total <= joint + 1e-6
 
@@ -317,8 +323,9 @@ def _demo04(seed):
 def _group_solves(inst, params, scen, groups, mus, reuse):
     cfg = BnCConfig()
     subs = [restrict(inst, scen, g) for g in groups]
-    masters = [group_master(sub, params, cfg) if reuse else None for sub in subs]
-    return [solve_group(sub, params, cfg, mu, p, len(subs), master)
+    masters = [group_master(sub, params, cfg) for sub in subs]
+    return [solve_group(sub, master if reuse else group_master(sub, params, cfg),
+                        mu, p, len(subs))
             for mu in mus for p, (sub, master) in enumerate(zip(subs, masters), start=1)]
 
 
@@ -366,8 +373,37 @@ def test_dual_bound_not_below_primal_bound(seed):
     res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
                            max_iters=30, rel_tol=1e-6)
     assert res.n_groups == 2
+    assert res.status == "Converged" and math.isfinite(res.dual_bound)
     assert res.primal_bound <= res.dual_bound + 1e-9 * max(1.0, abs(res.dual_bound))
     assert max(e.primal for e in res.log) == res.primal_bound
+
+
+def test_group_value_cut_short_ends_the_run_without_a_cut(monkeypatch):
+    """A group solve that is not proven optimal still yields a schedule for the
+    incumbent, but its value is no dual value: no cut, status IterLimit."""
+    inst, params, scen, det = _demo04(22)
+    solve, add_cut = MasterModel.solve, BundleModel.add_cut
+    solves, cuts = [], []
+
+    def second_group_of_second_iteration_cut_short(master, *args, **kwargs):
+        res = solve(master, *args, **kwargs)
+        solves.append(res)
+        return replace(res, status="IterLimit") if len(solves) == 4 else res
+
+    def counted_add_cut(bundle, *args):
+        cuts.append(args)
+        add_cut(bundle, *args)
+
+    monkeypatch.setattr(MasterModel, "solve", second_group_of_second_iteration_cut_short)
+    monkeypatch.setattr(BundleModel, "add_cut", counted_add_cut)
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                           max_iters=30, rel_tol=1e-6)
+    assert solves[3].schedule is not None
+    assert (res.status, res.iterations, len(cuts)) == ("IterLimit", 1, 1)
+    assert res.schedule is not None
+    assert res.violations == count_violated_scenarios(inst, params, res.schedule, scen)
+    assert (res.violations, res.objective) <= (res.log[0].incumbent_violations,
+                                               res.log[0].incumbent_cost)
 
 
 def test_time_limit_bounds_the_whole_run():
