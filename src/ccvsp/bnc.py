@@ -75,14 +75,11 @@ class BnCConfig:
 
 @dataclass
 class BnCResult:
-    """``objective`` is the schedule's integer cost (nan without a schedule);
-    ``lp_objective`` is the master's objective value there as the LP kernel
-    computed it, which adds the indicator charges of a re-priced master."""
+    """``objective`` is the schedule's integer cost (nan without a schedule)."""
 
     status: str
     schedule: Schedule | None
     objective: int | float
-    lp_objective: float
     bound: float
     gap: float
     cuts_added: dict[str, int]
@@ -95,7 +92,6 @@ class BnCResult:
         return {
             "status": self.status,
             "objective": self.objective,
-            "lp_objective": self.lp_objective,
             "bound": self.bound,
             "gap": self.gap,
             "nodes": self.nodes,
@@ -218,7 +214,7 @@ class MasterModel:
         elapsed = time.monotonic() - t0
         cuts_added = {k: v for k, v in counts.items() if v}
         if sol.x is None:
-            return BnCResult(sol.status, None, math.nan, math.nan, sol.bound, sol.gap,
+            return BnCResult(sol.status, None, math.nan, sol.bound, sol.gap,
                              cuts_added, sol.nodes, elapsed, ())
         sched = self.decode(sol.x)
         validate_schedule(inst, sched)
@@ -228,8 +224,8 @@ class MasterModel:
             raise AssertionError(
                 f"accepted schedule violates {bad} scenarios, budget "
                 f"{cc_threshold(scen.count, params.epsilon)}")
-        return BnCResult(sol.status, sched, schedule_cost(inst, sched), float(sol.obj),
-                         float(sol.bound), float(sol.gap), cuts_added, sol.nodes, elapsed, z,
+        return BnCResult(sol.status, sched, schedule_cost(inst, sched), float(sol.bound),
+                         float(sol.gap), cuts_added, sol.nodes, elapsed, z,
                          train_violations=bad)
 
     def decode(self, x_vals: np.ndarray) -> Schedule:

@@ -164,10 +164,11 @@ def cmd_solve(args) -> int:
                "iterations": res.iterations, "n_groups": res.n_groups,
                "schedule": schedule_to_json(res.schedule) if res.schedule else None,
                "time_s": res.time_s, "log": res.log_csv()}
-    Path(args.output).write_text(json.dumps(_finite_or_null(doc), indent=1, allow_nan=False))
+    doc = _finite_or_null(doc)
+    Path(args.output).write_text(json.dumps(doc, indent=1, allow_nan=False))
     if doc["status"] == "Infeasible":
         return EXIT_INFEASIBLE
-    print(f"{args.method}: objective {doc.get('objective')}")
+    print(f"{args.method}: objective {json.dumps(doc['objective'])}")
     return EXIT_OK
 
 

@@ -153,10 +153,12 @@ def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
 
     Returns (schedule in original ids, z vector, value, solved_to_optimality);
     the schedule and z vector are None when the time limit passed before any
-    schedule was found. A group proven to have no schedule raises
-    ``GroupInfeasible``.
+    schedule was found. The value is the schedule's integer cost plus the
+    penalty term on the rounded indicators, coef * (mu @ z). A group proven to
+    have no schedule raises ``GroupInfeasible``.
     """
-    master.reprice(penalty_coefficient(p, n_groups) * mu)
+    coef = penalty_coefficient(p, n_groups)
+    master.reprice(coef * mu)
     res = master.solve(time_limit)
     if res.schedule is None:
         if res.status == "IterLimit":
@@ -165,7 +167,7 @@ def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
     buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
                   for b in res.schedule.buses)
     z = np.array([round(v) for v in res.z], dtype=int)
-    return Schedule(buses), z, res.lp_objective, res.status == "Optimal"
+    return Schedule(buses), z, res.objective + coef * float(mu @ z), res.status == "Optimal"
 
 
 def subgradient(z_by_group: list[np.ndarray]) -> np.ndarray:
@@ -390,11 +392,12 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     basis. A single group is the whole instance with nothing dualized, so the
     first iteration solves it exactly and its flat cut certifies it.
 
-    The primal bound is the best Lagrangian value (the penalized group total)
-    seen. The dual bound is the optimum of the bundle's over-model, max theta
-    subject to every cut and mu >= 0 (+inf while it is unbounded), so it lies
-    at or above every Lagrangian value. The per-iteration theta of the
-    proximal step stays in the log.
+    The primal bound is the best Lagrangian value seen: the sum of the group
+    values, each its schedule's integer cost plus the multiplier term on its
+    rounded indicators (see ``solve_group``). The dual bound is the optimum
+    of the bundle's over-model, max theta subject to every cut and mu >= 0
+    (+inf while it is unbounded), so it lies at or above every Lagrangian
+    value. The per-iteration theta of the proximal step stays in the log.
 
     The status is Converged once dual bound - primal bound <= rel_tol *
     max(1, |primal bound|): ``rel_tol`` is the relative gap that certifies the

@@ -81,9 +81,7 @@ class MilpModel:
 class LpSolution:
     status: str                      # Optimal | Infeasible | Unbounded | IterLimit
     x: np.ndarray | None = None
-    duals: np.ndarray | None = None
     obj: float = math.nan
-    dual_obj: float = math.nan
     iterations: int = 0
     basis: list[int] | None = None
 
@@ -364,20 +362,12 @@ class _Simplex:
 
     def _extract(self) -> LpSolution:
         n, m = self.n, self.m
-        y = self.cost[self.basis] @ self.binv
         obj = float(self.cost[: n + m] @ self.x[: n + m])
-        d = self.cost[:n] - y @ self.A[:, :n]
-        # each nonbasic structural adds its reduced cost times the bound that
-        # cost's sign points to, when that bound is finite
-        bound = np.where(d > 0, self.lo[:n], np.where(d < 0, self.hi[:n], 0.0))
-        use = ~self.in_basis[:n] & np.isfinite(bound)
-        dual_obj = float(y @ self.b) + float(d[use] @ bound[use])
         # artificial i and slack i are the same column e_i; naming the slack keeps
         # the basis valid after rows are appended (artificial indices shift)
-        basis = [j - m if j >= n + m else j for j in self.basis]
-        return LpSolution("Optimal", x=self.x[:n].copy(), duals=np.asarray(y).copy(),
-                          obj=obj, dual_obj=dual_obj, iterations=self.iterations,
-                          basis=[int(j) for j in basis])
+        basis = [int(j - m if j >= n + m else j) for j in self.basis]
+        return LpSolution("Optimal", x=self.x[:n].copy(), obj=obj,
+                          iterations=self.iterations, basis=basis)
 
     def solve(self, max_iter: int, deadline: float | None = None) -> LpSolution:
         n, m = self.n, self.m
@@ -451,14 +441,16 @@ def _expired(deadline: float | None) -> bool:
 
 def lp_solve(model: MilpModel, warm_start: list[int] | None = None,
              var_lb=None, var_ub=None, deadline: float | None = None) -> LpSolution:
-    """Solve the LP relaxation; returns a primal-dual pair on Optimal.
+    """Solve the LP relaxation; on Optimal the solution holds x, its objective
+    value and the final basis.
 
     ``warm_start`` is the ``basis`` of an earlier solution of this model, which
     may since have gained rows or been given other variable bounds; the dual
-    simplex re-optimises it, and an unusable basis falls back to a cold solve.
-    ``deadline`` is a ``time.monotonic()`` instant; once it passes, the solve
-    stops with status IterLimit, as it does after 2000 + 200 (rows + columns)
-    simplex iterations.
+    simplex re-optimises it, and an unusable basis falls back to a cold solve
+    from the same ``_Simplex`` (its start point resets the basis and values),
+    so ``iterations`` counts both attempts. ``deadline`` is a
+    ``time.monotonic()`` instant; once it passes, the solve stops with status
+    IterLimit, as it does after 2000 + 200 (rows + columns) simplex iterations.
     """
     max_iter = 2000 + 200 * (model.n_rows + model.n_vars)
     sim = _Simplex(model, var_lb=var_lb, var_ub=var_ub)
@@ -466,9 +458,6 @@ def lp_solve(model: MilpModel, warm_start: list[int] | None = None,
         sol = sim.solve_from_basis(warm_start, max_iter, deadline)
         if sol is not None:
             return sol
-        spent = sim.iterations
-        sim = _Simplex(model, var_lb=var_lb, var_ub=var_ub)
-        sim.iterations = spent
     return sim.solve(max_iter, deadline)
 
 

@@ -62,9 +62,7 @@ def test_objective_is_the_integer_schedule_cost():
     res = solve_bnc(inst, params, scen, BnCConfig())
     assert type(res.objective) is int
     assert res.objective == schedule_cost(inst, res.schedule)
-    assert res.lp_objective == pytest.approx(res.objective)
-    doc = res.to_json()
-    assert (doc["objective"], doc["lp_objective"]) == (res.objective, res.lp_objective)
+    assert res.to_json()["objective"] == res.objective
 
 
 def test_cuts_never_fire_when_mean_solution_reliable():

@@ -297,6 +297,22 @@ def test_cli_solve_writes_non_finite_numbers_as_null(tmp_path):
     assert doc["objective"] is None and doc["gap"] is None
 
 
+def test_cli_solve_prints_the_objective_it_writes(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "1",
+                 "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
+                 "--seed", "2", "-o", str(scen_path)]) == 0
+    capsys.readouterr()
+    # a stop before any group solve has no objective: null on stdout as in the file
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "lagr", "--group-size", "12", "--time-limit", "1e-6",
+                 "-o", str(tmp_path / "stop.json")]) == 0
+    assert capsys.readouterr().out == "lagr: objective null\n"
+    assert _strict_json((tmp_path / "stop.json").read_text())["objective"] is None
+
+
 def test_cli_solve_mismatched_scenarios_exits_one(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     small_path = tmp_path / "small.json"

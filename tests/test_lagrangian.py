@@ -9,7 +9,7 @@ import pytest
 
 from conftest import enumerate_schedules, random_instance, random_scenarios
 
-from ccvsp import baselines, scenarios
+from ccvsp import baselines, lagrangian, scenarios
 from ccvsp.bnc import BnCConfig, MasterModel, solve_bnc
 from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, schedule_cost
 from ccvsp.lagrangian import (
@@ -376,6 +376,48 @@ def test_dual_bound_not_below_primal_bound(seed):
     assert res.status == "Converged" and math.isfinite(res.dual_bound)
     assert res.primal_bound <= res.dual_bound + 1e-9 * max(1.0, abs(res.dual_bound))
     assert max(e.primal for e in res.log) == res.primal_bound
+
+
+def _cli_repro():
+    """The instance, scenarios and service levels of ``ccvsp generate --trips 24
+    --depots 2 --seed 1``, ``sample --scenarios 20 --seed 2`` and the solve
+    defaults."""
+    inst = scenarios.generate_instance(scenarios.GenParams(n_trips=24, n_depots=2, seed=1))
+    scen = scenarios.sample_scenarios(inst, 20, seed=2)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    return inst, params, scen
+
+
+@pytest.mark.parametrize("case", ["g22", "g24", "g25", "cli"])
+def test_lagrangian_values_and_bounds_are_exact(case, monkeypatch):
+    """Each group value is the integer schedule cost plus the multiplier term
+    on the rounded indicators, so the best value lies at or below the dual
+    bound with no slack."""
+    calls = []
+
+    def recorded(sub, master, mu, p, n_groups, time_limit=None):
+        out = solve_group(sub, master, mu, p, n_groups, time_limit)
+        calls.append((mu.copy(), p, n_groups, out))
+        return out
+
+    monkeypatch.setattr(lagrangian, "solve_group", recorded)
+    if case == "cli":
+        inst, params, scen = _cli_repro()
+        res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12)
+    else:
+        inst, params, scen, det = _demo04(int(case[1:]))
+        res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                               max_iters=30, rel_tol=1e-6)
+    assert res.status == "Converged" and res.n_groups == 2
+    assert len(calls) == res.iterations * res.n_groups
+    for mu, p, n_groups, (sched, z, val, opt) in calls:
+        assert opt
+        assert val == schedule_cost(inst, sched) + penalty_coefficient(p, n_groups) * float(mu @ z)
+    values = [out[2] for *_, out in calls]
+    assert [e.primal for e in res.log] == [float(sum(values[i:i + 2]))
+                                           for i in range(0, len(values), 2)]
+    assert res.primal_bound <= res.dual_bound
 
 
 def test_group_value_cut_short_ends_the_run_without_a_cut(monkeypatch):
