@@ -134,8 +134,12 @@ class Instance:
         self.route_of = {i: t.route_id for i, t in zip(self._ids, self.trips)}
         self.starts = [t.start for t in self.trips]
         self.max_express = np.array([t.max_express for t in self.trips], dtype=np.int64)
-        self.succ = {i: sorted(j for (a, j) in self.compat if a == i) for i in self._ids}
-        self.pred = {j: sorted(i for (i, b) in self.compat if b == j) for j in self._ids}
+        self.succ = {i: [] for i in self._ids}
+        self.pred = {j: [] for j in self._ids}
+        # one pass in sorted order leaves every list sorted
+        for i, j in sorted(self.compat):
+            self.succ[i].append(j)
+            self.pred[j].append(i)
 
     @property
     def n_trips(self) -> int:

@@ -89,14 +89,13 @@ def grid_scenarios() -> ScenarioSet:
     """
     inst = two_depot_grid()
     I = inst.n_trips
-    dur = np.tile([t.mean_dur for t in inst.trips], (2, 1)).astype(np.int64)
+    dur = np.tile([t.mean_dur for t in inst.trips], (2, 1))
     dur[0, [0, 1]] += 1            # scenario 1: trips 1 and 2 run long
     dur[1, [2, 3, 6, 7]] += 1      # scenario 2: trips 3, 4, 7, 8 run long
-    travel = np.tile(inst.dh_time, (2, 1, 1)).astype(np.int64)
+    travel = np.tile(inst.dh_time, (2, 1, 1))
     travel[1, 3, 1] += 1           # scenario 2: deadhead 4 -> 2 runs long
-    out_t = np.tile(inst.out_time, (2, 1, 1)).astype(np.int64)
-    in_t = np.tile(inst.in_time, (2, 1, 1)).astype(np.int64)
-    return ScenarioSet(dur, travel, out_t, in_t, rng_seed=0)
+    return ScenarioSet(dur, travel, np.tile(inst.out_time, (2, 1, 1)),
+                       np.tile(inst.in_time, (2, 1, 1)), rng_seed=0)
 
 
 def grid_service_params(inst: Instance | None = None) -> ServiceParams:
@@ -130,10 +129,6 @@ def delay_chain() -> tuple[Instance, ServiceParams, Schedule, ScenarioSet]:
     params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.84,
                                         delta_route=0.5, epsilon=0.5, eps_tol=1)
     sched = Schedule((Bus(1, (1, 2, 3, 4, 5, 6)),))
-    scen = ScenarioSet(
-        dur=np.array([scen_d], dtype=np.int64),
-        travel=np.zeros((1, I, I), dtype=np.int64),
-        out_t=np.zeros((1, 1, I), dtype=np.int64),
-        in_t=np.zeros((1, I, 1), dtype=np.int64),
-    )
+    scen = ScenarioSet(dur=np.array([scen_d]), travel=zero_ii[None], out_t=zero_ki[None],
+                       in_t=zero_ik[None])
     return inst, params, sched, scen

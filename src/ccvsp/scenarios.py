@@ -23,13 +23,33 @@ from .core import (
 )
 
 
+SCENARIO_TABLES = ("dur", "travel", "out_t", "in_t")
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _int32_table(name: str, table) -> np.ndarray:
+    """``table`` as int32 minutes; ValidationError unless its values are
+    integers in [0, 2**31)."""
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"scenario table {name} has dtype {arr.dtype}, "
+                              f"not integer minutes")
+    if arr.size:
+        if arr.min() < 0:
+            raise ValidationError(f"scenario table {name} has negative times")
+        if arr.max() > INT32_MAX:
+            raise ValidationError(f"scenario table {name} has times of 2**31 or more")
+    return arr.astype(np.int32, copy=False)
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """Sampled travel-time realizations, each scenario with probability 1/S.
 
     ``dur[s, i-1]`` is trip i's duration, ``travel[s, i-1, j-1]`` the deadhead
     time between trips (meaningful on compatible pairs), ``out_t``/``in_t`` the
-    depot deadheads.
+    depot deadheads. Every table is stored as int32; any integer table with
+    values in [0, 2**31) is accepted and converted.
     """
 
     dur: np.ndarray          # (S, I)
@@ -39,10 +59,8 @@ class ScenarioSet:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("dur", "travel", "out_t", "in_t"):
-            arr = getattr(self, name)
-            if (arr < 0).any():
-                raise ValidationError(f"scenario table {name} has negative times")
+        for name in SCENARIO_TABLES:
+            object.__setattr__(self, name, _int32_table(name, getattr(self, name)))
         if self.count < 1:
             raise ValidationError("a scenario set needs at least one scenario")
 
@@ -95,6 +113,13 @@ class GenParams:
 
 def _dist(a, b) -> int:
     return int(round(math.hypot(a[0] - b[0], a[1] - b[1])))
+
+
+def _dists(a, b) -> np.ndarray:
+    """``_dist`` from every point of ``a`` (rows) to every point of ``b`` (columns)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.rint(np.hypot(a[:, None, 0] - b[None, :, 0],
+                            a[:, None, 1] - b[None, :, 1])).astype(np.int64)
 
 
 def generate_instance(p: GenParams) -> Instance:
@@ -153,27 +178,12 @@ def generate_instance(p: GenParams) -> Instance:
                int(rng.integers(0, p.grid_height, endpoint=True)))
         depots.append(Depot(k, loc, cap))
 
-    dh_time = np.zeros((I, I), dtype=np.int64)
-    cost = np.zeros((I, I), dtype=np.int64)
-    for a, ti in enumerate(trips):
-        for b, tj in enumerate(trips):
-            if a == b:
-                continue
-            d = _dist(ti.end_loc, tj.start_loc)
-            dh_time[a, b] = d
-            cost[a, b] = d
-    out_time = np.zeros((K, I), dtype=np.int64)
-    in_time = np.zeros((I, K), dtype=np.int64)
-    out_cost = np.zeros((K, I), dtype=np.int64)
-    in_cost = np.zeros((I, K), dtype=np.int64)
-    for k, dep in enumerate(depots):
-        for a, t in enumerate(trips):
-            d_out = _dist(dep.loc, t.start_loc)
-            d_in = _dist(t.end_loc, dep.loc)
-            out_time[k, a] = d_out
-            in_time[a, k] = d_in
-            out_cost[k, a] = d_out + p.deploy_cost   # pull-out carries the deployment cost
-            in_cost[a, k] = d_in
+    starts = [t.start_loc for t in trips]
+    ends = [t.end_loc for t in trips]
+    dh_time = _dists(ends, starts)
+    np.fill_diagonal(dh_time, 0)
+    out_time = _dists([d.loc for d in depots], starts)
+    in_time = _dists(ends, [d.loc for d in depots])
 
     compat = build_compat(trips, dh_time)
     meta = {
@@ -187,22 +197,40 @@ def generate_instance(p: GenParams) -> Instance:
             "metric": "euclidean-rounded",
         },
     }
+    # pull-outs carry the deployment cost
     return Instance(trips, depots, routes, dh_time, out_time, in_time,
-                    cost, out_cost, in_cost, compat, meta)
+                    dh_time.copy(), out_time + p.deploy_cost, in_time.copy(), compat, meta)
+
+
+def _lognormal_params(means: np.ndarray, cv: float) -> tuple[np.ndarray, float]:
+    """(mu, sigma) of the lognormals with the given positive means and sd = cv * mean."""
+    # sigma^2 = ln(1 + cv^2), mu = ln(mean) - sigma^2/2 gives the requested moments
+    sigma2 = math.log(1.0 + cv * cv)
+    return np.log(means) - sigma2 / 2.0, math.sqrt(sigma2)
+
+
+def _transform_normals(mu: np.ndarray, sigma: float, z: np.ndarray) -> np.ndarray:
+    """The lognormal transform rint(exp(mu + sigma * z)) clipped at 0, made in place
+    in the float array of normals ``z``."""
+    np.multiply(z, sigma, out=z)
+    np.add(z, mu, out=z)
+    np.exp(z, out=z)
+    np.rint(z, out=z)
+    return np.maximum(z, 0, out=z)
 
 
 def _lognormal_rounded(rng: np.random.Generator, means: np.ndarray, cv: float) -> np.ndarray:
     """Integer samples with the given means and sd = cv * mean; zero means stay zero."""
     means = np.asarray(means, dtype=float)
-    out = np.zeros_like(means)
+    out = np.zeros(means.shape, dtype=np.int64)
     pos = means > 0
-    if pos.any():
-        # sigma^2 = ln(1 + cv^2), mu = ln(mean) - sigma^2/2 gives the requested moments
-        sigma2 = math.log(1.0 + cv * cv)
-        sigma = math.sqrt(sigma2)
-        mu = np.log(means[pos]) - sigma2 / 2.0
-        out[pos] = np.exp(mu + sigma * rng.standard_normal(int(pos.sum())))
-    return np.maximum(np.rint(out), 0).astype(np.int64)
+    mu, sigma = _lognormal_params(means[pos], cv)
+    out[pos] = _transform_normals(mu, sigma, rng.standard_normal(mu.size))
+    return out
+
+
+# bytes of each float temporary of the block-wise sampler
+SAMPLE_BLOCK_BYTES = 2 << 20
 
 
 def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
@@ -210,26 +238,42 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     """Sample S scenarios of all travel times; deterministic for a fixed seed.
 
     Each scenario draws from an independent substream keyed by (seed, s), so
-    results do not depend on evaluation order. ``cv`` defaults to the
-    generator's ``lognormal_cv`` recorded in the instance meta.
+    results do not depend on evaluation order. One ``standard_normal`` call
+    per scenario covers the positive-mean entries of the duration, deadhead,
+    pull-out and pull-in tables, in that order; each table equals, bit for
+    bit, what one ``_lognormal_rounded`` call per table on that substream
+    gives. The transform runs on blocks of scenarios whose normals take about
+    ``SAMPLE_BLOCK_BYTES``, written straight into the int32 tables. ``cv``
+    defaults to the generator's ``lognormal_cv`` recorded in the instance meta.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
     if cv is None:
         cv = float(inst.meta.get("generator_params", {}).get("lognormal_cv", LOGNORMAL_CV))
-    I, K = inst.n_trips, inst.n_depots
-    mean_dur = np.array([t.mean_dur for t in inst.trips], dtype=float)
-    dur = np.zeros((n_scenarios, I), dtype=np.int64)
-    travel = np.zeros((n_scenarios, I, I), dtype=np.int64)
-    out_t = np.zeros((n_scenarios, K, I), dtype=np.int64)
-    in_t = np.zeros((n_scenarios, I, K), dtype=np.int64)
-    for s in range(n_scenarios):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
-        dur[s] = _lognormal_rounded(rng, mean_dur, cv)
-        travel[s] = _lognormal_rounded(rng, inst.dh_time.astype(float), cv)
-        out_t[s] = _lognormal_rounded(rng, inst.out_time.astype(float), cv)
-        in_t[s] = _lognormal_rounded(rng, inst.in_time.astype(float), cv)
-    return ScenarioSet(dur, travel, out_t, in_t, rng_seed=seed)
+    S = n_scenarios
+    means = (np.array([t.mean_dur for t in inst.trips], dtype=float),
+             inst.dh_time.astype(float), inst.out_time.astype(float),
+             inst.in_time.astype(float))
+    tables = [np.zeros((S, *m.shape), dtype=np.int32) for m in means]
+    # each table's positive entries, as flat indexes, and their spans in one draw
+    flat = [np.flatnonzero(m > 0) for m in means]
+    sizes = [f.size for f in flat]
+    ends = np.cumsum(sizes)
+    mu, sigma = _lognormal_params(np.concatenate([m.ravel()[f] for m, f in zip(means, flat)]), cv)
+    P = mu.size
+    block = max(1, SAMPLE_BLOCK_BYTES // (8 * max(P, 1)))
+    z = np.empty((min(block, S), P))
+    for b0 in range(0, S, block):
+        zb = z[:min(block, S - b0)]
+        for r, row in enumerate(zb):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b0 + r,)))
+            rng.standard_normal(out=row)
+        vals = _transform_normals(mu, sigma, zb)
+        if P and vals.max() > INT32_MAX:
+            raise ValidationError("sampled times reach 2**31 minutes; the means are too large")
+        for table, idx, hi, n in zip(tables, flat, ends, sizes):
+            table[b0:b0 + len(zb)].reshape(len(zb), -1)[:, idx] = vals[:, hi - n:hi]
+    return ScenarioSet(*tables, rng_seed=seed)
 
 
 def percentile_times(inst: Instance, scen: ScenarioSet, q: float):

@@ -1,7 +1,9 @@
 """Instance generation and scenario sampling."""
 
+import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from conftest import PROPERTY, random_cases
 
 from ccvsp.baselines import evaluate_out_of_sample
 from ccvsp.bnc import BnCConfig, solve_bnc
+from ccvsp import scenarios
 from ccvsp.core import (
     Bus,
+    Depot,
+    Instance,
     Schedule,
     ServiceParams,
+    Trip,
     ValidationError,
     build_compat,
     instance_from_json,
@@ -24,6 +30,8 @@ from ccvsp.lagrangian import solve_lagrangian
 from ccvsp.scenarios import (
     GenParams,
     ScenarioSet,
+    _dist,
+    _lognormal_rounded,
     generate_instance,
     load_scenarios,
     percentile_times,
@@ -180,3 +188,157 @@ def test_instance_and_scenarios_survive_round_trip(case):
         g = greedy_evaluate(inst, params, sched, scen, s)
         g2 = greedy_evaluate(loaded, params2, sched, scen2, s)
         assert np.array_equal(g.y_star, g2.y_star) and g.violated == g2.violated
+
+
+def _digest(*tables) -> str:
+    """SHA-256 over the shapes and the int64 little-endian bytes of the tables."""
+    h = hashlib.sha256()
+    for t in tables:
+        t = np.asarray(t)
+        h.update(repr(t.shape).encode())
+        h.update(np.ascontiguousarray(t, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+_LAGR = dict(n_depots=2, trips_per_route=12, grid_width=80, grid_height=80,
+             headway_buffer=(0, 4))
+# key: (generator parameters, scenarios, scenario seed, digest of the instance's
+# six time and cost tables, digest of the four scenario tables). The digests
+# were recorded with the one-call-per-table sampler and the scalar-distance
+# generator that came before the block-wise ones; the inputs are the benchmark's
+# training sets, its 3,000-scenario evaluation set for run seed 41, the
+# Lagrangian cases and one single-scenario set.
+GOLDEN = {
+    "bnc/I20-S50": (dict(n_trips=20, n_depots=2, seed=1), 50, 2,
+                    "8540c3f1b1c33e2a914d7962ebee8b4c263817d28ea9fcc4edd74f375f9deccb",
+                    "89516ed6cc3057172dca340c55a4d58000ad60813dc29f562e9018221c41515e"),
+    "bnc/I24-S50": (dict(n_trips=24, n_depots=2, seed=2), 50, 3,
+                    "14490fa0c64308cd1fe7a00b693c56063860eb7de9dd6fd295c535192def1828",
+                    "794de48f5e0133021f7f9ee726cd6b3e5ce5f9e0a952fc3c2168b7faa03ad915"),
+    "bnc/I30-S80": (dict(n_trips=30, n_depots=2, seed=2), 80, 3,
+                    "0343d7efad17df4e39053f6a6f2fa5e34c03dc9d6dc6c3a1e9ccaf4d5c9ce212",
+                    "bdbba50370f620a5805c8b17c576fec0ce026e27f22847a371b423b9d08a9cca"),
+    "bnc/I20-S300": (dict(n_trips=20, n_depots=2, seed=1), 300, 2,
+                     "8540c3f1b1c33e2a914d7962ebee8b4c263817d28ea9fcc4edd74f375f9deccb",
+                     "2990f45836d848524f8ec11590e621bce7974169861bd13e8684f7dc7f6da3d6"),
+    "oos/train": (dict(n_trips=50, n_depots=2, seed=7), 200, 8,
+                  "7693a499aac324c85378a2673d505c449671807c4b7a55df8ef5d1bd535b9256",
+                  "a759e692dd1930cdcb8acce4b6d1a69abf347fc70184bca0e0bf740d2b9d11f6"),
+    "oos/eval": (dict(n_trips=50, n_depots=2, seed=7), 3000, 3566257030,
+                 "7693a499aac324c85378a2673d505c449671807c4b7a55df8ef5d1bd535b9256",
+                 "1136740eed0815506a2eeccb7319d76093c6cffe65da3126fda8807f75e369df"),
+    "lagr/g22": (dict(n_trips=24, seed=22, **_LAGR), 20, 303,
+                 "6752d971c85ba4dc66c3d5d760b35e9af0cbbb72e2e226c02fed752c6ca997e3",
+                 "6d397b2949f648e98cc0dec16d1642fbcf18d5f5072e15c527dbc72f9c8c2cc4"),
+    "lagr/g24": (dict(n_trips=24, seed=24, **_LAGR), 20, 303,
+                 "f3d9bbb9754ae8d7fab27d6fc413d61868860d57320971ee6fb36deb613c1329",
+                 "1dd87b7f38fda25b0c8bdb9ae4fa7c1f4cb5f6369ac9420fc5eb2a1fc305f6dd"),
+    "lagr/g25": (dict(n_trips=24, seed=25, **_LAGR), 20, 303,
+                 "04538c1fe7c87461da03c07e6909004050d068f69274cae81cac079389cbb569",
+                 "66477299a9c80c122b0808f984746ea53fd3389c77fa8dd1e7237bbeed340cfe"),
+    "single": (dict(n_trips=10, n_depots=2, trips_per_route=5, seed=17), 1, 1,
+               "e7c88fb4f8e35d4aa78395015df9354eabe5eb275f85e85f33ccc86014cf003c",
+               "88ae7c7962966209cc7c7619a9c3d4e34e9b20a7e731afc01658d4c6375dbd9e"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_generated_tables_match_their_recorded_digests(key):
+    gen, n_scen, seed, inst_digest, scen_digest = GOLDEN[key]
+    inst = generate_instance(GenParams(**gen))
+    assert _digest(inst.dh_time, inst.out_time, inst.in_time,
+                   inst.cost, inst.out_cost, inst.in_cost) == inst_digest
+    scen = sample_scenarios(inst, n_scen, seed=seed)
+    assert all(getattr(scen, name).dtype == np.int32 for name in scenarios.SCENARIO_TABLES)
+    assert _digest(scen.dur, scen.travel, scen.out_t, scen.in_t) == scen_digest
+
+
+@pytest.mark.parametrize("block_bytes", [8, 3000, 2 << 20])
+def test_block_sampler_equals_one_call_per_table(monkeypatch, block_bytes):
+    # blocks of one scenario, of a few with a short last block, and of all
+    inst = generate_instance(GenParams(n_trips=12, n_depots=3, trips_per_route=4, seed=4))
+    monkeypatch.setattr(scenarios, "SAMPLE_BLOCK_BYTES", block_bytes)
+    scen = sample_scenarios(inst, 7, seed=11, cv=0.3)
+    for s in range(7):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(s,)))
+        for name, means in (("dur", [t.mean_dur for t in inst.trips]),
+                            ("travel", inst.dh_time), ("out_t", inst.out_time),
+                            ("in_t", inst.in_time)):
+            assert np.array_equal(getattr(scen, name)[s],
+                                  _lognormal_rounded(rng, means, 0.3)), (s, name)
+
+
+def test_sampler_refuses_times_beyond_int32():
+    inst = Instance([Trip(1, 1, (0, 0), (0, 0), 0, 2**40, 0)], [Depot(1, (0, 0), 1)], [[1]],
+                    np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                    np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), [])
+    with pytest.raises(ValidationError, match="2\\*\\*31"):
+        sample_scenarios(inst, 2, seed=0)
+
+
+def _tables(S=2, I=3, K=2, dtype=np.int64):
+    return dict(dur=np.full((S, I), 5, dtype=dtype), travel=np.zeros((S, I, I), dtype=dtype),
+                out_t=np.ones((S, K, I), dtype=dtype), in_t=np.ones((S, I, K), dtype=dtype))
+
+
+@pytest.mark.parametrize("name", scenarios.SCENARIO_TABLES)
+def test_scenario_set_refuses_float_large_and_negative_tables(name):
+    tables = _tables()
+    scen = ScenarioSet(**tables)
+    assert all(getattr(scen, n).dtype == np.int32 for n in scenarios.SCENARIO_TABLES)
+    for bad, match in ((tables[name].astype(float), "dtype float64"),
+                       (tables[name].astype(bool), "dtype bool"),
+                       (tables[name] + 2**31, "times of 2\\*\\*31 or more"),
+                       (tables[name] - 10, "negative times")):
+        with pytest.raises(ValidationError, match=f"scenario table {name} has {match}"):
+            ScenarioSet(**{**tables, name: bad})
+    # the largest int32 value and unsigned tables are accepted
+    edge = ScenarioSet(**{**tables, name: (tables[name] * 0 + 2**31 - 1).astype(np.uint64)})
+    assert getattr(edge, name).dtype == np.int32 and (getattr(edge, name) == 2**31 - 1).all()
+
+
+def test_int64_scenario_file_loads_as_int32():
+    inst = generate_instance(GenParams(n_trips=10, n_depots=2, trips_per_route=5, seed=17))
+    scen = sample_scenarios(inst, 6, seed=4)
+    buf = io.BytesIO()
+    # the layout of files written when the tables were int64
+    np.savez_compressed(buf, **{n: getattr(scen, n).astype(np.int64)
+                                for n in scenarios.SCENARIO_TABLES},
+                        rng_seed=np.array([scen.rng_seed]))
+    buf.seek(0)
+    loaded = load_scenarios(buf)
+    for name in scenarios.SCENARIO_TABLES:
+        a, b = getattr(scen, name), getattr(loaded, name)
+        assert b.dtype == np.int32 and np.array_equal(a, b), name
+    assert loaded.rng_seed == 4
+
+
+def test_vector_distance_equals_the_scalar_one():
+    off = np.arange(-200, 201)
+    dx, dy = np.meshgrid(off, off, indexing="ij")
+    vec = np.rint(np.hypot(dx.astype(float), dy.astype(float))).astype(np.int64)
+    scalar = np.array([[int(round(math.hypot(x, y))) for y in off.tolist()] for x in off.tolist()])
+    assert np.array_equal(vec, scalar)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generated_tables_are_the_scalar_distances(seed):
+    p = GenParams(n_trips=23, n_depots=3, trips_per_route=6, seed=seed)
+    inst = generate_instance(p)
+    for a, ti in enumerate(inst.trips):
+        for b, tj in enumerate(inst.trips):
+            d = 0 if a == b else _dist(ti.end_loc, tj.start_loc)
+            assert inst.dh_time[a, b] == d and inst.cost[a, b] == d, (a, b)
+        for k, dep in enumerate(inst.depots):
+            assert inst.out_time[k, a] == _dist(dep.loc, ti.start_loc)
+            assert inst.out_cost[k, a] == _dist(dep.loc, ti.start_loc) + p.deploy_cost
+            assert inst.in_time[a, k] == inst.in_cost[a, k] == _dist(ti.end_loc, dep.loc)
+    for name in ("dh_time", "out_time", "in_time", "cost", "out_cost", "in_cost"):
+        assert getattr(inst, name).dtype == np.int64, name
+
+
+def test_successors_and_predecessors_are_the_sorted_compatible_pairs():
+    inst = generate_instance(GenParams(n_trips=30, n_depots=2, seed=3))
+    for i in range(1, inst.n_trips + 1):
+        assert inst.succ[i] == sorted(j for (a, j) in inst.compat if a == i)
+        assert inst.pred[i] == sorted(a for (a, j) in inst.compat if j == i)
