@@ -10,11 +10,22 @@ under another objective, as the Lagrangian group solves do. Built for the
 master problems and test oracles in this package, not for industrial scale.
 
 The inverse is dense and each pivot costs a few dense products, so an
-iteration's fixed numpy work matters as much as the iteration count: the
-primal pricing skips the artificials once phase 1 has fixed them at zero, both
-loops keep the mask of nonbasic movable columns across pivots instead of
-rebuilding it, and the rank-1 inverse update writes into the existing array.
-These keep every pivot decision bit for bit.
+iteration's fixed numpy work matters as much as the iteration count. The
+primal pricing skips the artificials once phase 1 has fixed them at zero. Both
+loops keep the basic values and bounds in arrays by row, and the masks of the
+nonbasic columns that may rise or fall, up to date across pivots and flips
+instead of gathering them again. The dual steepest-edge norms are taken for
+the infeasible rows only, and the rank-1 inverse update writes into the
+existing array.
+
+Work that repeats across solves of one model is kept on the model, under the
+exact bytes of its inputs. One entry is the end state of the last completed
+cold phase 1: phase 1 does not read the objective, so a cold solve under a
+new objective, or after a refused warm start, begins at phase 2 and still
+counts the phase-1 iterations. The other is the last warm-start basis
+inverse, since sibling nodes start from their parent's basis over the same
+rows. All of this keeps every pivot decision and every reported iteration
+count bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +60,11 @@ class MilpModel:
         self.is_int: list[bool] = []
         # each row: (coeffs {var: coef}, sense, rhs)
         self.rows: list[tuple[dict[int, float], str, float]] = []
+        # what the simplex computed on this model and may meet again, each
+        # under the exact bytes of its inputs: the end state of the last
+        # completed cold phase 1, and the last warm-start basis inverse
+        self._phase1: _Phase1 | None = None
+        self._inverse: tuple[bytes, np.ndarray | None] | None = None
 
     def add_var(self, lb: float = 0.0, ub: float = INF, obj: float = 0.0,
                 is_int: bool = False) -> int:
@@ -99,11 +116,23 @@ class MilpSolution:
     root_basis: list[int] | None = None
 
 
+class _Phase1(NamedTuple):
+    """End state of a completed cold phase 1, before the artificials are fixed."""
+
+    key: bytes              # the exact bytes of every input phase 1 reads
+    iterations: int
+    infeasible: bool
+    basis: list[int]
+    binv: np.ndarray
+    x: np.ndarray
+
+
 class _Simplex:
     """Revised simplex with bounds; columns are structural | slacks | artificials."""
 
     def __init__(self, model: MilpModel, var_lb=None, var_ub=None):
         n, m = model.n_vars, model.n_rows
+        self.model = model
         self.n, self.m = n, m
         ncols = n + 2 * m
         rows = model.rows
@@ -113,6 +142,7 @@ class _Simplex:
         ri = np.repeat(np.arange(m), counts)
         cj = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
         vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz)
+        self._nonzeros = (counts, cj, vals)
         self.A = np.zeros((m, ncols))
         self.A[ri, cj] = vals
         diag = np.arange(m)
@@ -133,8 +163,6 @@ class _Simplex:
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.x = np.zeros(ncols)
         self.binv = np.eye(m)
-        # nonbasic columns that are not fixed: each loop sets it, _pivot updates it
-        self.free = np.zeros(ncols, dtype=bool)
         self._outer = np.empty((m, m))       # buffer of the rank-1 update
 
     def set_start_point(self):
@@ -154,6 +182,33 @@ class _Simplex:
         self.binv = np.eye(m)
         self.x = x
         return np.where(resid >= 0, 1.0, -1.0)
+
+    def _phase1_key(self) -> bytes:
+        """The exact bytes of what phase 1 reads: the rows (their nonzeros fix
+        the dense matrix), the right-hand sides and the bounds of the
+        structural and slack columns."""
+        n, m = self.n, self.m
+        parts = (np.array([n, m]), *self._nonzeros, self.b, self.lo[: n + m], self.hi[: n + m])
+        return b"".join(p.tobytes() for p in parts)
+
+    def _warm_inverse(self) -> np.ndarray | None:
+        """A fresh inverse of the basis matrix, None when it is singular.
+
+        The model keeps the last one under the matrix's exact bytes: sibling
+        nodes start from their parent's basis over the same rows.
+        """
+        B = self.A[:, self.basis]
+        key = B.tobytes()
+        saved = self.model._inverse
+        if saved is not None and saved[0] == key:
+            inv = saved[1]
+        else:
+            try:
+                inv = np.linalg.inv(B)
+            except np.linalg.LinAlgError:
+                inv = None
+            self.model._inverse = (key, inv)
+        return None if inv is None else inv.copy()
 
     def _refactor(self):
         try:
@@ -176,11 +231,8 @@ class _Simplex:
         self._set_basics()
 
     def _pivot(self, basis_arr, leave: int, enter: int, w: np.ndarray):
-        out = basis_arr[leave]
-        self.in_basis[out] = False
+        self.in_basis[basis_arr[leave]] = False
         self.in_basis[enter] = True
-        self.free[out] = self.lo[out] < self.hi[out]
-        self.free[enter] = False
         basis_arr[leave] = enter
         row = self.binv[leave] / w[leave]
         # rank-1 update in place: binv -= outer(w, row), through a reused buffer
@@ -188,36 +240,50 @@ class _Simplex:
         self.binv -= self._outer
         self.binv[leave] = row
 
+    def _stop(self, basis_arr, xb, status: str) -> str:
+        """Write a loop's basic values and basis back, and return ``status``."""
+        self.x[basis_arr] = xb
+        self.basis = list(basis_arr)
+        return status
+
     def _iterate(self, cost, max_iter, deadline) -> str:
         n, m = self.n, self.m
+        lo, hi, x = self.lo, self.hi, self.x
         basis_arr = np.array(self.basis, dtype=int)
         bland = False
         degen_streak = 0
         pivots = 0
-        movable = self.lo < self.hi
-        self.free = ~self.in_basis & movable
         # price only the columns that can enter: in phase 2 the artificials are
         # fixed at zero, so the first n + m columns
-        k = len(cost) if movable[n + m:].any() else n + m
-        A, cost_k, x, free = self.A[:, :k], cost[:k], self.x[:k], self.free[:k]
-        lo_tol, hi_tol = self.lo[:k] + FEAS_TOL, self.hi[:k] - FEAS_TOL
+        k = len(cost) if (lo[n + m:] < hi[n + m:]).any() else n + m
+        A, cost_k = self.A[:, :k], cost[:k]
+        lo_tol, hi_tol = lo[:k] + FEAS_TOL, hi[:k] - FEAS_TOL
+        # a nonbasic movable column at its lower bound (or strictly between)
+        # may rise, one at its upper bound (or strictly between) may fall; the
+        # masks change only where a pivot or a flip moves a column
+        at_lo, at_hi = x[:k] <= lo_tol, x[:k] >= hi_tol
+        free = ~self.in_basis[:k] & (lo[:k] < hi[:k])
+        rise, fall = free & (at_lo | ~at_hi), free & (at_hi | ~at_lo)
+
+        def moved(j):
+            a_lo, a_hi = x[j] <= lo_tol[j], x[j] >= hi_tol[j]
+            movable = lo[j] < hi[j]
+            rise[j] = movable and (a_lo or not a_hi)
+            fall[j] = movable and (a_hi or not a_lo)
+
+        # values, bounds and costs of the basic columns, by row
+        xb, lob, hib, cb = x[basis_arr], lo[basis_arr], hi[basis_arr], cost[basis_arr]
         while True:
             if self.iterations >= max_iter or _expired(deadline):
-                self.basis = list(basis_arr)
-                return "IterLimit"
+                return self._stop(basis_arr, xb, "IterLimit")
             self.iterations += 1
-            y = cost[basis_arr] @ self.binv
+            y = cb @ self.binv
             d = cost_k - y @ A
-            at_lo = x <= lo_tol
-            at_hi = x >= hi_tol
-            # a column at its lower bound (or strictly between) may rise, one at
-            # its upper bound (or strictly between) may fall
-            up = free & (d < -OPT_TOL) & (at_lo | ~at_hi)
-            dn = free & (d > OPT_TOL) & (at_hi | ~at_lo)
+            up = rise & (d < -OPT_TOL)
+            dn = fall & (d > OPT_TOL)
             can = up | dn
             if not can.any():
-                self.basis = list(basis_arr)
-                return "Optimal"
+                return self._stop(basis_arr, xb, "Optimal")
             if bland:
                 enter = int(np.flatnonzero(can)[0])
             else:
@@ -228,11 +294,10 @@ class _Simplex:
             # toward the bound ahead of them; a row whose |step| is within
             # FEAS_TOL of zero sets no limit
             step = -direction * w
-            xb = self.x[basis_arr]
-            bound = np.where(step < 0, self.lo[basis_arr], self.hi[basis_arr])
+            bound = np.where(step < 0, lob, hib)
             t_rows = np.divide(bound - xb, step, out=np.full(m, INF),
                                where=np.abs(step) > FEAS_TOL)
-            t_flip = self.hi[enter] - self.lo[enter]
+            t_flip = hi[enter] - lo[enter]
             if m:
                 leave = int(np.argmin(t_rows))
                 t_limit = t_rows[leave]
@@ -245,19 +310,23 @@ class _Simplex:
                 leave, t_limit = -1, INF
             if t_flip < t_limit - 1e-12:
                 if t_flip == INF:
-                    self.basis = list(basis_arr)
-                    return "Unbounded"
-                self.x[enter] += direction * t_flip
-                self.x[basis_arr] -= direction * t_flip * w
+                    return self._stop(basis_arr, xb, "Unbounded")
+                x[enter] += direction * t_flip
+                xb -= direction * t_flip * w
+                moved(enter)
             else:
                 if t_limit == INF:
-                    self.basis = list(basis_arr)
-                    return "Unbounded"
+                    return self._stop(basis_arr, xb, "Unbounded")
                 t = max(t_limit, 0.0)
-                self.x[enter] += direction * t
-                self.x[basis_arr] -= direction * t * w
-                self.x[basis_arr[leave]] = bound[leave]
+                x[enter] += direction * t
+                xb -= direction * t * w
+                out = basis_arr[leave]
+                x[out] = bound[leave]
                 self._pivot(basis_arr, leave, enter, w)
+                xb[leave], lob[leave], hib[leave], cb[leave] = x[enter], lo[enter], hi[enter], cost[enter]
+                rise[enter] = fall[enter] = False
+                if out < k:
+                    moved(out)
                 pivots += 1
                 if pivots >= REFACTOR_EVERY:
                     self.basis = list(basis_arr)
@@ -282,38 +351,43 @@ class _Simplex:
         n + m iterations, which only a cycling or stalled run reaches.
         """
         n, m = self.n, self.m
+        lo, hi, x = self.lo, self.hi, self.x
         basis_arr = np.array(self.basis, dtype=int)
-        lo, hi = self.lo[: n + m], self.hi[: n + m]
-        span = hi - lo
-        lo_tol, hi_tol = lo + FEAS_TOL, hi - FEAS_TOL
+        span = hi[: n + m] - lo[: n + m]
+        lo_tol, hi_tol = lo[: n + m] + FEAS_TOL, hi[: n + m] - FEAS_TOL
         A = self.A[:, : n + m]          # artificials stay nonbasic at zero
         d = d[: n + m].copy()
-        self.free = ~self.in_basis & (self.lo < self.hi)
-        free = self.free[: n + m]
+        # nonbasic movable columns below their upper bound may rise, those
+        # above their lower bound may fall; kept across pivots and flips
+        xn = x[: n + m]
+        free = ~self.in_basis[: n + m] & (lo[: n + m] < hi[: n + m])
+        rise, fall = free & (xn < hi_tol), free & (xn > lo_tol)
+        # values and bounds of the basic columns, by row
+        xb, lob, hib = x[basis_arr], lo[basis_arr], hi[basis_arr]
         cap = self.iterations + n + m
         pivots = 0
         while True:
-            xb = self.x[basis_arr]
-            below = self.lo[basis_arr] - xb
-            above = xb - self.hi[basis_arr]
+            below = lob - xb
+            above = xb - hib
             infeas = np.maximum(below, above)
-            if not (infeas > FEAS_TOL).any():
-                self.basis = list(basis_arr)
-                return "Optimal"
+            bad = np.flatnonzero(infeas > FEAS_TOL)
+            if not bad.size:
+                return self._stop(basis_arr, xb, "Optimal")
             if self.iterations >= max_iter or _expired(deadline):
-                self.basis = list(basis_arr)
-                return "IterLimit"
+                return self._stop(basis_arr, xb, "IterLimit")
             if self.iterations >= cap:
                 return None
             self.iterations += 1
-            # leaving row by dual steepest edge: infeasibility over the row norm of B^-1
-            norms = np.einsum("ij,ij->i", self.binv, self.binv)
-            r = int(np.argmax(np.where(infeas > FEAS_TOL, infeas * infeas / norms, 0.0)))
+            # leaving row by dual steepest edge: infeasibility over the row norm
+            # of B^-1, taken for the infeasible rows only
+            rows = self.binv[bad]
+            score = np.zeros(m)
+            score[bad] = infeas[bad] * infeas[bad] / np.einsum("ij,ij->i", rows, rows)
+            r = int(np.argmax(score))
             sign = 1.0 if below[r] > 0 else -1.0     # +1: the basic must rise to its lower bound
             g = sign * (self.binv[r] @ A)
-            xn = self.x[: n + m]
-            can_rise = free & (xn < hi_tol) & (g < -PIVOT_TOL)
-            can_fall = free & (xn > lo_tol) & (g > PIVOT_TOL)
+            can_rise = rise & (g < -PIVOT_TOL)
+            can_fall = fall & (g > PIVOT_TOL)
             cand = np.flatnonzero(can_rise | can_fall)
             # bound-flipping ratio test: walk the breakpoints in ratio order; a
             # boxed column whose whole range still leaves row r out of bounds
@@ -328,10 +402,10 @@ class _Simplex:
                 if pivots:
                     # rule out drift in the updated values before declaring infeasibility
                     self._refresh(basis_arr)
+                    xb = x[basis_arr]
                     pivots = 0
                     continue
-                self.basis = list(basis_arr)
-                return "Infeasible"
+                return self._stop(basis_arr, xb, "Infeasible")
             k = int(stop[0])
             # Harris pass over the remaining breakpoints: the largest pivot among
             # those within the optimality tolerance of the stopping ratio
@@ -342,21 +416,29 @@ class _Simplex:
             flips = cand[order[:k]]
             if flips.size:
                 step = np.where(can_rise[flips], span[flips], -span[flips])
-                self.x[flips] += step
-                self.x[basis_arr] -= self.binv @ (A[:, flips] @ step)
+                x[flips] += step
+                xb -= self.binv @ (A[:, flips] @ step)
+                rise[flips] = x[flips] < hi_tol[flips]
+                fall[flips] = x[flips] > lo_tol[flips]
             d += ratio[pick] * g
             d[enter] = 0.0
             w = self.binv @ self.A[:, enter]
             out = basis_arr[r]
-            target = self.lo[out] if sign > 0 else self.hi[out]
-            delta = (self.x[out] - target) / w[r]
-            self.x[enter] += delta
-            self.x[basis_arr] -= delta * w
-            self.x[out] = target
+            target = lob[r] if sign > 0 else hib[r]
+            delta = (xb[r] - target) / w[r]
+            x[enter] += delta
+            xb -= delta * w
+            x[out] = target
             self._pivot(basis_arr, r, enter, w)
+            xb[r], lob[r], hib[r] = x[enter], lo[enter], hi[enter]
+            rise[enter] = fall[enter] = False
+            movable = lo[out] < hi[out]
+            rise[out] = movable and target < hi_tol[out]
+            fall[out] = movable and target > lo_tol[out]
             pivots += 1
             if pivots >= REFACTOR_EVERY:
                 self._refresh(basis_arr)
+                xb = x[basis_arr]
                 d = self._reduced_costs()[: n + m]
                 pivots = 0
 
@@ -370,17 +452,43 @@ class _Simplex:
                           iterations=self.iterations, basis=basis)
 
     def solve(self, max_iter: int, deadline: float | None = None) -> LpSolution:
+        """Two-phase solve from the all-artificial basis.
+
+        Phase 1 reads only the rows, the right-hand sides and the bounds, so
+        the model keeps the end state of its last completed phase 1. A later
+        cold solve with the same phase 1 (under another objective, or after a
+        refused warm start) starts phase 2 from that state and counts the
+        phase-1 iterations, unless they would not fit in ``max_iter``; a phase
+        1 stopped by the deadline or ``max_iter`` is not kept.
+        """
         n, m = self.n, self.m
-        phase1_sign = self.set_start_point()
         art = slice(n + m, n + 2 * m)
-        if float(phase1_sign @ self.x[art]) > FEAS_TOL:
-            p1cost = np.zeros(n + 2 * m)
-            p1cost[art] = phase1_sign
-            status = self._iterate(p1cost, max_iter, deadline)
-            if status == "IterLimit":
-                return LpSolution("IterLimit", iterations=self.iterations)
-            if float(p1cost @ self.x) > 1e-6:
-                return LpSolution("Infeasible", iterations=self.iterations)
+        key = self._phase1_key()
+        saved = self.model._phase1
+        if saved is not None and saved.key == key \
+                and self.iterations + saved.iterations <= max_iter:
+            self.basis = list(saved.basis)
+            self.in_basis[:] = False
+            self.in_basis[self.basis] = True
+            self.binv = saved.binv.copy()
+            self.x = saved.x.copy()
+            self.iterations += saved.iterations
+            infeasible = saved.infeasible
+        else:
+            phase1_sign = self.set_start_point()
+            infeasible = False
+            if float(phase1_sign @ self.x[art]) > FEAS_TOL:
+                start = self.iterations
+                p1cost = np.zeros(n + 2 * m)
+                p1cost[art] = phase1_sign
+                status = self._iterate(p1cost, max_iter, deadline)
+                if status == "IterLimit":
+                    return LpSolution("IterLimit", iterations=self.iterations)
+                infeasible = float(p1cost @ self.x) > 1e-6
+                self.model._phase1 = _Phase1(key, self.iterations - start, infeasible,
+                                             list(self.basis), self.binv.copy(), self.x.copy())
+        if infeasible:
+            return LpSolution("Infeasible", iterations=self.iterations)
         self.lo[art] = 0.0
         self.hi[art] = 0.0
         self.x[art][np.abs(self.x[art]) < 1e-9] = 0.0
@@ -407,10 +515,10 @@ class _Simplex:
                 or max(basis, default=-1) >= n + k:
             return None
         self.basis = [int(j) for j in basis] + list(range(n + k, n + m))
-        try:
-            self.binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError:
+        binv = self._warm_inverse()
+        if binv is None:
             return None
+        self.binv = binv
         self.in_basis[:] = False
         self.in_basis[self.basis] = True
         art = slice(n + m, n + 2 * m)
@@ -418,12 +526,12 @@ class _Simplex:
         self.hi[art] = 0.0
         d = self._reduced_costs()
         lo, hi = self.lo, self.hi
-        at_hi = (hi < INF) & ((lo == -INF) | (d < 0))
-        self.x = np.where(at_hi, hi, np.where(lo > -INF, lo, 0.0))
-        self._set_basics()
         if (~self.in_basis & (((lo == -INF) & (d > OPT_TOL))
                               | ((hi == INF) & (d < -OPT_TOL)))).any():
             return None
+        at_hi = (hi < INF) & ((lo == -INF) | (d < 0))
+        self.x = np.where(at_hi, hi, np.where(lo > -INF, lo, 0.0))
+        self._set_basics()
         status = self._dual_iterate(d, max_iter, deadline)
         if status is None:
             return None

@@ -71,9 +71,15 @@ def violated_requirements(inst: Instance, params: ServiceParams, v: np.ndarray) 
 
 def _legs(inst: Instance, sched: Schedule, scen: ScenarioSet, s) -> np.ndarray:
     """d_prev + t_prev,next - e_prev of every sequenced pair (last axis, in bus
-    order), in scenario ``s``: an index, or ``slice(None)`` for all."""
+    order), in scenario ``s``: an index, or ``slice(None)`` for all.
+
+    The int32 duration meets the int64 expressing allowance first, so the sum
+    is taken in int64 and cannot wrap at the int32 limit. ``take`` gathers a
+    single scenario's short rows faster than fancy indexing does.
+    """
     prev, nxt, _ = sched.chain_index
-    return scen.dur[s, prev] + scen.travel[s, prev, nxt] - inst.max_express[prev]
+    return (scen.dur[s].take(prev, axis=-1) - inst.max_express.take(prev)
+            + scen.travel[s][..., prev, nxt])
 
 
 def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,

@@ -248,3 +248,49 @@ def test_reprice_restores_base_rows_and_empties_pool():
     cold = fresh.solve()
     assert warm.status == cold.status == "Optimal"
     assert warm.objective == pytest.approx(cold.objective)
+
+
+def test_repriced_master_reuses_its_phase1_bit_for_bit(monkeypatch):
+    """A re-priced master whose warm root basis the new objective makes dual
+    infeasible solves its root cold from the phase 1 it already ran, and its
+    LPs equal a freshly built master's bit for bit, iterations included."""
+    inst = generate_instance(GenParams(n_trips=10, n_depots=2, seed=1))
+    scen = sample_scenarios(inst, 6, seed=1)
+    params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.34)
+    z_obj = np.random.default_rng(1).uniform(0, 200, scen.count)
+    master = MasterModel(inst, params, scen, BnCConfig())
+    master.solve()
+    master.reprice(z_obj)
+    fresh = MasterModel(inst, params, scen, BnCConfig())
+    fresh.reprice(z_obj)
+    fresh.root_basis = list(master.root_basis)
+
+    lps, iterates, colds = [], [], []
+    lp_solve = milp.lp_solve
+    iterate, cold_solve = milp._Simplex._iterate, milp._Simplex.solve
+
+    def recording(model, **kw):
+        sol = lp_solve(model, **kw)
+        lps.append((sol.status, sol.iterations, sol.obj, sol.basis,
+                    None if sol.x is None else sol.x.tobytes()))
+        return sol
+
+    monkeypatch.setattr(milp, "lp_solve", recording)
+    monkeypatch.setattr(milp._Simplex, "_iterate",
+                        lambda self, *a: iterates.append(1) or iterate(self, *a))
+    monkeypatch.setattr(milp._Simplex, "solve",
+                        lambda self, *a: colds.append(1) or cold_solve(self, *a))
+    runs = []
+    for m in (master, fresh):
+        for seen in (lps, iterates, colds):
+            seen.clear()
+        res = m.solve()
+        runs.append((res, list(lps), len(iterates), len(colds)))
+    (got, got_lps, got_iterates, got_colds), (want, want_lps, want_iterates, want_colds) = runs
+    assert got_colds == want_colds >= 1          # the warm root was refused
+    assert got_lps == want_lps
+    assert got_iterates == want_iterates - 1      # phase 1 ran once less
+    assert got.status == want.status == "Optimal"
+    assert (got.schedule, got.objective, got.bound, got.nodes, got.z) \
+        == (want.schedule, want.objective, want.bound, want.nodes, want.z)

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import time
 
 import numpy as np
@@ -370,6 +371,141 @@ def test_root_basis_warm_start_matches_cold_solve(monkeypatch):
             assert warm.obj == pytest.approx(cold.obj, rel=1e-7, abs=1e-7), trial
     assert min(seen["Optimal"], seen["Infeasible"], seen["lazy rows"]) >= 30, seen
     assert seen["no fallback"] >= 100, seen
+
+
+def _lp_fields(sol):
+    """Everything an LP solution reports, with x as its exact bytes."""
+    return (sol.status, sol.iterations, sol.obj, sol.basis,
+            None if sol.x is None else sol.x.tobytes())
+
+
+def _unsolved_copy(model):
+    """The same rows, bounds and costs in a model that has never been solved."""
+    fresh = MilpModel()
+    fresh.obj, fresh.lb, fresh.ub = list(model.obj), list(model.lb), list(model.ub)
+    fresh.is_int, fresh.rows = list(model.is_int), list(model.rows)
+    return fresh
+
+
+def test_phase1_is_reused_only_for_the_same_rows_and_bounds(monkeypatch):
+    """A cold solve reuses the model's last phase 1 after a change of the
+    objective only; after a change of bounds, of a right-hand side, of a
+    coefficient, or of a lazy row that brings the row count back, it runs
+    phase 1 again. Either way it equals a never-solved model's cold solve bit
+    for bit, iterations included."""
+    phase1_runs = []
+    iterate = _Simplex._iterate
+    monkeypatch.setattr(_Simplex, "_iterate", lambda self, cost, *a: (
+        phase1_runs.append(cost is not self.cost) or iterate(self, cost, *a)))
+
+    def cold(model, lb=None, ub=None):
+        phase1_runs.clear()
+        sol = lp_solve(model, var_lb=lb, var_ub=ub)
+        return sol, sum(phase1_runs)
+
+    rng = np.random.default_rng(13)
+    seen = {"reused": 0, "rerun": 0, "Infeasible": 0}
+    for trial in range(200):
+        model = _random_lp(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(1, 6)))
+        change = ("objective", "bounds", "rhs", "coefficient", "lazy row")[trial % 5]
+        lb = ub = None
+        if rng.random() < 0.2:
+            # a row no point meets: phase 1 ends infeasible
+            model.add_constr({0: 1.0}, GREATER, model.ub[0] + 1.0)
+        cold(model)
+        if change == "objective":
+            model.obj = [float(rng.integers(-5, 6)) for _ in model.obj]
+        elif change == "bounds":
+            lb, ub = np.array(model.lb), np.array(model.ub)
+            j = int(rng.integers(0, model.n_vars))
+            ub[j] = max(lb[j], ub[j] - 1.0)
+        elif change == "rhs":
+            i = int(rng.integers(0, model.n_rows))
+            coeffs, sense, rhs = model.rows[i]
+            model.rows[i] = (coeffs, sense, rhs + 0.5)
+        elif change == "coefficient":
+            i = int(rng.integers(0, model.n_rows))
+            coeffs, sense, rhs = model.rows[i]
+            j = next(iter(coeffs), 0)
+            model.rows[i] = ({**coeffs, j: coeffs.get(j, 0.0) + 1.0}, sense, rhs)
+        else:
+            # the last solve holds a row that a different one then replaces
+            model.add_constr({0: 1.0}, GREATER, 0.5)
+            cold(model)
+            del model.rows[-1]
+            model.add_constr({0: 1.0}, GREATER, 0.25)
+        got, got_runs = cold(model, lb, ub)
+        want, want_runs = cold(_unsolved_copy(model), lb, ub)
+        assert _lp_fields(got) == _lp_fields(want), (trial, change)
+        if change == "objective":
+            assert got_runs == 0, trial
+            seen["reused"] += want_runs
+            # the saved state serves any number of objectives
+            model.obj = [-c for c in model.obj]
+            again, again_runs = cold(model)
+            assert again_runs == 0, trial
+            assert _lp_fields(again) == _lp_fields(cold(_unsolved_copy(model))[0]), trial
+        else:
+            assert got_runs == want_runs, (trial, change)
+            seen["rerun"] += want_runs
+        seen["Infeasible"] += got.status == "Infeasible"
+    assert seen["reused"] >= 20 and seen["rerun"] >= 80 and seen["Infeasible"] >= 10, seen
+
+
+def test_phase1_reuse_keeps_the_iteration_budget():
+    """A saved phase 1 is not reused where running it would have hit max_iter."""
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        model = _random_lp(rng, n=6, m=5)
+        first = _Simplex(model)
+        full = first.solve(10_000)
+        saved = model._phase1
+        if saved is None or saved.iterations < 2:
+            continue
+        budget = saved.iterations - 1
+        assert _lp_fields(_Simplex(model).solve(budget)) \
+            == _lp_fields(_Simplex(_unsolved_copy(model)).solve(budget))
+        assert _lp_fields(_Simplex(model).solve(10_000)) == _lp_fields(full)
+        return
+    pytest.fail("no random LP needed two phase-1 iterations")
+
+
+def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
+    """Both children of a node start from its basis over the same rows; the
+    second reuses the first's fresh inverse and gives what a never-solved
+    model gives, bit for bit."""
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+
+    def warm(model, basis, lb, ub):
+        inversions.clear()
+        sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub)
+        return sol, len(inversions)
+
+    rng = np.random.default_rng(8)
+    reused = 0
+    for trial in range(100):
+        model = _random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 6)))
+        parent = lp_solve(model)
+        if parent.status != "Optimal":
+            continue
+        j = int(rng.integers(0, model.n_vars))
+        cut = math.floor(parent.x[j])
+        base_lb, base_ub = np.array(model.lb), np.array(model.ub)
+        for side in ("down", "up"):
+            lb, ub = base_lb.copy(), base_ub.copy()
+            if side == "down":
+                ub[j] = max(lb[j], float(cut))
+            else:
+                lb[j] = min(ub[j], float(cut + 1))
+            got, got_inv = warm(model, parent.basis, lb, ub)
+            want, want_inv = warm(_unsolved_copy(model), parent.basis, lb, ub)
+            assert _lp_fields(got) == _lp_fields(want), (trial, side)
+            if side == "up":
+                assert got_inv == want_inv - 1, trial
+                reused += 1
+    assert reused >= 80, reused
 
 
 def test_time_limit_holds_inside_one_lp(monkeypatch):

@@ -63,6 +63,18 @@ def test_short_trips_have_no_expressing():
                 or t.max_express >= 0
 
 
+def test_expressing_allowance_lies_in_its_range():
+    checked = 0
+    for seed in range(1, 30):
+        inst = generate_instance(GenParams(n_trips=60, n_depots=2, seed=seed))
+        for t in inst.trips:
+            if t.mean_dur >= 10:
+                assert math.ceil(0.05 * t.mean_dur) <= t.max_express \
+                    <= math.floor(0.10 * t.mean_dur), (seed, t)
+                checked += 1
+    assert checked >= 1000, checked
+
+
 def test_same_seed_same_instance():
     a = generate_instance(GenParams(n_trips=30, n_depots=3, seed=5))
     b = generate_instance(GenParams(n_trips=30, n_depots=3, seed=5))

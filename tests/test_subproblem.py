@@ -10,6 +10,7 @@ from conftest import PROPERTY, random_cases, random_instance, random_scenarios, 
 from ccvsp import gallery
 from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, validate_schedule
 from ccvsp.lagrangian import restrict
+from ccvsp.scenarios import ScenarioSet
 from ccvsp.subproblem import (
     TRIP_LEVEL,
     Requirement,
@@ -245,3 +246,74 @@ def test_oracle_equivalence_random(seed):
             z, _, v = milp_subproblem_oracle(inst, params, sched, scen, s)
             assert z == g.z_star
             assert int(v.sum()) == g.on_time_count()
+
+
+INT32_MAX = 2**31 - 1
+
+
+def _python_int_verdict(inst, params, sched, scen, s):
+    """Late trips and verdict of scenario s, propagated on Python ints."""
+    late = set()
+    for bus in sched.buses:
+        y = inst.starts[bus.trips[0] - 1] - params.lb
+        for prev, i in zip(bus.trips, bus.trips[1:]):
+            leg = (int(scen.dur[s, prev - 1]) + int(scen.travel[s, prev - 1, i - 1])
+                   - int(inst.max_express[prev - 1]))
+            y = max(inst.starts[i - 1] - params.lb, y + leg)
+            if y > inst.starts[i - 1] + params.ub:
+                late.add(i)
+    per_route = [sum(i not in late for i in members) for members in inst.routes]
+    broken = (inst.n_trips - len(late) < params.f_trip
+              or any(on < f for on, f in zip(per_route, params.f_route)))
+    return late, broken
+
+
+def _limit_scenarios(rng, inst, base, n):
+    """Copies of ``base``'s first scenario whose durations and deadheads are
+    set, entry by entry, to 0 or the int32 maximum with probability 1/4 each."""
+    tables = {name: np.repeat(getattr(base, name)[:1], n, axis=0).astype(np.int64)
+              for name in ("dur", "travel", "out_t", "in_t")}
+    for name in ("dur", "travel"):
+        pick = rng.random(tables[name].shape)
+        tables[name][pick < 0.25] = INT32_MAX
+        tables[name][(pick >= 0.25) & (pick < 0.5)] = 0
+    tables["dur"][0, :] = INT32_MAX      # every leg at the limit in scenario 0
+    tables["travel"][0] = INT32_MAX
+    return ScenarioSet(**tables)
+
+
+def test_evaluators_agree_at_the_int32_limits():
+    """A duration of 2**31-1 plus a deadhead must not wrap: the greedy
+    evaluator, the batch evaluator and a Python-int propagation agree."""
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    dur = gallery.grid_scenarios().dur.copy()
+    dur[0, 0] = INT32_MAX                  # trip 1, first of the left schedule's bus 1
+    base = gallery.grid_scenarios()
+    scen = ScenarioSet(dur, base.travel, base.out_t, base.in_t)
+    left = gallery.grid_schedule_left()
+    g = greedy_evaluate(inst, params, left, scen, 0)
+    assert 3 in g.delayed and g.z_star == 1
+    assert evaluate_scenarios(inst, params, left, scen)[0][0]
+
+    rng = np.random.default_rng(31)
+    cases = [(inst, params, sched, _limit_scenarios(rng, inst, base, 12))
+             for sched in (left, gallery.grid_schedule_right())]
+    for _ in range(10):
+        rinst = random_instance(rng, n_trips=int(rng.integers(4, 9)))
+        rparams = ServiceParams.for_instance(rinst, lb=1, ub=3, delta_trip=0.7,
+                                             delta_route=0.5, epsilon=0.2)
+        cases.append((rinst, rparams, random_schedule(rng, rinst),
+                      _limit_scenarios(rng, rinst, random_scenarios(rng, rinst, 1), 12)))
+    limit_breaks = 0
+    for inst_c, params_c, sched, scen_c in cases:
+        assert scen_c.dur.dtype == np.int32
+        broken, v = evaluate_scenarios(inst_c, params_c, sched, scen_c)
+        for s in range(scen_c.count):
+            late, want = _python_int_verdict(inst_c, params_c, sched, scen_c, s)
+            g = greedy_evaluate(inst_c, params_c, sched, scen_c, s)
+            assert g.delayed == late
+            assert g.z_star == int(want) == int(broken[s])
+            assert np.array_equal(v[s], g.v_star)
+            limit_breaks += want
+    assert limit_breaks >= 10, limit_breaks
