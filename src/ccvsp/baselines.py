@@ -1,9 +1,9 @@
 """Deterministic baselines and out-of-sample reliability evaluation.
 
-The baselines solve the plain flow problem with a single time table (means or
-an empirical percentile of the sampled scenarios) and no reliability
-constraints; the evaluator replays any schedule through the greedy operational
-model over an independent scenario set.
+The baselines solve the master's flow model (``bnc.FlowModel``) under a single
+time table (means or an empirical percentile of the sampled scenarios), with no
+reliability constraints; the evaluator replays any schedule through the greedy
+operational model over an independent scenario set.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .bnc import FlowModel
 from .core import (
     Instance,
     Schedule,
@@ -18,9 +19,8 @@ from .core import (
     ValidationError,
     build_compat,
     schedule_cost,
-    schedule_from_arcs,
 )
-from .milp import EQUAL, LESS, MilpModel, bnb_solve
+from .milp import bnb_solve
 from .scenarios import ScenarioSet, percentile_times
 from .subproblem import greedy_evaluate
 
@@ -53,40 +53,16 @@ def solve_deterministic(inst: Instance, times=MEAN,
     else:
         raise ValidationError(f"unknown time table {times!r}")
 
-    model = MilpModel()
-    I, K = inst.n_trips, inst.n_depots
-    x = {}
-    for k in range(1, K + 1):
-        for i in range(1, I + 1):
-            x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]), True)
-            x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
-        for (i, j) in sorted(compat):
-            x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
-    pred = {j: [i for (i, jj) in compat if jj == j] for j in range(1, I + 1)}
-    succ = {i: [j for (ii, j) in compat if ii == i] for i in range(1, I + 1)}
-    for j in range(1, I + 1):
-        coeffs = {x[(-k, j, k)]: 1.0 for k in range(1, K + 1)}
-        for i in pred[j]:
-            for k in range(1, K + 1):
-                coeffs[x[(i, j, k)]] = 1.0
-        model.add_constr(coeffs, EQUAL, 1.0)
-    for k in range(1, K + 1):
-        model.add_constr({x[(-k, i, k)]: 1.0 for i in range(1, I + 1)}, LESS,
-                         float(inst.depot(k).capacity))
-        for i in range(1, I + 1):
-            coeffs = {x[(-k, i, k)]: 1.0, x[(i, -k, k)]: -1.0}
-            for j in pred[i]:
-                coeffs[x[(j, i, k)]] = 1.0
-            for j in succ[i]:
-                coeffs[x[(i, j, k)]] = -1.0
-            model.add_constr(coeffs, EQUAL, 0.0)
-    sol = bnb_solve(model, time_limit=time_limit)
+    flow = FlowModel(inst, compat)
+    for k in range(1, inst.n_depots + 1):
+        flow.add_capacity_row(k)
+        flow.add_balance_rows(k)
+    sol = bnb_solve(flow.model, time_limit=time_limit)
     if sol.x is None:
         cause = ("likely insufficient depot capacity" if sol.status == "Infeasible"
                  else "no schedule found within the time limit")
         raise ValidationError(f"deterministic model is {sol.status}: {cause}")
-    arcs = {arc for arc, j in x.items() if sol.x[j] > 0.5}
-    return schedule_from_arcs(inst, arcs)
+    return flow.decode(sol.x)
 
 
 @dataclass

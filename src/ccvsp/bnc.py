@@ -1,17 +1,18 @@
 """Scenario-reformulation master problem and the exact branch-and-cut loop.
 
-The master carries the flow variables, one indicator per scenario and the
-violation budget; scenario requirements enter lazily as cuts whenever a
-candidate schedule fails a scenario the master claimed satisfied. Enhancement
-switches: per-scenario valid inequalities on the master, and relaxing the
-indicator integrality (every cut forces its indicator to one at the generating
-schedule, so branching on indicators is unnecessary).
+The master carries the flow model it shares with the deterministic baselines,
+one indicator per scenario and the violation budget; scenario requirements
+enter lazily as cuts whenever a candidate schedule fails a scenario the master
+claimed satisfied. Enhancement switches: per-scenario valid inequalities on the
+master, and relaxing the indicator integrality (every cut forces its indicator
+to one at the generating schedule, so branching on indicators is unnecessary).
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,10 @@ import numpy as np
 from .core import (
     Arc,
     Instance,
+    Pair,
     Schedule,
     ServiceParams,
+    ValidationError,
     cc_threshold,
     schedule_cost,
     schedule_from_arcs,
@@ -103,7 +106,60 @@ class BnCResult:
         }
 
 
-class MasterModel:
+class FlowModel:
+    """The multi-depot flow model over the arc network: one 0/1 column per
+    depot and arc, and the rows that reach every trip exactly once.
+
+    Columns come depot by depot: each trip's pull-out and pull-in, then each
+    pair of ``sorted(compat)``. Callers add the capacity and balance rows in
+    their own order, since the row order steers the simplex's pivots.
+    """
+
+    def __init__(self, inst: Instance, compat: Iterable[Pair]):
+        self.inst = inst
+        model = self.model = MilpModel()
+        I, K = inst.n_trips, inst.n_depots
+        pairs = sorted(compat)
+        self.x: dict[Arc, int] = {}
+        for k in range(1, K + 1):
+            for i in range(1, I + 1):
+                self.x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]), True)
+                self.x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
+            for (i, j) in pairs:
+                self.x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
+        # pair -> its column in each depot, in depot order
+        self.pair_cols = {p: [self.x[(*p, k)] for k in range(1, K + 1)] for p in pairs}
+        # each trip's predecessors and successors among the pairs
+        self.pred = {j: [i for i in inst.pred[j] if (i, j) in self.pair_cols] for j in range(1, I + 1)}
+        self.succ = {i: [j for j in inst.succ[i] if (i, j) in self.pair_cols] for i in range(1, I + 1)}
+        # each trip is reached exactly once, over all depots
+        for j in range(1, I + 1):
+            coeffs = {self.x[(-k, j, k)]: 1.0 for k in range(1, K + 1)}
+            for i in self.pred[j]:
+                coeffs.update(dict.fromkeys(self.pair_cols[(i, j)], 1.0))
+            model.add_constr(coeffs, EQUAL, 1.0)
+
+    def add_capacity_row(self, k: int) -> None:
+        """Depot k pulls out at most its capacity."""
+        self.model.add_constr({self.x[(-k, i, k)]: 1.0 for i in range(1, self.inst.n_trips + 1)},
+                              LESS, float(self.inst.depot(k).capacity))
+
+    def add_balance_rows(self, k: int) -> None:
+        """Depot k's flow into every trip equals its flow out."""
+        for i in range(1, self.inst.n_trips + 1):
+            coeffs = {self.x[(-k, i, k)]: 1.0, self.x[(i, -k, k)]: -1.0}
+            for j in self.pred[i]:
+                coeffs[self.x[(j, i, k)]] = 1.0
+            for j in self.succ[i]:
+                coeffs[self.x[(i, j, k)]] = -1.0
+            self.model.add_constr(coeffs, EQUAL, 0.0)
+
+    def decode(self, x_vals: np.ndarray) -> Schedule:
+        arcs = {arc for arc, j in self.x.items() if x_vals[j] > 0.5}
+        return schedule_from_arcs(self.inst, arcs)
+
+
+class MasterModel(FlowModel):
     """Flow model over the arc network plus scenario indicators.
 
     The rows built here are the base rows; cuts join as lazy rows during a
@@ -114,56 +170,27 @@ class MasterModel:
 
     def __init__(self, inst: Instance, params: ServiceParams, scen: ScenarioSet,
                  cfg: BnCConfig):
-        self.inst = inst
-        self.params = params
-        self.scen = scen
-        self.cfg = cfg
-        model = MilpModel()
-        I, K = inst.n_trips, inst.n_depots
-        if (len(inst.compat) + 2 * K * I) * K + scen.count > MASTER_VAR_CAP:
-            raise ValueError(f"master model exceeds the cap of {MASTER_VAR_CAP} variables")
-        self.x: dict[Arc, int] = {}
-        for k in range(1, K + 1):
-            for i in range(1, I + 1):
-                self.x[(-k, i, k)] = model.add_var(0, 1, float(inst.out_cost[k - 1, i - 1]), True)
-                self.x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
-            for (i, j) in sorted(inst.compat):
-                self.x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
-        self.z = [model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
-        # each trip is reached exactly once, over all commodities
-        for j in range(1, I + 1):
-            coeffs = {self.x[(-k, j, k)]: 1.0 for k in range(1, K + 1)}
-            for i in inst.pred[j]:
-                for k in range(1, K + 1):
-                    coeffs[self.x[(i, j, k)]] = 1.0
-            model.add_constr(coeffs, EQUAL, 1.0)
-        # depot capacities on pull-outs
-        for k in range(1, K + 1):
-            model.add_constr({self.x[(-k, i, k)]: 1.0 for i in range(1, I + 1)},
-                             LESS, float(inst.depot(k).capacity))
-        # per-commodity flow balance at every trip node
-        for k in range(1, K + 1):
-            for i in range(1, I + 1):
-                coeffs = {self.x[(-k, i, k)]: 1.0, self.x[(i, -k, k)]: -1.0}
-                for j in inst.pred[i]:
-                    coeffs[self.x[(j, i, k)]] = 1.0
-                for j in inst.succ[i]:
-                    coeffs[self.x[(i, j, k)]] = coeffs.get(self.x[(i, j, k)], 0.0) - 1.0
-                model.add_constr(coeffs, EQUAL, 0.0)
+        depots = range(1, inst.n_depots + 1)
+        n_vars = len(depots) * (len(inst.compat) + 2 * inst.n_trips) + scen.count
+        if n_vars > MASTER_VAR_CAP:
+            raise ValidationError(f"master model has {n_vars} variables, over the cap of {MASTER_VAR_CAP}")
+        super().__init__(inst, inst.compat)
+        self.params, self.scen, self.cfg = params, scen, cfg
+        self.z = [self.model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
+        for k in depots:
+            self.add_capacity_row(k)
+        for k in depots:
+            self.add_balance_rows(k)
         # violation budget
-        model.add_constr({zv: 1.0 for zv in self.z}, LESS,
-                         float(cc_threshold(scen.count, params.epsilon)))
+        self.model.add_constr({zv: 1.0 for zv in self.z}, LESS,
+                              float(cc_threshold(scen.count, params.epsilon)))
         if cfg.use_vi:
             for vi in valid_inequalities(inst, params, scen):
-                coeffs = {}
-                for (i, j) in sorted(vi.pairs):
-                    for k in range(1, K + 1):
-                        coeffs[self.x[(i, j, k)]] = 1.0
+                coeffs = {j: 1.0 for pair in sorted(vi.pairs) for j in self.pair_cols[pair]}
                 # sum x <= theta1 + (theta0 - theta1) z
                 coeffs[self.z[vi.s]] = float(vi.theta1 - vi.theta0)
-                model.add_constr(coeffs, LESS, float(vi.theta1))
-        self.model = model
-        self.n_base_rows = model.n_rows
+                self.model.add_constr(coeffs, LESS, float(vi.theta1))
+        self.n_base_rows = self.model.n_rows
         self.pool: set = set()
         # final basis of the last solve's first root LP, over the base rows
         self.root_basis: list[int] | None = None
@@ -228,18 +255,14 @@ class MasterModel:
                          float(sol.gap), cuts_added, sol.nodes, elapsed, z,
                          train_violations=bad)
 
-    def decode(self, x_vals: np.ndarray) -> Schedule:
-        arcs = {arc for arc, j in self.x.items() if x_vals[j] > 0.5}
-        return schedule_from_arcs(self.inst, arcs)
-
     def z_values(self, x_vals: np.ndarray) -> np.ndarray:
         return np.array([x_vals[j] for j in self.z])
 
     def cut_row(self, cut: Cut):
         coeffs: dict[int, float] = {}
-        for (i, j), c in cut.pairs:
-            for k in range(1, self.inst.n_depots + 1):
-                coeffs[self.x[(i, j, k)]] = coeffs.get(self.x[(i, j, k)], 0.0) + float(c)
+        for pair, c in cut.pairs:
+            for j in self.pair_cols[pair]:
+                coeffs[j] = coeffs.get(j, 0.0) + float(c)
         for arc, c in cut.depot_terms:
             coeffs[self.x[arc]] = coeffs.get(self.x[arc], 0.0) + float(c)
         coeffs[self.z[cut.s]] = -1.0

@@ -31,6 +31,7 @@ from .core import (
     schedule_from_json,
     schedule_to_json,
 )
+from .cuts import CUT_KINDS, ECMIS
 from .lagrangian import solve_lagrangian
 from .scenarios import GenParams, generate_instance, load_scenarios, sample_scenarios, save_scenarios
 
@@ -78,8 +79,7 @@ def build_parser() -> _Parser:
     so.add_argument("--scenarios-file", required=True)
     so.add_argument("--method", choices=["bnc", "lagr", "det-mean", "det-p75"],
                     default="bnc")
-    so.add_argument("--cuts", choices=["nogood", "snogood", "mis", "cmis", "ecmis"],
-                    default="ecmis")
+    so.add_argument("--cuts", choices=CUT_KINDS, default=ECMIS)
     so.add_argument("--vi", choices=["on", "off"], default="on")
     so.add_argument("--zc", choices=["on", "off"], default="on")
     so.add_argument("--time-limit", type=float, default=None)

@@ -1,6 +1,7 @@
 """Exact branch-and-cut against exhaustive enumeration."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from conftest import (
     random_scenarios,
 )
 
-from ccvsp import gallery, milp
+from ccvsp import baselines, bnc, gallery, milp
 from ccvsp.bnc import VARIANTS, BnCConfig, MasterModel, cut_generation_routine, solve_bnc
 from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, cc_threshold, schedule_cost
 from ccvsp.cuts import CUT_KINDS
@@ -294,3 +295,86 @@ def test_repriced_master_reuses_its_phase1_bit_for_bit(monkeypatch):
     assert got.status == want.status == "Optimal"
     assert (got.schedule, got.objective, got.bound, got.nodes, got.z) \
         == (want.schedule, want.objective, want.bound, want.nodes, want.z)
+
+
+def test_master_var_cap_counts_the_columns_exactly(monkeypatch):
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    scen = gallery.grid_scenarios()
+    n_vars = MasterModel(inst, params, scen, BnCConfig()).model.n_vars
+    assert n_vars == 78
+    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", n_vars)
+    assert MasterModel(inst, params, scen, BnCConfig()).model.n_vars == n_vars
+    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", n_vars - 1)
+    with pytest.raises(ValidationError, match="78 variables, over the cap of 77"):
+        MasterModel(inst, params, scen, BnCConfig())
+
+
+def _model_digest(model: milp.MilpModel) -> str:
+    """SHA-256 of the columns (obj, lb, ub, is_int) and the rows in order, each
+    row as (sorted coefficient items, sense, rhs): what fixes every pivot."""
+    h = hashlib.sha256(repr([model.obj, model.lb, model.ub, model.is_int]).encode())
+    for coeffs, sense, rhs in model.rows:
+        h.update(repr((sorted(coeffs.items()), sense, rhs)).encode())
+    return h.hexdigest()
+
+
+def _oos_instance():
+    inst = generate_instance(GenParams(n_trips=50, n_depots=2, seed=7))
+    return inst, sample_scenarios(inst, 200, seed=8)
+
+
+def _lagr_instance(gen_seed):
+    inst = generate_instance(GenParams(n_trips=24, n_depots=2, trips_per_route=12,
+                                       grid_width=80, grid_height=80,
+                                       headway_buffer=(0, 4), seed=gen_seed))
+    return inst, sample_scenarios(inst, 20, seed=303)
+
+
+# the flow models the benchmark's workloads solve: their row order steers the
+# simplex's pivots, so a digest that moves moves the LP paths and the results
+PINNED_DET = [
+    ("oos det-mean", _oos_instance, baselines.MEAN,
+     "0c237de2af4748f484dd8af798a4cdb6f6993fe632af74a9930a5e4fd82ef431"),
+    ("oos det-p75", _oos_instance, baselines.percentile(75),
+     "eff44b394d69c26ec1c76ceaa3a4ad8638f91c1d660174fcd23fe225c95a5010"),
+    ("lagr g22 det-p75", lambda: _lagr_instance(22), baselines.percentile(75),
+     "37c8d7e7fb6666cc789cb1740c3042adc52b4bb97d76f579fe9cb791d6979686"),
+    ("lagr g24 det-p75", lambda: _lagr_instance(24), baselines.percentile(75),
+     "90c728693ba2b12b0f8bab6be8183b4d2d3f79f2090e5bf337b2cdb2836aaada"),
+    ("lagr g25 det-p75", lambda: _lagr_instance(25), baselines.percentile(75),
+     "9f83f5a4d8b26a3a7d18ca1af43e2306783bc840e2db657b531eec7f73f8e41d"),
+]
+PINNED_MASTER = [
+    # (trips, scenarios, instance seed, scenario seed), digest
+    ((20, 50, 1, 2), "39413859b7e51d3351d427111c9c491c1fff4f1cbea7489aea0b7f90cfc48ceb"),
+    ((24, 50, 2, 3), "05de38f700e8125b73470eb4ee96b9276750f2dfacd10e2d39d4b7d1dc3e4162"),
+    ((30, 80, 2, 3), "374a5cac1cf2ca4725883e4b75e5965227387a432fbe5a4bf0de80a773f2d09c"),
+    ((20, 300, 1, 2), "7f405ea13ddac3707b67c06d0be0d4e2b5088142224b0feb65882cbcd901099d"),
+]
+
+
+@pytest.mark.parametrize("label, make, times, digest", PINNED_DET,
+                         ids=[p[0] for p in PINNED_DET])
+def test_deterministic_model_rows_are_pinned(monkeypatch, label, make, times, digest):
+    inst, scen = make()
+    seen = []
+    bnb_solve = baselines.bnb_solve
+
+    def capture(model, **kw):
+        seen.append(_model_digest(model))
+        return bnb_solve(model, **kw)
+
+    monkeypatch.setattr(baselines, "bnb_solve", capture)
+    baselines.solve_deterministic(inst, times, scen)
+    assert seen == [digest]
+
+
+@pytest.mark.parametrize("rung, digest", PINNED_MASTER, ids=[str(p[0]) for p in PINNED_MASTER])
+def test_master_rows_are_pinned(rung, digest):
+    n, n_scen, gen_seed, scen_seed = rung
+    inst = generate_instance(GenParams(n_trips=n, n_depots=2, seed=gen_seed))
+    scen = sample_scenarios(inst, n_scen, seed=scen_seed)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+    assert _model_digest(MasterModel(inst, params, scen, BnCConfig()).model) == digest

@@ -127,6 +127,23 @@ def test_cli_deterministic_methods(tmp_path):
         assert doc["objective"] > 0
 
 
+def test_cli_master_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
+    from ccvsp import bnc
+
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    assert main(["generate", "--trips", "8", "--depots", "2", "--route-size", "4",
+                 "--seed", "1", "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "6", "--seed", "2",
+                 "-o", str(scen_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", 10)
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "bnc", "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: master model has ") and "over the cap of 10" in err, err
+
+
 def test_cli_median_baseline_stays_in_planning_set(tmp_path):
     # at the median, pair (5,8) is compatible under the shorter table but not
     # under the means; the schedule must still pass the instance's checks
