@@ -244,7 +244,6 @@ class MasterModel(FlowModel):
             return BnCResult(sol.status, None, math.nan, sol.bound, sol.gap,
                              cuts_added, sol.nodes, elapsed, ())
         sched = self.decode(sol.x)
-        validate_schedule(inst, sched)
         z = tuple(float(v) for v in self.z_values(sol.x))
         bad = count_violated_scenarios(inst, params, sched, scen)
         if sol.status == "Optimal" and bad > cc_threshold(scen.count, params.epsilon):

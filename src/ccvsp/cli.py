@@ -51,7 +51,6 @@ def _service_args(p: _Parser):
     p.add_argument("--delta-route", type=float, default=0.8)
     p.add_argument("--lb", type=int, default=1)
     p.add_argument("--ub", type=int, default=5)
-    p.add_argument("--eps-tol", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -105,7 +104,7 @@ def build_parser() -> _Parser:
 
 def _load_params(inst, args) -> ServiceParams:
     return ServiceParams.for_instance(inst, args.lb, args.ub, args.delta_trip,
-                                      args.delta_route, args.epsilon, args.eps_tol)
+                                      args.delta_route, args.epsilon)
 
 
 def cmd_generate(args) -> int:

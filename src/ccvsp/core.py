@@ -69,7 +69,16 @@ class ChainIndex(NamedTuple):
 
     prev: np.ndarray    # first trip of each pair
     nxt: np.ndarray     # second trip of each pair
-    chains: tuple[tuple[int, tuple[int, ...]], ...]   # per non-empty bus: (first, later)
+    chains: tuple[tuple[int, tuple[int, ...]], ...]   # per non-empty chain: (first, later)
+
+    @classmethod
+    def of(cls, chains: Iterable[Sequence[TripId]]) -> "ChainIndex":
+        """The index of trip sequences (ids), each run as its own bus."""
+        chains = [c for c in chains if c]
+        pairs = [p for c in chains for p in zip(c, c[1:])]
+        return cls(np.array([i - 1 for i, _ in pairs], dtype=np.intp),
+                   np.array([j - 1 for _, j in pairs], dtype=np.intp),
+                   tuple((c[0] - 1, tuple(i - 1 for i in c[1:])) for c in chains))
 
 
 @dataclass(frozen=True)
@@ -91,11 +100,7 @@ class Schedule:
     @cached_property
     def chain_index(self) -> ChainIndex:
         """The sequenced pairs as index arrays, built once per schedule."""
-        pairs = self.sequenced_pairs()
-        return ChainIndex(np.array([i - 1 for i, _ in pairs], dtype=np.intp),
-                          np.array([j - 1 for _, j in pairs], dtype=np.intp),
-                          tuple((b.trips[0] - 1, tuple(i - 1 for i in b.trips[1:]))
-                                for b in self.buses if b.trips))
+        return ChainIndex.of(b.trips for b in self.buses)
 
 
 class Instance:
@@ -248,29 +253,26 @@ class ServiceParams:
     delta_trip: float
     delta_route: float
     epsilon: float
-    eps_tol: int
     f_trip: int
     f_route: tuple[int, ...]
 
     @classmethod
     def for_instance(cls, inst: Instance, lb: int, ub: int, delta_trip: float,
-                     delta_route: float, epsilon: float, eps_tol: int = 1) -> "ServiceParams":
+                     delta_route: float, epsilon: float) -> "ServiceParams":
         if lb < 0 or ub < 0:
             raise ValidationError("lb and ub must be non-negative")
         if not 0 < delta_trip <= 1 or not 0 < delta_route <= 1:
             raise ValidationError("delta_trip and delta_route must lie in (0, 1]")
         if not 0 < epsilon < 1:
             raise ValidationError("epsilon must lie in (0, 1)")
-        if eps_tol <= 0:
-            raise ValidationError("eps_tol must be positive")
         f_trip = floor_frac(inst.n_trips, delta_trip)
         f_route = tuple(floor_frac(len(r), delta_route) for r in inst.routes)
-        return cls(lb, ub, delta_trip, delta_route, epsilon, eps_tol, f_trip, f_route)
+        return cls(lb, ub, delta_trip, delta_route, epsilon, f_trip, f_route)
 
     def scaled_to(self, inst: Instance) -> "ServiceParams":
         """Same rates re-derived for another instance (used for trip groups)."""
         return ServiceParams.for_instance(inst, self.lb, self.ub, self.delta_trip,
-                                          self.delta_route, self.epsilon, self.eps_tol)
+                                          self.delta_route, self.epsilon)
 
 
 def cc_threshold(n_scenarios: int, epsilon: float) -> int:

@@ -9,9 +9,9 @@ a deletion-filter minimizer used as an independent oracle, and an exact dual
 certificate tying the subsequence cuts to Benders cuts of a tightened LP.
 
 The master's per-scenario valid inequalities are built here too, from the
-planning pairs that are operationally late in each scenario; the late test
-runs once over all scenarios and pairs as numpy arrays, and
-``operational_compat`` is its per-scenario form.
+planning pairs that are operationally late in each scenario. Legs and
+earliest starts come from ``subproblem.pair_legs`` and ``propagate``, the
+evaluator's own; ``operational_compat`` is the per-scenario late test.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Arc, Instance, Pair, Schedule, ServiceParams, schedule_to_arcs
+from .core import Arc, ChainIndex, Instance, Pair, Schedule, ServiceParams, schedule_to_arcs
 from .scenarios import ScenarioSet
-from .subproblem import GreedyResult, Requirement, _violated, greedy_evaluate
+from .subproblem import GreedyResult, Requirement, _violated, greedy_evaluate, pair_legs, propagate
 
 NO_GOOD = "nogood"
 STRONG_NO_GOOD = "snogood"
@@ -127,7 +127,7 @@ def valid_inequalities(inst: Instance, params: ServiceParams,
     ij = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
     pi, pj = ij[:, 0], ij[:, 1]
     start = np.array(inst.starts, dtype=np.int64)
-    ready = (start[pi] - params.lb - inst.max_express[pi]) + scen.dur[:, pi] + scen.travel[:, pi, pj]
+    ready = (start[pi] - params.lb) + pair_legs(inst, scen, slice(None), pi, pj)
     late = ready > start[pj] + params.ub
     # delayable[s, j-1]: some planning pair into trip j is late in scenario s
     into = np.zeros((len(pairs), inst.n_trips), dtype=np.int64)
@@ -226,25 +226,26 @@ def build_cmis(inst: Instance, params: ServiceParams, sched: Schedule,
                con: Requirement) -> CMisContext:
     """Backtrack from each core trip to the subsequence that explains its delay.
 
-    The working target starts at s_i + ub + eps_tol; passing a predecessor
-    subtracts its leg time (net of expressing) and passing another core trip
-    raises the target to that trip's own delay threshold. Backtracking stops
-    once the current head, started as early as possible, still meets the
-    target.
+    The working target starts at s_i + ub + 1, the first late start; passing
+    a predecessor subtracts its leg and passing another core trip raises the
+    target to that trip's own first late start. Backtracking stops once the
+    current head, started as early as possible, still meets the target.
     """
     core = select_delay_core(inst, params, sched, g, con)
-    dur = scen.dur[s]
-    travel = scen.travel[s]
+    start, lb, ub = inst.starts, params.lb, params.ub
     pending = set(core)
     pairs: set[Pair] = set()
     trace: list[tuple[int, int]] = []
     for bus in sched.buses:
         in_bus = [t for t in bus.trips if t in pending]
+        if not in_bus:
+            continue
+        ids = np.array(bus.trips, dtype=np.intp) - 1
+        legs = pair_legs(inst, scen, s, ids[:-1], ids[1:]).tolist()   # legs[p-1] into trips[p]
         while in_bus:
             i = max(in_bus, key=lambda t: (int(g.y_star[t - 1]), bus.trips.index(t)))
             pending.discard(i)
-            ti = inst.trips[i - 1]
-            target = ti.start + params.ub + params.eps_tol
+            target = start[i - 1] + ub + 1
             trace.append((i, target))
             while target > 0:
                 pos = bus.trips.index(i)
@@ -253,16 +254,15 @@ def build_cmis(inst: Instance, params: ServiceParams, sched: Schedule,
                         f"reached the head of a bus with target {target} left to explain; "
                         f"evaluation and schedule disagree")
                 j = bus.trips[pos - 1]
-                tj = inst.trips[j - 1]
                 pairs.add((j, i))
-                leg = int(dur[j - 1]) + int(travel[j - 1, i - 1]) - tj.max_express
-                if tj.start - params.lb + leg >= target:
+                leg = legs[pos - 1]
+                if start[j - 1] - lb + leg >= target:
                     target = 0
                     trace.append((j, 0))
                 else:
                     target -= leg
                     if j in pending:
-                        target = max(target, tj.start + params.ub + params.eps_tol)
+                        target = max(target, start[j - 1] + ub + 1)
                         pending.discard(j)
                     trace.append((j, target))
                     i = j
@@ -293,19 +293,13 @@ def pairs_to_paths(pairs) -> list[list[int]]:
     return paths
 
 
-def _propagate_path(inst: Instance, params: ServiceParams, scen: ScenarioSet,
-                    s: int, path: list[int]) -> dict[int, int]:
-    """Earliest starts along one path with the head as early as possible."""
-    dur = scen.dur[s]
-    travel = scen.travel[s]
-    y: dict[int, int] = {}
-    head = inst.trips[path[0] - 1]
-    y[path[0]] = head.start - params.lb
-    for j, i in zip(path, path[1:]):
-        tj, ti = inst.trips[j - 1], inst.trips[i - 1]
-        leg = int(dur[j - 1]) + int(travel[j - 1, i - 1]) - tj.max_express
-        y[i] = max(ti.start - params.lb, y[j] + leg)
-    return y
+def _run_paths(inst: Instance, params: ServiceParams, scen: ScenarioSet, s: int,
+               paths: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Each path run as its own bus in scenario s: the legs of its pairs in
+    path order, then ``propagate``'s starts and late trips."""
+    index = ChainIndex.of(paths)
+    legs = pair_legs(inst, scen, s, index.prev, index.nxt).tolist()
+    return (legs, *propagate(inst, params, index.chains, legs))
 
 
 def is_infeasible_set(inst: Instance, params: ServiceParams, scen: ScenarioSet,
@@ -322,11 +316,8 @@ def is_infeasible_set(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     for p in pairs:
         if tuple(p) not in inst.compat:
             raise ValueError(f"pair {p} is not planning compatible")
-    forced = []
-    for path in pairs_to_paths(pairs):
-        y = _propagate_path(inst, params, scen, s, path)
-        forced += [i for i in path if y[i] > inst.trips[i - 1].start + params.ub]
-    violated = _violated(inst, params, forced)
+    late = _run_paths(inst, params, scen, s, pairs_to_paths(pairs))[2]
+    violated = _violated(inst, params, late)
     return bool(violated) if con is None else con in violated
 
 
@@ -360,13 +351,16 @@ def extend_cmis(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     used = {t for p in ctx.pairs for t in p}
     extra: set[Pair] = set()
     for path in pairs_to_paths(ctx.pairs):
-        tail = path[1:]
-        targets = [t for t in path if t in ctx.core]
-        for h in range(1, inst.n_trips + 1):
-            if h in used or (h, path[1]) not in inst.compat:
-                continue
-            y = _propagate_path(inst, params, scen, s, [h] + tail)
-            if all(y[t] > inst.trips[t - 1].start + params.ub for t in targets):
+        heads = [h for h in inst.pred[path[1]] if h not in used]
+        tail = np.array(path[1:], dtype=np.intp) - 1
+        tail_legs = pair_legs(inst, scen, s, tail[:-1], tail[1:]).tolist()
+        head_legs = pair_legs(inst, scen, s, np.array(heads, dtype=np.intp) - 1,
+                              np.full(len(heads), tail[0])).tolist()
+        chain_tail = tuple(tail.tolist())
+        targets = {t for t in path if t in ctx.core}
+        for h, leg in zip(heads, head_legs):
+            late = propagate(inst, params, [(h - 1, chain_tail)], [leg] + tail_legs)[1]
+            if targets.issubset(late):
                 extra.add((h, path[1]))
     return replace(ctx, extra=frozenset(extra))
 
@@ -413,16 +407,14 @@ def dual_certificate(inst: Instance, params: ServiceParams, sched: Schedule,
     for p in ctx.pairs:
         if p not in sequenced:
             raise ValueError(f"subsequence pair {p} is not sequenced in the schedule")
-    dur = scen.dur[s]
-    travel = scen.travel[s]
     paths = pairs_to_paths(ctx.pairs)
     nxt = {j: i for (j, i) in ctx.pairs}
     heads = {p[0] for p in paths}
     tails = {p[-1] for p in paths}
     # earliest starts when each subsequence runs as its own bus
-    y: dict[int, int] = {}
-    for path in paths:
-        y.update(_propagate_path(inst, params, scen, s, path))
+    legs, starts, _ = _run_paths(inst, params, scen, s, paths)
+    leg_of = dict(zip((p for path in paths for p in zip(path, path[1:])), legs))
+    y = {t: starts[t - 1] for path in paths for t in path}
     involved = sorted(y)
 
     alpha = {(j, i): Fraction(1, y[i]) for (j, i) in ctx.pairs}
@@ -472,9 +464,8 @@ def dual_certificate(inst: Instance, params: ServiceParams, sched: Schedule,
         fail("z-column weight differs from 1")
 
     obj = sigma_mis * Fraction(1)
-    for (j, i), a in alpha.items():
-        leg = int(dur[j - 1]) + int(travel[j - 1, i - 1]) - inst.trips[j - 1].max_express
-        obj += a * leg
+    for p, a in alpha.items():
+        obj += a * leg_of[p]
     for t, val in pi.items():
         obj -= val * y[t]
     for t, val in beta.items():

@@ -102,7 +102,7 @@ def grid_service_params(inst: Instance | None = None) -> ServiceParams:
     """Exact on-time windows, 7-of-8 trips and 1-of-2 per route on time."""
     inst = inst or two_depot_grid()
     return ServiceParams.for_instance(inst, lb=0, ub=0, delta_trip=0.875,
-                                      delta_route=0.5, epsilon=0.5, eps_tol=1)
+                                      delta_route=0.5, epsilon=0.5)
 
 
 def delay_chain() -> tuple[Instance, ServiceParams, Schedule, ScenarioSet]:
@@ -127,7 +127,7 @@ def delay_chain() -> tuple[Instance, ServiceParams, Schedule, ScenarioSet]:
                     zero_ii, zero_ki, zero_ik, zero_ii.copy(), zero_ki.copy(), zero_ik.copy(),
                     compat, meta={"name": "delay-chain"})
     params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.84,
-                                        delta_route=0.5, epsilon=0.5, eps_tol=1)
+                                        delta_route=0.5, epsilon=0.5)
     sched = Schedule((Bus(1, (1, 2, 3, 4, 5, 6)),))
     scen = ScenarioSet(dur=np.array([scen_d]), travel=zero_ii[None], out_t=zero_ki[None],
                        in_t=zero_ik[None])

@@ -1,18 +1,15 @@
 """Evaluate a candidate schedule under the travel-time scenarios.
 
-The greedy evaluator propagates earliest start times bus by bus (expressing
-fixed at its maximum), flags late trips and checks the service requirements in
-O(I) for one scenario, and returns what the cut builders need. It gathers the
-legs of all sequenced pairs with one numpy call, from index arrays the
-schedule builds once (``Schedule.chain_index``) and the instance's start and
-expressing tables, and then propagates on Python ints; the requirement
-verdicts come from the late-trip count per route. The scenario evaluator runs
-the same propagation for every scenario at once: it gathers the same legs for
-all scenarios, loops over the sequenced pairs only and carries numpy vectors
-along the scenario axis, in the same integer arithmetic, so its verdicts equal
-the greedy ones. Batch callers (violation counts, cut screening, incumbent
-encoding) use it. A small MILP oracle solves the feasibility model directly
-and is used to cross-validate the greedy answer in the tests.
+``pair_legs`` and ``propagate`` are the one timing rule: the legs of
+sequenced pairs (duration plus deadhead, less the maximum expressing), and
+earliest starts along chains of trips on Python ints with the late trips
+flagged. The greedy evaluator applies them to one scenario and the cut
+builders to their subsequences. The scenario evaluator runs the same rule for
+every scenario at once with numpy vectors along the scenario axis, in the same
+integer arithmetic, so its verdicts equal the greedy ones; batch callers
+(violation counts, cut screening, incumbent encoding) use it. A small MILP
+oracle solves the feasibility model directly and cross-validates the greedy
+answer in the tests.
 """
 
 from __future__ import annotations
@@ -69,38 +66,36 @@ def violated_requirements(inst: Instance, params: ServiceParams, v: np.ndarray) 
     return _violated(inst, params, (np.flatnonzero(np.logical_not(v)) + 1).tolist())
 
 
-def _legs(inst: Instance, sched: Schedule, scen: ScenarioSet, s) -> np.ndarray:
-    """d_prev + t_prev,next - e_prev of every sequenced pair (last axis, in bus
-    order), in scenario ``s``: an index, or ``slice(None)`` for all.
+def pair_legs(inst: Instance, scen: ScenarioSet, s, prev: np.ndarray,
+              nxt: np.ndarray) -> np.ndarray:
+    """d_j + t_ji - e_j of the pairs (prev[k], nxt[k]) (0-based) on the last
+    axis, in scenario ``s``: an index, or ``slice(None)`` for all.
 
     The int32 duration meets the int64 expressing allowance first, so the sum
     is taken in int64 and cannot wrap at the int32 limit. ``take`` gathers a
     single scenario's short rows faster than fancy indexing does.
     """
-    prev, nxt, _ = sched.chain_index
     return (scen.dur[s].take(prev, axis=-1) - inst.max_express.take(prev)
             + scen.travel[s][..., prev, nxt])
 
 
-def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
-                    scen: ScenarioSet, s: int) -> GreedyResult:
-    """Exact earliest-start propagation for scenario s.
+def propagate(inst: Instance, params: ServiceParams, chains, legs) -> tuple[list[int], list[int]]:
+    """Earliest starts along ``chains`` (``ChainIndex.chains``), whose pairs
+    take ``legs`` in chain order; returns the start per trip (0 off the
+    chains) and the ids of the late trips.
 
-    The first trip of each bus starts at s_i - lb; each later trip starts at
-    max(s_i - lb, y_prev + d_prev + t_prev,i - e_prev). One gather gives the
-    legs of all sequenced pairs, in bus order; the propagation then runs on
-    Python ints. Trips the schedule leaves out keep y = 0 and count as on
-    time; a trip is expected on at most one bus.
+    A chain's first trip starts at s_i - lb; each later trip starts at
+    max(s_i - lb, y_prev + leg) and is late once that exceeds s_i + ub.
     """
-    legs = iter(_legs(inst, sched, scen, s).tolist())
+    legs = iter(legs)
     lb = params.lb
     slack = lb + params.ub          # late once y > (s_i - lb) + slack
     start = inst.starts
     y = [0] * inst.n_trips
     late = []
-    for first, later in sched.chain_index.chains:
+    for first, later in chains:
         t = y[first] = start[first] - lb
-        # zip stops on ``later`` before it draws from ``legs``, so each bus
+        # zip stops on ``later`` before it draws from ``legs``, so each chain
         # takes exactly its own legs
         for i, leg in zip(later, legs):
             t += leg
@@ -111,6 +106,18 @@ def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
             else:
                 t = earliest
             y[i] = t
+    return y, late
+
+
+def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
+                    scen: ScenarioSet, s: int) -> GreedyResult:
+    """Exact earliest-start propagation for scenario s, with expressing at
+    its maximum: one gather of the legs of all sequenced pairs, then
+    ``propagate``. Trips the schedule leaves out keep y = 0 and count as on
+    time; a trip is expected on at most one bus.
+    """
+    prev, nxt, chains = sched.chain_index
+    y, late = propagate(inst, params, chains, pair_legs(inst, scen, s, prev, nxt).tolist())
     v = np.ones(inst.n_trips, dtype=bool)
     v[np.array(late, dtype=np.intp) - 1] = False
     violated = _violated(inst, params, late)
@@ -126,12 +133,13 @@ def evaluate_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,
     a requirement, and ``v_star[s, i-1]`` flags trip i on time in scenario s,
     both equal to what ``greedy_evaluate`` gives for that scenario.
     """
+    prev, nxt, chains = sched.chain_index
     # legs[k] is pair k's leg in every scenario, one contiguous row per pair
-    legs = np.ascontiguousarray(_legs(inst, sched, scen, slice(None)).T)
+    legs = np.ascontiguousarray(pair_legs(inst, scen, slice(None), prev, nxt).T)
     start, lb, ub = inst.starts, params.lb, params.ub
     v = np.ones((scen.count, inst.n_trips), dtype=bool)
     k = 0
-    for first, later in sched.chain_index.chains:
+    for first, later in chains:
         y = np.full(scen.count, start[first] - lb)
         for i in later:
             y = np.maximum(start[i] - lb, y + legs[k])

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ccvsp.core import Bus, Depot, Instance, Schedule, ServiceParams, Trip, cc_threshold
+from ccvsp.core import Bus, Depot, Instance, Schedule, ServiceParams, Trip, cc_threshold, schedule_cost
+from ccvsp.lagrangian import restrict
 from ccvsp.scenarios import ScenarioSet
 from ccvsp.subproblem import greedy_evaluate
 
@@ -123,8 +124,6 @@ def enumerate_schedules(inst):
 
 def brute_force_cc_optimum(inst, params, scen):
     """Exhaustive SAA optimum: cheapest schedule violating at most floor(S*eps)."""
-    from ccvsp.core import schedule_cost
-
     budget = cc_threshold(scen.count, params.epsilon)
     best = None
     for sched in enumerate_schedules(inst):
@@ -134,6 +133,29 @@ def brute_force_cc_optimum(inst, params, scen):
             c = schedule_cost(inst, sched)
             if best is None or c < best:
                 best = c
+    return best
+
+
+def joint_optimum(inst, params, scen, groups):
+    """Brute force the linked two-group model: the cheapest pair of group
+    schedules whose indicators (the first group's dominating the second's)
+    each stay within the budget; None when no pair does."""
+    budget = cc_threshold(scen.count, params.epsilon)
+    opts = []
+    for sub in (restrict(inst, scen, g) for g in groups):
+        pp = params.scaled_to(sub.inst)
+        opts.append([
+            (schedule_cost(sub.inst, sched),
+             np.array([greedy_evaluate(sub.inst, pp, sched, sub.scen, s).z_star
+                       for s in range(scen.count)]))
+            for sched in enumerate_schedules(sub.inst)])
+    best = None
+    for c1, v1 in opts[0]:
+        for c2, v2 in opts[1]:
+            z1 = np.maximum(v1, v2)
+            if z1.sum() <= budget and v2.sum() <= budget:
+                c = c1 + c2
+                best = c if best is None else min(best, c)
     return best
 
 

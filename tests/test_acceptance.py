@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     brute_force_cc_optimum,
     enumerate_schedules,
+    joint_optimum,
     random_instance,
     random_scenarios,
     random_schedule,
@@ -39,7 +40,7 @@ from ccvsp.cuts import (
     mis_deletion_filter,
     valid_inequalities,
 )
-from ccvsp.lagrangian import restrict, solve_lagrangian
+from ccvsp.lagrangian import solve_lagrangian
 from ccvsp.scenarios import GenParams, _lognormal_rounded, generate_instance, sample_scenarios
 from ccvsp.subproblem import TRIP_LEVEL, greedy_evaluate, milp_subproblem_oracle
 
@@ -310,7 +311,7 @@ def test_c09_lagrangian_sanity():
         params_c = ServiceParams.for_instance(inst_c, lb=1, ub=2, delta_trip=0.8,
                                               delta_route=0.5, epsilon=0.4)
         scen_c = random_scenarios(rng_c, inst_c, 4, spread=8)
-        joint = _joint_optimum(inst_c, params_c, scen_c, [(1, 2, 3, 4), (5, 6, 7, 8)])
+        joint = joint_optimum(inst_c, params_c, scen_c, [(1, 2, 3, 4), (5, 6, 7, 8)])
         if joint is None:
             continue
         det = Schedule(tuple(Bus(1, (i,)) for i in range(1, 9)))
@@ -323,27 +324,6 @@ def test_c09_lagrangian_sanity():
     _report("C9", part_a and part_b and part_c,
             f"P=1 exact match {part_a}; P=2 {seeds_ok}/{n_seeds} within budget, "
             f"cost dominance {cost_ok}; dual bound over joint {joint_ok}/{joint_total}")
-
-
-def _joint_optimum(inst, params, scen, groups):
-    budget = cc_threshold(scen.count, params.epsilon)
-    subs = [restrict(inst, scen, g) for g in groups]
-    opts = []
-    for sub in subs:
-        pp = params.scaled_to(sub.inst)
-        opts.append([
-            (schedule_cost(sub.inst, sched),
-             np.array([greedy_evaluate(sub.inst, pp, sched, sub.scen, s).z_star
-                       for s in range(scen.count)]))
-            for sched in enumerate_schedules(sub.inst)])
-    best = None
-    for c1, v1 in opts[0]:
-        for c2, v2 in opts[1]:
-            z1 = np.maximum(v1, v2)
-            if z1.sum() <= budget and v2.sum() <= budget:
-                c = c1 + c2
-                best = c if best is None else min(best, c)
-    return best
 
 
 def test_c10_reliability_pattern_at_desk_scale():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
 from ccvsp import gallery
+from ccvsp.bnc import BnCConfig, cut_generation_routine
 from ccvsp.core import Bus, Schedule, ServiceParams
 from ccvsp.cuts import (
+    CUT_KINDS,
     ValidInequality,
     build_cmis,
     cmis_cut,
@@ -24,7 +26,7 @@ from ccvsp.cuts import (
     strong_no_good_cut,
     valid_inequalities,
 )
-from ccvsp.subproblem import TRIP_LEVEL, Requirement, greedy_evaluate
+from ccvsp.subproblem import TRIP_LEVEL, Requirement, evaluate_scenarios, greedy_evaluate
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,25 @@ def test_is_infeasible_set_matches_greedy_on_paths(case, data):
         for con in cons:
             expected = bool(violated) if con is None else con in violated
             assert is_infeasible_set(inst, params, scen, s, chosen, con) == expected, (s, con)
+
+
+@PROPERTY
+@given(random_cases(), st.integers(0, 2**32 - 1))
+def test_generated_cuts_are_valid_on_random_schedules(case, seed):
+    # every family's cuts for the case's schedule, with all indicators at 0:
+    # each cuts that schedule off at z_s = 0, none cuts off a schedule that
+    # meets scenario s, and no schedule violates one at z_s = 1
+    inst, params, scen, sched = case
+    rng = np.random.default_rng(seed)
+    others = [sched] + [random_schedule(rng, inst) for _ in range(30)]
+    broken = [evaluate_scenarios(inst, params, other, scen)[0] for other in others]
+    for family in CUT_KINDS:
+        for cut in cut_generation_routine(inst, params, scen, BnCConfig(cut_family=family),
+                                          sched, np.zeros(scen.count), set()):
+            assert cut.violated_by(sched, 0.0), cut
+            for other, b in zip(others, broken):
+                assert not cut.violated_by(other, 1.0), (cut, other)
+                assert b[cut.s] or not cut.violated_by(other, 0.0), (cut, other)
 
 
 def test_valid_inequalities_empty_when_all_compatible():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import enumerate_schedules, random_instance, random_scenarios
+from conftest import joint_optimum, random_instance, random_scenarios
 
 from ccvsp import baselines, lagrangian, scenarios
 from ccvsp.bnc import BnCConfig, MasterModel, solve_bnc
@@ -24,7 +24,7 @@ from ccvsp.lagrangian import (
     solve_lagrangian,
     subgradient,
 )
-from ccvsp.subproblem import count_violated_scenarios, greedy_evaluate
+from ccvsp.subproblem import count_violated_scenarios
 
 
 def _sched(sizes):
@@ -245,31 +245,6 @@ def test_group_value_carries_the_indicator_charges():
     assert val == pytest.approx(schedule_cost(inst, sched) - mu @ z)
 
 
-def _joint_optimum(inst, params, scen, groups):
-    """Brute force the linked two-group model."""
-    budget = cc_threshold(scen.count, params.epsilon)
-    subs = [restrict(inst, scen, g) for g in groups]
-    best = None
-    all_scheds = []
-    for sub in subs:
-        options = []
-        for sched in enumerate_schedules(sub.inst):
-            v = np.array([greedy_evaluate(sub.inst, params.scaled_to(sub.inst),
-                                          sched, sub.scen, s).z_star
-                          for s in range(scen.count)])
-            options.append((schedule_cost(sub.inst, sched), v))
-        all_scheds.append(options)
-    for c1, v1 in all_scheds[0]:
-        for c2, v2 in all_scheds[1]:
-            z2 = v2
-            z1 = np.maximum(v1, z2)   # linking: first group dominates
-            if z1.sum() <= budget and z2.sum() <= budget:
-                cost = c1 + c2
-                if best is None or cost < best:
-                    best = cost
-    return best
-
-
 def test_weak_duality_against_joint_model():
     rng = np.random.default_rng(14)
     inst = random_instance(rng, n_trips=6, n_depots=2)
@@ -277,7 +252,7 @@ def test_weak_duality_against_joint_model():
                                         delta_route=0.6, epsilon=0.4)
     scen = random_scenarios(rng, inst, 3, spread=8)
     groups = [(1, 2, 3), (4, 5, 6)]
-    joint = _joint_optimum(inst, params, scen, groups)
+    joint = joint_optimum(inst, params, scen, groups)
     if joint is None:
         pytest.skip("joint model infeasible for this draw")
     subs = [restrict(inst, scen, g) for g in groups]
