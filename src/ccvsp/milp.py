@@ -11,21 +11,23 @@ master problems and test oracles in this package, not for industrial scale.
 
 The inverse is dense and each pivot costs a few dense products, so an
 iteration's fixed numpy work matters as much as the iteration count. The
-primal pricing skips the artificials once phase 1 has fixed them at zero. Both
-loops keep the basic values and bounds in arrays by row, and the masks of the
-nonbasic columns that may rise or fall, up to date across pivots and flips
-instead of gathering them again. The dual steepest-edge norms are taken for
-the infeasible rows only, and the rank-1 inverse update writes into the
-existing array.
+primal pricing skips the artificials once phase 1 has fixed them at zero and
+picks its entering column from one score array. Both loops keep the basic
+values and bounds in arrays by row, and the masks of the nonbasic columns that
+may rise or fall, up to date across pivots and flips instead of gathering them
+again. The dual steepest-edge norms and scores are taken for the infeasible
+rows only, and the rank-1 inverse update writes its products (through einsum)
+and the result into existing arrays.
 
 Work that repeats across solves of one model is kept on the model, under the
-exact bytes of its inputs. One entry is the end state of the last completed
-cold phase 1: phase 1 does not read the objective, so a cold solve under a
-new objective, or after a refused warm start, begins at phase 2 and still
-counts the phase-1 iterations. The other is the last warm-start basis
-inverse, since sibling nodes start from their parent's basis over the same
-rows. All of this keeps every pivot decision and every reported iteration
-count bit for bit.
+exact bytes of its inputs. The first entry is the dense matrix of the rows,
+read-only, which every solve shares until a row's nonzeros or the column
+count change. The second is the end state of the last completed cold phase
+1: phase 1 does not read the objective, so a cold solve under a new
+objective, or after a refused warm start, begins at phase 2 and still counts
+the phase-1 iterations. The third is the last warm-start basis inverse, since
+sibling nodes start from their parent's basis over the same rows. All of this
+keeps every pivot decision and every reported iteration count bit for bit.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ class MilpModel:
         # each row: (coeffs {var: coef}, sense, rhs)
         self.rows: list[tuple[dict[int, float], str, float]] = []
         # what the simplex computed on this model and may meet again, each
-        # under the exact bytes of its inputs: the end state of the last
-        # completed cold phase 1, and the last warm-start basis inverse
+        # under the exact bytes of its inputs: the dense matrix of the rows
+        # (read-only), the end state of the last completed cold phase 1, and
+        # the last warm-start basis inverse
+        self._matrix: tuple[bytes, np.ndarray] | None = None
         self._phase1: _Phase1 | None = None
         self._inverse: tuple[bytes, np.ndarray | None] | None = None
 
@@ -139,15 +143,21 @@ class _Simplex:
         coeffs = [r[0] for r in rows]
         counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
         nnz = int(counts.sum())
-        ri = np.repeat(np.arange(m), counts)
         cj = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
         vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz)
-        self._nonzeros = (counts, cj, vals)
-        self.A = np.zeros((m, ncols))
-        self.A[ri, cj] = vals
-        diag = np.arange(m)
-        self.A[diag, n + diag] = 1.0        # slacks
-        self.A[diag, n + m + diag] = 1.0    # artificials
+        # the exact bytes of the rows, which fix the dense matrix
+        self._rows_key = b"".join(p.tobytes() for p in (np.array([n, m]), counts, cj, vals))
+        saved = model._matrix
+        if saved is not None and saved[0] == self._rows_key:
+            self.A = saved[1]
+        else:
+            self.A = np.zeros((m, ncols))
+            self.A[np.repeat(np.arange(m), counts), cj] = vals
+            diag = np.arange(m)
+            self.A[diag, n + diag] = 1.0        # slacks
+            self.A[diag, n + m + diag] = 1.0    # artificials
+            self.A.flags.writeable = False
+            model._matrix = (self._rows_key, self.A)
         self.b = np.fromiter((r[2] for r in rows), dtype=float, count=m)
         sense = np.array([r[1] for r in rows], dtype=object)
         self.lo = np.empty(ncols)
@@ -184,12 +194,11 @@ class _Simplex:
         return np.where(resid >= 0, 1.0, -1.0)
 
     def _phase1_key(self) -> bytes:
-        """The exact bytes of what phase 1 reads: the rows (their nonzeros fix
-        the dense matrix), the right-hand sides and the bounds of the
-        structural and slack columns."""
-        n, m = self.n, self.m
-        parts = (np.array([n, m]), *self._nonzeros, self.b, self.lo[: n + m], self.hi[: n + m])
-        return b"".join(p.tobytes() for p in parts)
+        """The exact bytes of what phase 1 reads: the rows, the right-hand
+        sides and the bounds of the structural and slack columns."""
+        nm = self.n + self.m
+        return b"".join((self._rows_key, self.b.tobytes(), self.lo[:nm].tobytes(),
+                         self.hi[:nm].tobytes()))
 
     def _warm_inverse(self) -> np.ndarray | None:
         """A fresh inverse of the basis matrix, None when it is singular.
@@ -235,8 +244,10 @@ class _Simplex:
         self.in_basis[enter] = True
         basis_arr[leave] = enter
         row = self.binv[leave] / w[leave]
-        # rank-1 update in place: binv -= outer(w, row), through a reused buffer
-        np.multiply(w[:, None], row, out=self._outer)
+        # rank-1 update in place: binv -= outer(w, row), through a reused
+        # buffer; einsum writes the products faster than a broadcast multiply,
+        # with equal values (a zero product may come out +0 where it gave -0)
+        np.einsum("i,j->ij", w, row, out=self._outer)
         self.binv -= self._outer
         self.binv[leave] = row
 
@@ -273,30 +284,25 @@ class _Simplex:
 
         # values, bounds and costs of the basic columns, by row
         xb, lob, hib, cb = x[basis_arr], lo[basis_arr], hi[basis_arr], cost[basis_arr]
+        t_rows = np.empty(m)
         while True:
             if self.iterations >= max_iter or _expired(deadline):
                 return self._stop(basis_arr, xb, "IterLimit")
             self.iterations += 1
             y = cb @ self.binv
             d = cost_k - y @ A
-            up = rise & (d < -OPT_TOL)
-            dn = fall & (d > OPT_TOL)
-            can = up | dn
-            if not can.any():
+            entering = _entering(d, rise, fall, bland)
+            if entering is None:
                 return self._stop(basis_arr, xb, "Optimal")
-            if bland:
-                enter = int(np.flatnonzero(can)[0])
-            else:
-                enter = int(np.argmax(np.where(can, np.abs(d), 0.0)))
-            direction = 1.0 if up[enter] else -1.0
+            enter, direction = entering
             w = self.binv @ self.A[:, enter]
             # ratio test; entering moves t*direction, basics move -t*direction*w
             # toward the bound ahead of them; a row whose |step| is within
             # FEAS_TOL of zero sets no limit
             step = -direction * w
             bound = np.where(step < 0, lob, hib)
-            t_rows = np.divide(bound - xb, step, out=np.full(m, INF),
-                               where=np.abs(step) > FEAS_TOL)
+            t_rows.fill(INF)
+            np.divide(bound - xb, step, out=t_rows, where=np.abs(step) > FEAS_TOL)
             t_flip = hi[enter] - lo[enter]
             if m:
                 leave = int(np.argmin(t_rows))
@@ -381,9 +387,8 @@ class _Simplex:
             # leaving row by dual steepest edge: infeasibility over the row norm
             # of B^-1, taken for the infeasible rows only
             rows = self.binv[bad]
-            score = np.zeros(m)
-            score[bad] = infeas[bad] * infeas[bad] / np.einsum("ij,ij->i", rows, rows)
-            r = int(np.argmax(score))
+            ib = infeas[bad]
+            r = int(bad[np.argmax(ib * ib / np.einsum("ij,ij->i", rows, rows))])
             sign = 1.0 if below[r] > 0 else -1.0     # +1: the basic must rise to its lower bound
             g = sign * (self.binv[r] @ A)
             can_rise = rise & (g < -PIVOT_TOL)
@@ -393,9 +398,10 @@ class _Simplex:
             # boxed column whose whole range still leaves row r out of bounds
             # flips to its other bound, and the first that would not enters
             gc = g[cand]
+            agc = np.abs(gc)
             ratio = np.maximum(d[cand] / -gc, 0.0)
-            order = np.lexsort((-np.abs(gc), ratio))
-            reach = np.abs(gc[order]) * span[cand][order]
+            order = np.lexsort((-agc, ratio))
+            reach = agc[order] * span[cand[order]]
             # a reach short of the infeasibility by no more than FEAS_TOL suffices
             stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= FEAS_TOL)
             if not stop.size:
@@ -410,8 +416,9 @@ class _Simplex:
             # Harris pass over the remaining breakpoints: the largest pivot among
             # those within the optimality tolerance of the stopping ratio
             rest = order[k:]
-            near = rest[ratio[rest] <= np.min(ratio[rest] + OPT_TOL / np.abs(gc[rest]))]
-            pick = near[np.argmax(np.abs(gc[near]))]
+            ratio_rest = ratio[rest]
+            near = rest[ratio_rest <= np.min(ratio_rest + OPT_TOL / agc[rest])]
+            pick = near[np.argmax(agc[near])]
             enter = int(cand[pick])
             flips = cand[order[:k]]
             if flips.size:
@@ -543,6 +550,27 @@ class _Simplex:
         return self._extract()
 
 
+def _entering(d: np.ndarray, rise: np.ndarray, fall: np.ndarray,
+              bland: bool) -> tuple[int, float] | None:
+    """The primal entering column and its direction (+1 rises, -1 falls), or
+    None when no column prices out.
+
+    A column that may rise scores -d, one that may fall scores d, and it keeps
+    the larger; it may enter when that score exceeds OPT_TOL, which is then
+    |d|. Dantzig pricing enters at the highest score (the lowest index among
+    ties), Bland's rule at the lowest index that may enter.
+    """
+    if not d.size:
+        return None
+    score = np.maximum(np.where(rise, -d, 0.0), np.where(fall, d, 0.0))
+    enter = int(np.argmax(score))
+    if score[enter] <= OPT_TOL:
+        return None
+    if bland:
+        enter = int(np.argmax(score > OPT_TOL))
+    return enter, 1.0 if d[enter] < 0 else -1.0
+
+
 def _expired(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
@@ -623,8 +651,9 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
 
     while heap:
         if incumbent is not None:
-            # unpruned open nodes may lie above the incumbent
-            low = min(inc_obj, min(n.bound for n in heap))
+            # unpruned open nodes may lie above the incumbent; the heap orders
+            # nodes by (bound, seq), so its head holds the lowest bound
+            low = min(inc_obj, heap[0].bound)
             if _rel_gap(inc_obj, low) <= GAP_TOL:
                 return result("Optimal", incumbent, inc_obj, low, _rel_gap(inc_obj, low))
         node = heapq.heappop(heap)
@@ -680,9 +709,9 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     if incumbent is None:
         status = "IterLimit" if hit_limit else "Infeasible"
         return result(status, None, math.nan,
-                      min((n.bound for n in heap), default=-INF), math.inf)
+                      heap[0].bound if heap else -INF, math.inf)
     if heap:
-        low = min(inc_obj, min(n.bound for n in heap))
+        low = min(inc_obj, heap[0].bound)
         gap = _rel_gap(inc_obj, low)
         status = "Optimal" if gap <= GAP_TOL else "IterLimit"
         return result(status, incumbent, inc_obj, low, gap)

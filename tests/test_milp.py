@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ccvsp import milp
 from ccvsp.milp import (
     EQUAL,
     GREATER,
     INT_TOL,
     LESS,
+    OPT_TOL,
     MilpModel,
+    _entering,
     _most_fractional,
     _Simplex,
     bnb_solve,
@@ -508,6 +511,110 @@ def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
     assert reused >= 80, reused
 
 
+def test_model_keeps_one_matrix_until_its_rows_change():
+    """Solves of one model share one read-only dense matrix while the rows'
+    nonzeros and the column count stay; an in-place coefficient edit,
+    reprice's deletion of lazy rows, an appended lazy row and a new column
+    each build it again. Every solve equals a never-solved copy's, bit for
+    bit."""
+    rng = np.random.default_rng(31)
+    changes = ("none", "rhs", "objective", "coefficient", "deletion", "lazy row", "column")
+    for trial in range(70):
+        model = _random_lp(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(1, 6)))
+        change = changes[trial % len(changes)]
+        if change == "deletion":
+            model.add_constr({0: 1.0}, GREATER, 0.5)
+        first = lp_solve(model)
+        A = model._matrix[1]
+        with pytest.raises(ValueError):
+            A[0, 0] = 1.0
+        i = int(rng.integers(0, model.n_rows))
+        coeffs, sense, rhs = model.rows[i]
+        if change == "rhs":
+            model.rows[i] = (coeffs, sense, rhs + 0.5)
+        elif change == "objective":
+            model.obj = [float(rng.integers(-5, 6)) for _ in model.obj]
+        elif change == "coefficient":
+            j = next(iter(coeffs), 0)
+            coeffs[j] = coeffs.get(j, 0.0) + 0.5
+        elif change == "deletion":
+            del model.rows[-1:]
+        elif change == "lazy row":
+            model.add_constr({0: 1.0}, LESS, model.ub[0])
+        elif change == "column":
+            model.add_var(lb=0, ub=3, obj=1.0)
+        sim = _Simplex(model)
+        assert (sim.A is A) == (change in ("none", "rhs", "objective")), (trial, change)
+        assert not sim.A.flags.writeable
+        assert np.array_equal(sim.A, _Simplex(_unsolved_copy(model)).A), (trial, change)
+        got = lp_solve(model)
+        assert _lp_fields(got) == _lp_fields(lp_solve(_unsolved_copy(model))), (trial, change)
+        if change == "none":
+            assert _lp_fields(got) == _lp_fields(first), trial
+
+
+def _broadcast_pivot(self, basis_arr, leave, enter, w):
+    """The rank-1 inverse update through a broadcast multiply: the reference."""
+    self.in_basis[basis_arr[leave]] = False
+    self.in_basis[enter] = True
+    basis_arr[leave] = enter
+    row = self.binv[leave] / w[leave]
+    np.multiply(w[:, None], row, out=self._outer)
+    self.binv -= self._outer
+    self.binv[leave] = row
+
+
+def _lp_values(sol):
+    """Everything an LP solution reports, with x by value (a zero's sign aside)."""
+    return (sol.status, sol.iterations, sol.obj, sol.basis,
+            None if sol.x is None else sol.x.tolist())
+
+
+def test_einsum_rank1_update_takes_the_broadcast_pivots():
+    """The einsum rank-1 update writes the broadcast multiply's values, so
+    every LP takes the same pivots: random LPs solved cold and re-solved warm
+    in a branching child, and every LP of the branch-and-cut solve of the
+    (24, 50, 2, 3) benchmark master."""
+    from ccvsp import bnc
+    from ccvsp.core import ServiceParams
+    from ccvsp.scenarios import GenParams, generate_instance, sample_scenarios
+
+    inst = generate_instance(GenParams(n_trips=24, n_depots=2, seed=2))
+    scen = sample_scenarios(inst, 50, seed=3)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+
+    def solve_all(pivot):
+        pivots, sols = [], []
+        solve = milp.lp_solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Simplex, "_pivot",
+                       lambda self, *a: pivots.append(1) or pivot(self, *a))
+            mp.setattr(milp, "lp_solve",
+                       lambda model, **kw: sols.append(solve(model, **kw)) or sols[-1])
+            rng = np.random.default_rng(21)
+            for _ in range(100):
+                model = _random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)))
+                cold = milp.lp_solve(model)
+                if cold.status == "Optimal":
+                    j = int(rng.integers(0, model.n_vars))
+                    ub = np.array(model.ub)
+                    ub[j] = max(model.lb[j], math.floor(cold.x[j] - 0.5))
+                    milp.lp_solve(model, warm_start=cold.basis, var_ub=ub)
+            random_lps = len(sols)
+            res = bnc.MasterModel(inst, params, scen, bnc.BnCConfig()).solve()
+        return [_lp_values(s) for s in sols], random_lps, len(pivots), res
+
+    got, got_random, got_pivots, got_res = solve_all(_Simplex._pivot)
+    want, want_random, want_pivots, want_res = solve_all(_broadcast_pivot)
+    assert got == want
+    assert got_pivots == want_pivots
+    assert (got_res.status, got_res.objective, got_res.nodes) \
+        == (want_res.status, want_res.objective, want_res.nodes)
+    assert got_random >= 180 and len(got) - got_random >= 10, (got_random, len(got))
+    assert got_pivots >= 1000, got_pivots
+
+
 def test_time_limit_holds_inside_one_lp(monkeypatch):
     """The root LP of this det-mean flow model alone takes about 10 s (2 cores,
     2.0 GHz) and is integral, so only a deadline inside the LP stops it early."""
@@ -583,3 +690,45 @@ def test_most_fractional_none_when_all_integral():
     assert _most_fractional(x, np.arange(5)) is None
     assert _most_fractional(x, np.array([], dtype=np.intp)) is None
     assert _most_fractional(x, np.arange(6)) == 5
+
+
+def _mask_entering(d, rise, fall, bland):
+    """The entering rule the score array replaced, by masks: the reference."""
+    up = rise & (d < -OPT_TOL)
+    dn = fall & (d > OPT_TOL)
+    can = up | dn
+    if not can.any():
+        return None
+    if bland:
+        enter = int(np.flatnonzero(can)[0])
+    else:
+        enter = int(np.argmax(np.where(can, np.abs(d), 0.0)))
+    return enter, 1.0 if up[enter] else -1.0
+
+
+# reduced costs at and around the pricing tolerance, signed zeros and ties
+_PRICES = [0.0, -0.0, OPT_TOL, -OPT_TOL, np.nextafter(OPT_TOL, 1.0), -np.nextafter(OPT_TOL, 1.0),
+           np.nextafter(OPT_TOL, 0.0), -np.nextafter(OPT_TOL, 0.0), 2 * OPT_TOL, -2 * OPT_TOL,
+           0.5, -0.5, 3.0, -3.0]
+
+
+@st.composite
+def _pricing_cases(draw):
+    k = draw(st.integers(0, 16))
+    price = st.one_of(st.sampled_from(_PRICES), st.floats(-4.0, 4.0))
+    d = np.array(draw(st.lists(price, min_size=k, max_size=k)), dtype=float)
+    rise = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    fall = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    return d, rise, fall
+
+
+@PROPERTY
+@given(_pricing_cases())
+def test_entering_score_matches_the_mask_rule(case):
+    """Column, direction and the Optimal verdict (None), under Dantzig pricing
+    and under Bland's rule."""
+    d, rise, fall = case
+    for bland in (False, True):
+        got = _entering(d, rise, fall, bland)
+        assert got == _mask_entering(d, rise, fall, bland), bland
+        assert got is None or type(got[0]) is int

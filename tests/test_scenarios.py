@@ -59,8 +59,7 @@ def test_short_trips_have_no_expressing():
         if t.mean_dur < 10:
             assert t.max_express == 0
         else:
-            assert np.ceil(0.05 * t.mean_dur) <= t.max_express <= np.floor(0.10 * t.mean_dur) \
-                or t.max_express >= 0
+            assert np.ceil(0.05 * t.mean_dur) <= t.max_express <= np.floor(0.10 * t.mean_dur)
 
 
 def test_expressing_allowance_lies_in_its_range():
