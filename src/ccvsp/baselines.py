@@ -48,7 +48,7 @@ def solve_deterministic(inst: Instance, times=MEAN,
         if scen is None:
             raise ValidationError("percentile baseline needs sampled scenarios")
         scen.check_instance(inst)
-        dur, travel, _, _ = percentile_times(inst, scen, q)
+        dur, travel = percentile_times(inst, scen, q)
         compat = build_compat(inst.trips, travel, dur) & inst.compat
     else:
         raise ValidationError(f"unknown time table {times!r}")

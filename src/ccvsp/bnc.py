@@ -41,7 +41,7 @@ from .cuts import (
     build_cmis,
     cmis_cut,
     extend_cmis,
-    mis_deletion_filter,
+    mis_cut,
     no_good_cut,
     strong_no_good_cut,
     valid_inequalities,
@@ -286,29 +286,27 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
 
     The scenario evaluator screens every scenario at once; only scenarios the
     master claims satisfied (indicator below one) that the schedule in fact
-    breaks are evaluated again with the greedy evaluator, whose result the cut
-    builders need. Each yields cuts of the configured family, one per violated
-    requirement for the subsequence families. Cuts whose key is in ``pool``
-    are dropped and the keys of the returned cuts join it; keys carry the
-    scenario index, so a fresh ``set()`` drops nothing. A strong no-good
-    backstop guarantees progress if a family ever returns nothing new for a
-    violated scenario.
+    breaks are evaluated again, once each, with the greedy evaluator, and every
+    cut builder takes that evaluation. Each yields cuts of the configured
+    family, one per violated requirement for the subsequence families. Cuts
+    whose key is in ``pool`` are dropped and the keys of the returned cuts join
+    it; keys carry the scenario index, so a fresh ``set()`` drops nothing. A
+    strong no-good backstop, built from the same evaluation, guarantees
+    progress if a family ever returns nothing new for a violated scenario.
     """
     out: list[Cut] = []
     threshold = 0.5 if not cfg.relax_z else 1.0 - 1e-6
     broken = evaluate_scenarios(inst, params, sched, scen)[0]
     for s in np.flatnonzero(broken & (z_vals < threshold)).tolist():
         g = greedy_evaluate(inst, params, sched, scen, s)
-        produced: list[Cut] = []
         if cfg.cut_family == NO_GOOD:
-            produced.append(no_good_cut(inst, params, sched, scen, s))
+            produced = [no_good_cut(sched, s, g)]
         elif cfg.cut_family == STRONG_NO_GOOD:
-            produced.append(strong_no_good_cut(inst, params, sched, scen, s))
+            produced = [strong_no_good_cut(sched, s, g)]
         elif cfg.cut_family == MIS:
-            pairs = mis_deletion_filter(inst, params, scen, s,
-                                        set(sched.sequenced_pairs()))
-            produced.append(Cut(s, MIS, tuple((p, 1) for p in sorted(pairs)), len(pairs)))
+            produced = [mis_cut(inst, params, sched, scen, s, g)]
         else:
+            produced = []
             for con in g.violated:
                 ctx = build_cmis(inst, params, sched, scen, s, g, con)
                 if cfg.cut_family == ECMIS:
@@ -316,7 +314,7 @@ def cut_generation_routine(inst: Instance, params: ServiceParams, scen: Scenario
                 produced.append(cmis_cut(ctx))
         fresh = [c for c in produced if c.key() not in pool]
         if not fresh:
-            backstop = strong_no_good_cut(inst, params, sched, scen, s)
+            backstop = strong_no_good_cut(sched, s, g)
             if backstop.key() not in pool:
                 fresh = [backstop]
         pool.update(c.key() for c in fresh)

@@ -2,11 +2,12 @@
 
 Given a candidate schedule that breaks a scenario's service requirements, each
 generator here produces a linear inequality over aggregated arc variables of
-the master form  sum lambda_ij sum_k x_ijk <= lambda_0 - 1 + z_s.  Families:
-plain and strong no-good cuts, infeasible-subsequence (minimal) cuts built by
-backtracking over the greedy evaluation, their head-replacement extensions,
-a deletion-filter minimizer used as an independent oracle, and an exact dual
-certificate tying the subsequence cuts to Benders cuts of a tightened LP.
+the master form  sum lambda_ij sum_k x_ijk <= lambda_0 - 1 + z_s, from the
+scenario's greedy evaluation (a ``ValueError`` if it breaks no requirement).
+Families: plain and strong no-good cuts, deletion-filter minimal cuts,
+infeasible-subsequence (minimal) cuts built by backtracking over the greedy
+evaluation, and their head-replacement extensions; an exact dual certificate
+ties the subsequence cuts to Benders cuts of a tightened LP.
 
 The master's per-scenario valid inequalities are built here too, from the
 planning pairs that are operationally late in each scenario. Legs and
@@ -23,7 +24,9 @@ import numpy as np
 
 from .core import Arc, ChainIndex, Instance, Pair, Schedule, ServiceParams, schedule_to_arcs
 from .scenarios import ScenarioSet
-from .subproblem import GreedyResult, Requirement, _violated, greedy_evaluate, pair_legs, propagate
+from .subproblem import GreedyResult, Requirement, _violated, pair_legs, propagate
+# greedy_evaluate stays bound here: perfbench's tracer test calls cuts.greedy_evaluate
+from .subproblem import greedy_evaluate  # noqa: F401
 
 NO_GOOD = "nogood"
 STRONG_NO_GOOD = "snogood"
@@ -150,30 +153,23 @@ def valid_inequalities(inst: Instance, params: ServiceParams,
     return out
 
 
-def _require_violated(inst, params, sched, scen, s) -> GreedyResult:
-    g = greedy_evaluate(inst, params, sched, scen, s)
-    if g.z_star != 1:
-        raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
-    return g
-
-
-def no_good_cut(inst: Instance, params: ServiceParams, sched: Schedule,
-                scen: ScenarioSet, s: int) -> Cut:
+def no_good_cut(sched: Schedule, s: int, g: GreedyResult) -> Cut:
     """Exclude exactly this schedule-with-depots (benchmarking baseline).
 
     Written over the arcs set to one; on the master polytope this matches the
     textbook form that also lists the zero variables, because covering every
     listed arc pins all remaining variables to zero.
     """
-    _require_violated(inst, params, sched, scen, s)
+    if not g.violated:
+        raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
     arcs = sorted(schedule_to_arcs(sched))
     return Cut(s, NO_GOOD, (), len(arcs), tuple((a, 1) for a in arcs))
 
 
-def strong_no_good_cut(inst: Instance, params: ServiceParams, sched: Schedule,
-                       scen: ScenarioSet, s: int) -> Cut:
+def strong_no_good_cut(sched: Schedule, s: int, g: GreedyResult) -> Cut:
     """Exclude the sequenced trip pairs under every depot assignment."""
-    _require_violated(inst, params, sched, scen, s)
+    if not g.violated:
+        raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
     pairs = sorted(set(sched.sequenced_pairs()))
     return Cut(s, STRONG_NO_GOOD, tuple((p, 1) for p in pairs), len(pairs))
 
@@ -191,7 +187,7 @@ def select_delay_core(inst: Instance, params: ServiceParams, sched: Schedule,
         raise ValueError(f"requirement {con} is not violated by this evaluation")
     if con.route is None:
         pool = set(g.delayed)
-        needed = len(g.v_star) - params.f_trip + 1
+        needed = len(g.y_star) - params.f_trip + 1
     else:
         members = set(inst.routes[con.route - 1])
         pool = set(g.delayed) & members
@@ -338,6 +334,16 @@ def mis_deletion_filter(inst: Instance, params: ServiceParams, scen: ScenarioSet
         if trial and is_infeasible_set(inst, params, scen, s, trial, con):
             current = trial
     return frozenset(current)
+
+
+def mis_cut(inst: Instance, params: ServiceParams, sched: Schedule,
+            scen: ScenarioSet, s: int, g: GreedyResult) -> Cut:
+    """Cut on a single-deletion-minimal infeasible subset of the sequenced
+    pairs (``mis_deletion_filter``), coefficient one on each."""
+    if not g.violated:
+        raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
+    pairs = mis_deletion_filter(inst, params, scen, s, set(sched.sequenced_pairs()))
+    return Cut(s, MIS, tuple((p, 1) for p in sorted(pairs)), len(pairs))
 
 
 def extend_cmis(inst: Instance, params: ServiceParams, scen: ScenarioSet,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Bus, Depot, Instance, Schedule, ServiceParams, Trip
+from .core import Bus, Depot, Instance, Schedule, ServiceParams, Trip, build_compat
 from .scenarios import ScenarioSet
 
 
@@ -58,15 +58,8 @@ def two_depot_grid() -> Instance:
             in_time[a, k] = 2 * _manhattan(t.end_loc, dep.loc)
             out_cost[k, a] = _manhattan(dep.loc, t.start_loc) + 2  # deployment cost 2
             in_cost[a, k] = _manhattan(t.end_loc, dep.loc)
-    compat = {
-        (i, j)
-        for a, ti in enumerate(trips, start=1)
-        for b, tj in enumerate(trips, start=1)
-        if a != b and ti.start + ti.mean_dur + dh_time[a - 1, b - 1] <= tj.start
-        for i, j in [(a, b)]
-    }
     return Instance(trips, depots, routes, dh_time, out_time, in_time,
-                    cost, out_cost, in_cost, compat,
+                    cost, out_cost, in_cost, build_compat(trips, dh_time),
                     meta={"name": "two-depot-grid", "time_scale": 2})
 
 
@@ -121,11 +114,9 @@ def delay_chain() -> tuple[Instance, ServiceParams, Schedule, ScenarioSet]:
     zero_ii = np.zeros((I, I), dtype=np.int64)
     zero_ki = np.zeros((1, I), dtype=np.int64)
     zero_ik = np.zeros((I, 1), dtype=np.int64)
-    compat = {(i, j) for i in range(1, 7) for j in range(1, 7)
-              if i != j and starts[i - 1] + mean_d[i - 1] <= starts[j - 1]}
     inst = Instance(trips, [Depot(1, (0, 0), 6)], [[1, 2, 3, 4, 5, 6]],
                     zero_ii, zero_ki, zero_ik, zero_ii.copy(), zero_ki.copy(), zero_ik.copy(),
-                    compat, meta={"name": "delay-chain"})
+                    build_compat(trips, zero_ii), meta={"name": "delay-chain"})
     params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.84,
                                         delta_route=0.5, epsilon=0.5)
     sched = Schedule((Bus(1, (1, 2, 3, 4, 5, 6)),))

@@ -279,17 +279,13 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
 def percentile_times(inst: Instance, scen: ScenarioSet, q: float):
     """Per-entry empirical q-th percentile (nearest-rank) across scenarios.
 
-    Returns (dur, travel, out_t, in_t) tables shaped like one scenario.
+    Returns the (dur, travel) tables, each shaped like one scenario.
     """
     if not 0 < q <= 100:
         raise ValidationError("percentile must lie in (0, 100]")
     S = scen.count
     rank = max(1, math.ceil(q / 100.0 * S - 1e-9))  # nearest-rank, 1-based
-
-    def pick(arr):
-        return np.sort(arr, axis=0)[rank - 1]
-
-    return pick(scen.dur), pick(scen.travel), pick(scen.out_t), pick(scen.in_t)
+    return np.sort(scen.dur, axis=0)[rank - 1], np.sort(scen.travel, axis=0)[rank - 1]
 
 
 def save_scenarios(scen: ScenarioSet, path) -> None:

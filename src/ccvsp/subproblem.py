@@ -4,8 +4,9 @@
 sequenced pairs (duration plus deadhead, less the maximum expressing), and
 earliest starts along chains of trips on Python ints with the late trips
 flagged. The greedy evaluator applies them to one scenario and the cut
-builders to their subsequences. The scenario evaluator runs the same rule for
-every scenario at once with numpy vectors along the scenario axis, in the same
+builders to their subsequences; each cut builder takes the one greedy result
+of the scenario it cuts. The scenario evaluator runs the same rule for every
+scenario at once with numpy vectors along the scenario axis, in the same
 integer arithmetic, so its verdicts equal the greedy ones; batch callers
 (violation counts, cut screening, incumbent encoding) use it. A small MILP
 oracle solves the feasibility model directly and cross-validates the greedy
@@ -38,15 +39,23 @@ TRIP_LEVEL = Requirement(None)
 
 @dataclass(frozen=True)
 class GreedyResult:
-    z_star: int
+    """What one scenario's propagation computes; verdict and flags derive from it."""
+
     y_star: np.ndarray         # earliest start per trip, index id-1
-    v_star: np.ndarray         # on-time flags, bool
-    u_star: np.ndarray         # expressing applied (fixed to the maximum)
-    delayed: frozenset[int]
+    delayed: frozenset[int]    # ids of the late trips
     violated: tuple[Requirement, ...]
 
+    @property
+    def z_star(self) -> int:
+        return 1 if self.violated else 0
+
+    @property
+    def v_star(self) -> np.ndarray:
+        """On-time flags, bool, index id-1."""
+        return ~np.isin(np.arange(1, len(self.y_star) + 1), list(self.delayed))
+
     def on_time_count(self) -> int:
-        return int(self.v_star.sum())
+        return len(self.y_star) - len(self.delayed)
 
 
 def _violated(inst: Instance, params: ServiceParams, late: list[int]) -> tuple[Requirement, ...]:
@@ -118,11 +127,8 @@ def greedy_evaluate(inst: Instance, params: ServiceParams, sched: Schedule,
     """
     prev, nxt, chains = sched.chain_index
     y, late = propagate(inst, params, chains, pair_legs(inst, scen, s, prev, nxt).tolist())
-    v = np.ones(inst.n_trips, dtype=bool)
-    v[np.array(late, dtype=np.intp) - 1] = False
-    violated = _violated(inst, params, late)
-    return GreedyResult(1 if violated else 0, np.array(y, dtype=np.int64), v,
-                        inst.max_express.copy(), frozenset(late), violated)
+    return GreedyResult(np.array(y, dtype=np.int64), frozenset(late),
+                        _violated(inst, params, late))
 
 
 def evaluate_scenarios(inst: Instance, params: ServiceParams, sched: Schedule,

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import PROPERTY, random_cases, random_instance, random_scenarios, random_schedule
 
-from ccvsp import gallery
+from ccvsp import bnc, cuts, gallery
 from ccvsp.bnc import BnCConfig, cut_generation_routine
 from ccvsp.core import Bus, Schedule, ServiceParams
 from ccvsp.cuts import (
     CUT_KINDS,
+    STRONG_NO_GOOD,
     ValidInequality,
     build_cmis,
     cmis_cut,
     dual_certificate,
     extend_cmis,
     is_infeasible_set,
+    mis_cut,
     mis_deletion_filter,
     no_good_cut,
     operational_compat,
@@ -244,13 +246,14 @@ def test_strong_no_good_on_grid():
     params = gallery.grid_service_params(inst)
     scen = gallery.grid_scenarios()
     left = gallery.grid_schedule_left()
-    cut = strong_no_good_cut(inst, params, left, scen, 0)
+    g = greedy_evaluate(inst, params, left, scen, 0)
+    cut = strong_no_good_cut(left, 0, g)
     assert cut.rhs_const == 6
     assert set(dict(cut.pairs)) == {(1, 3), (3, 4), (4, 2), (8, 6), (6, 5), (5, 7)}
     # any depot reassignment of the same sequences is still cut off
     flipped = Schedule((Bus(2, (1, 3, 4, 2)), Bus(1, (8, 6, 5, 7))))
     assert cut.violated_by(flipped, 0.0)
-    plain = no_good_cut(inst, params, left, scen, 0)
+    plain = no_good_cut(left, 0, g)
     assert plain.violated_by(left, 0.0)
     assert not plain.violated_by(flipped, 0.0)
 
@@ -261,7 +264,54 @@ def test_no_good_requires_violation():
     scen = gallery.grid_scenarios()
     right = gallery.grid_schedule_right()
     with pytest.raises(ValueError):
-        no_good_cut(inst, params, right, scen, 0)
+        no_good_cut(right, 0, greedy_evaluate(inst, params, right, scen, 0))
+
+
+def test_every_builder_requires_violation():
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    scen = gallery.grid_scenarios()
+    right = gallery.grid_schedule_right()
+    g = greedy_evaluate(inst, params, right, scen, 0)
+    assert not g.violated
+    with pytest.raises(ValueError):
+        strong_no_good_cut(right, 0, g)
+    with pytest.raises(ValueError):
+        mis_cut(inst, params, right, scen, 0, g)
+    with pytest.raises(ValueError):
+        select_delay_core(inst, params, right, g, TRIP_LEVEL)
+
+
+@pytest.mark.parametrize("family", CUT_KINDS)
+def test_cut_round_evaluates_each_scenario_once(family, monkeypatch):
+    # greedy evaluations are counted through every binding the cut round and
+    # the builders could call; the left grid schedule breaks both scenarios
+    inst = gallery.two_depot_grid()
+    params = gallery.grid_service_params(inst)
+    scen = gallery.grid_scenarios()
+    left = gallery.grid_schedule_left()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return greedy_evaluate(*args)
+
+    monkeypatch.setattr(bnc, "greedy_evaluate", counted)
+    monkeypatch.setattr(cuts, "greedy_evaluate", counted)
+    cfg, pool = BnCConfig(cut_family=family), set()
+    # a fresh pool: every scenario is cut
+    got = cut_generation_routine(inst, params, scen, cfg, left, np.zeros(2), pool)
+    assert sorted(calls) == sorted({c.s for c in got}) == [0, 1]
+    # the same round again: the family's cuts are all in the pool, so the
+    # strong no-good backstop fires, except for that family itself
+    calls.clear()
+    again = cut_generation_routine(inst, params, scen, cfg, left, np.zeros(2), pool)
+    assert sorted(calls) == [0, 1]
+    if family == STRONG_NO_GOOD:
+        assert again == []
+    else:
+        assert sorted(c.s for c in again) == [0, 1]
+        assert {c.kind for c in again} == {STRONG_NO_GOOD}
 
 
 def test_degenerate_strong_no_good_forces_z():
@@ -277,7 +327,7 @@ def test_degenerate_strong_no_good_forces_z():
     two = Schedule((Bus(1, (1, 2)), Bus(1, (3, 4)), Bus(1, (5,)), Bus(1, (6,))))
     g2 = greedy_evaluate(inst, params, two, late, 0)
     assert g2.z_star == 1
-    cut = strong_no_good_cut(inst, params, two, late, 0)
+    cut = strong_no_good_cut(two, 0, g2)
     assert cut.rhs_const == 2 and dict(cut.pairs) == {(1, 2): 1, (3, 4): 1}
 
 

@@ -120,8 +120,6 @@ def test_greedy_matches_reference_propagation(case):
         y, v, violated = reference_greedy(inst, params, sched, scen, s)
         assert g.y_star.dtype == np.int64 and g.y_star.tolist() == y
         assert g.v_star.dtype == bool and g.v_star.tolist() == v
-        assert g.u_star.dtype == np.int64
-        assert g.u_star.tolist() == [t.max_express for t in inst.trips]
         assert g.delayed == {i for i, ok in enumerate(v, start=1) if not ok}
         assert g.violated == violated and g.z_star == (1 if violated else 0)
         assert violated_requirements(inst, params, np.array(v)) == violated
@@ -148,11 +146,9 @@ def test_changing_a_result_leaves_the_next_call_alone(case):
     inst, params, scen, sched = case
     first = greedy_evaluate(inst, params, sched, scen, 0)
     y = first.y_star.tolist()
-    first.u_star[:] = -1000
     first.y_star[:] = -1
     again = greedy_evaluate(inst, params, sched, scen, 0)
     assert again.y_star.tolist() == y
-    assert again.u_star.tolist() == [t.max_express for t in inst.trips]
 
 
 def test_empty_bus_changes_no_verdict():
