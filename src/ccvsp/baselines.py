@@ -27,6 +27,15 @@ from .subproblem import greedy_evaluate
 MEAN = ("mean", None)
 
 
+class NoSchedule(ValidationError):
+    """The deterministic model ended without a schedule; ``status`` is its
+    MILP status, Infeasible or IterLimit (stopped by the time limit)."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 def percentile(q: float):
     return ("percentile", float(q))
 
@@ -39,7 +48,8 @@ def solve_deterministic(inst: Instance, times=MEAN,
     ``times`` is ("mean", None) or ("percentile", q); percentiles need the
     sampled scenarios. The schedule sequences only pairs of the instance's
     planning set that the chosen table also finds compatible, so it passes
-    ``validate_schedule`` and ``schedule_cost`` prices it.
+    ``validate_schedule`` and ``schedule_cost`` prices it. A model left
+    without a schedule raises ``NoSchedule``.
     """
     kind, q = times
     if kind == "mean":
@@ -61,7 +71,7 @@ def solve_deterministic(inst: Instance, times=MEAN,
     if sol.x is None:
         cause = ("likely insufficient depot capacity" if sol.status == "Infeasible"
                  else "no schedule found within the time limit")
-        raise ValidationError(f"deterministic model is {sol.status}: {cause}")
+        raise NoSchedule(sol.status, f"deterministic model is {sol.status}: {cause}")
     return flow.decode(sol.x)
 
 

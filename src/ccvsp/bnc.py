@@ -127,6 +127,9 @@ class FlowModel:
                 self.x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
             for (i, j) in pairs:
                 self.x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
+        # every arc and, in the same order, its column, for decode's one gather
+        self._arcs = list(self.x)
+        self._arc_cols = np.fromiter(self.x.values(), dtype=np.intp, count=len(self.x))
         # pair -> its column in each depot, in depot order
         self.pair_cols = {p: [self.x[(*p, k)] for k in range(1, K + 1)] for p in pairs}
         # each trip's predecessors and successors among the pairs
@@ -155,8 +158,9 @@ class FlowModel:
             self.model.add_constr(coeffs, EQUAL, 0.0)
 
     def decode(self, x_vals: np.ndarray) -> Schedule:
-        arcs = {arc for arc, j in self.x.items() if x_vals[j] > 0.5}
-        return schedule_from_arcs(self.inst, arcs)
+        """The schedule of the arcs whose column is above one half."""
+        on = (x_vals[self._arc_cols] > 0.5).nonzero()[0]
+        return schedule_from_arcs(self.inst, [self._arcs[i] for i in on.tolist()])
 
 
 class MasterModel(FlowModel):
@@ -177,6 +181,7 @@ class MasterModel(FlowModel):
         super().__init__(inst, inst.compat)
         self.params, self.scen, self.cfg = params, scen, cfg
         self.z = [self.model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
+        self._z_cols = np.array(self.z, dtype=np.intp)
         for k in depots:
             self.add_capacity_row(k)
         for k in depots:
@@ -206,7 +211,7 @@ class MasterModel(FlowModel):
         for s, j in enumerate(self.z):
             self.model.obj[j] = float(z_obj[s])
             self.model.is_int[j] = charged or not self.cfg.relax_z
-        del self.model.rows[self.n_base_rows:]
+        self.model.truncate_rows(self.n_base_rows)
         self.pool.clear()
 
     def solve(self, time_limit: float | None = None,
@@ -255,7 +260,7 @@ class MasterModel(FlowModel):
                          train_violations=bad)
 
     def z_values(self, x_vals: np.ndarray) -> np.ndarray:
-        return np.array([x_vals[j] for j in self.z])
+        return x_vals[self._z_cols]
 
     def cut_row(self, cut: Cut):
         coeffs: dict[int, float] = {}

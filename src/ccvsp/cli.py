@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .baselines import (
     MEAN,
+    NoSchedule,
     evaluate_out_of_sample,
     percentile,
     read_report,
@@ -146,11 +147,15 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     if args.method in ("det-mean", "det-p75"):
         table = MEAN if args.method == "det-mean" else percentile(args.percentile)
-        sched = solve_deterministic(inst, table, scen, time_limit=args.time_limit)
-        doc = {"status": "Optimal", "method": args.method,
-               "objective": schedule_cost(inst, sched),
-               "schedule": schedule_to_json(sched),
-               "time_s": time.monotonic() - t0}
+        try:
+            sched = solve_deterministic(inst, table, scen, time_limit=args.time_limit)
+        except NoSchedule as stop:
+            status, objective, schedule = stop.status, None, None
+        else:
+            status, objective, schedule = ("Optimal", schedule_cost(inst, sched),
+                                           schedule_to_json(sched))
+        doc = {"status": status, "method": args.method, "objective": objective,
+               "schedule": schedule, "time_s": time.monotonic() - t0}
     elif args.method == "bnc":
         res = solve_bnc(inst, params, scen, cfg, time_limit=args.time_limit)
         doc = res.to_json() | {"method": "bnc"}

@@ -16,18 +16,25 @@ picks its entering column from one score array. Both loops keep the basic
 values and bounds in arrays by row, and the masks of the nonbasic columns that
 may rise or fall, up to date across pivots and flips instead of gathering them
 again. The dual steepest-edge norms and scores are taken for the infeasible
-rows only, and the rank-1 inverse update writes its products (through einsum)
-and the result into existing arrays.
+rows only; the dual ratio test builds one candidate mask and finds its
+stopping breakpoint with one search. The rank-1 inverse update writes its
+products (through einsum) and the result into existing arrays.
 
-Work that repeats across solves of one model is kept on the model, under the
-exact bytes of its inputs. The first entry is the dense matrix of the rows,
-read-only, which every solve shares until a row's nonzeros or the column
-count change. The second is the end state of the last completed cold phase
-1: phase 1 does not read the objective, so a cold solve under a new
-objective, or after a refused warm start, begins at phase 2 and still counts
-the phase-1 iterations. The third is the last warm-start basis inverse, since
-sibling nodes start from their parent's basis over the same rows. All of this
-keeps every pivot decision and every reported iteration count bit for bit.
+A model turns each row into arrays once, when it is added, and its rows are
+never edited in place, so one integer, the model's ``revision``, names its
+rows and columns. Work that repeats across solves of one model is kept on the
+model under that revision. The first entry is the dense matrix of the rows,
+with the right-hand sides and slack bounds, read-only, which every solve
+shares until a row or a column is added or rows are truncated. The second is
+the end state of the last completed cold phase 1, under the revision and the
+bytes of the variable bounds: phase 1 does not read the objective, so a cold
+solve under a new objective, or after a refused warm start, begins at phase
+2 and still counts the phase-1 iterations. Truncating back to earlier rows
+restores the earlier revision, so a master returned to its base rows meets
+its phase 1 again. The third is the last warm-start basis inverse, under the
+revision and the basis, since sibling nodes start from their parent's basis
+over the same rows. All of this keeps every pivot decision and every reported
+iteration count bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -53,22 +61,48 @@ LESS, GREATER, EQUAL = "<=", ">=", "=="
 
 
 class MilpModel:
-    """Bounded-variable LP/MILP in row form, minimization."""
+    """Bounded-variable LP/MILP in row form, minimization.
+
+    Each row is turned into arrays of its columns and values once, when it is
+    added. Rows are not edited in place: ``rows`` gives read-only views, and
+    ``truncate_rows`` drops rows from the end. ``revision`` names the rows and
+    the column count: adding a row or a column gives a new revision, and
+    truncating back to rows the model had under the same columns gives the
+    revision it had then, so equal revisions mean equal rows and columns.
+    """
 
     def __init__(self):
         self.obj: list[float] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.is_int: list[bool] = []
-        # each row: (coeffs {var: coef}, sense, rhs)
-        self.rows: list[tuple[dict[int, float], str, float]] = []
+        # each row: its columns and values, sense and right-hand side
+        self._cols: list[np.ndarray] = []
+        self._vals: list[np.ndarray] = []
+        self._sense: list[str] = []
+        self._rhs: list[float] = []
+        # the revision each row was added at, the revision of the last column,
+        # and the last revision handed out
+        self._revision = 0
+        self._row_revs: list[int] = []
+        self._col_rev = 0
+        self._last_rev = 0
         # what the simplex computed on this model and may meet again, each
-        # under the exact bytes of its inputs: the dense matrix of the rows
+        # under the revision it was computed at: the dense matrix of the rows
         # (read-only), the end state of the last completed cold phase 1, and
         # the last warm-start basis inverse
-        self._matrix: tuple[bytes, np.ndarray] | None = None
+        self._matrix: _Matrix | None = None
         self._phase1: _Phase1 | None = None
-        self._inverse: tuple[bytes, np.ndarray | None] | None = None
+        self._inverse: tuple[tuple, np.ndarray | None] | None = None
+
+    def _new_revision(self) -> int:
+        self._last_rev += 1
+        self._revision = self._last_rev
+        return self._revision
+
+    @property
+    def revision(self) -> int:
+        return self._revision
 
     def add_var(self, lb: float = 0.0, ub: float = INF, obj: float = 0.0,
                 is_int: bool = False) -> int:
@@ -80,14 +114,39 @@ class MilpModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_int.append(bool(is_int))
+        self._col_rev = self._new_revision()
         return len(self.obj) - 1
 
-    def add_constr(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
+    def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> int:
         if sense not in (LESS, GREATER, EQUAL):
             raise ValueError(f"unknown sense {sense!r}")
-        self.rows.append(({int(k): float(v) for k, v in coeffs.items() if v != 0.0},
-                          sense, float(rhs)))
-        return len(self.rows) - 1
+        row = {int(k): float(v) for k, v in coeffs.items() if v != 0.0}
+        self._cols.append(np.fromiter(row, dtype=np.intp, count=len(row)))
+        self._vals.append(np.fromiter(row.values(), dtype=float, count=len(row)))
+        self._sense.append(sense)
+        self._rhs.append(float(rhs))
+        self._row_revs.append(self._new_revision())
+        return len(self._rhs) - 1
+
+    def truncate_rows(self, n: int) -> None:
+        """Keep the first ``n`` rows; a no-op when there are no more."""
+        if n >= self.n_rows:
+            return
+        for rows in (self._cols, self._vals, self._sense, self._rhs, self._row_revs):
+            del rows[n:]
+        # the model had these rows and columns at the last row's revision,
+        # unless a column came after it
+        last = self._row_revs[-1] if n else -1
+        if last >= self._col_rev:
+            self._revision = last
+        else:
+            self._new_revision()
+
+    @property
+    def rows(self) -> tuple[tuple[Mapping[int, float], str, float], ...]:
+        """The rows in order, each as (read-only {column: coefficient}, sense, rhs)."""
+        return tuple((MappingProxyType(dict(zip(c.tolist(), v.tolist()))), sense, rhs)
+                     for c, v, sense, rhs in zip(self._cols, self._vals, self._sense, self._rhs))
 
     @property
     def n_vars(self) -> int:
@@ -95,7 +154,7 @@ class MilpModel:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._rhs)
 
 
 @dataclass
@@ -120,10 +179,46 @@ class MilpSolution:
     root_basis: list[int] | None = None
 
 
+class _Matrix(NamedTuple):
+    """What the rows of one model revision fix, all read-only: the dense
+    matrix [rows | slacks | artificials], the right-hand sides and the bounds
+    of the slack columns."""
+
+    revision: int
+    A: np.ndarray
+    b: np.ndarray
+    slack_lo: np.ndarray
+    slack_hi: np.ndarray
+
+    @classmethod
+    def of(cls, model: MilpModel) -> _Matrix:
+        """The model's saved matrix when its revision is current, else a new
+        one, saved on the model."""
+        saved = model._matrix
+        if saved is not None and saved.revision == model.revision:
+            return saved
+        n, m = model.n_vars, model.n_rows
+        A = np.zeros((m, n + 2 * m))
+        if m:
+            counts = np.fromiter(map(len, model._cols), dtype=np.intp, count=m)
+            A[np.repeat(np.arange(m), counts), np.concatenate(model._cols)] = \
+                np.concatenate(model._vals)
+        diag = np.arange(m)
+        A[diag, n + diag] = 1.0        # slacks
+        A[diag, n + m + diag] = 1.0    # artificials
+        sense = np.array(model._sense, dtype=object)
+        arrays = (A, np.array(model._rhs, dtype=float), np.where(sense == GREATER, -INF, 0.0),
+                  np.where(sense == LESS, INF, 0.0))
+        for a in arrays:
+            a.flags.writeable = False
+        model._matrix = cls(model.revision, *arrays)
+        return model._matrix
+
+
 class _Phase1(NamedTuple):
     """End state of a completed cold phase 1, before the artificials are fixed."""
 
-    key: bytes              # the exact bytes of every input phase 1 reads
+    key: tuple              # the model revision and the bytes of the variable bounds
     iterations: int
     infeasible: bool
     basis: list[int]
@@ -139,33 +234,14 @@ class _Simplex:
         self.model = model
         self.n, self.m = n, m
         ncols = n + 2 * m
-        rows = model.rows
-        coeffs = [r[0] for r in rows]
-        counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
-        nnz = int(counts.sum())
-        cj = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
-        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz)
-        # the exact bytes of the rows, which fix the dense matrix
-        self._rows_key = b"".join(p.tobytes() for p in (np.array([n, m]), counts, cj, vals))
-        saved = model._matrix
-        if saved is not None and saved[0] == self._rows_key:
-            self.A = saved[1]
-        else:
-            self.A = np.zeros((m, ncols))
-            self.A[np.repeat(np.arange(m), counts), cj] = vals
-            diag = np.arange(m)
-            self.A[diag, n + diag] = 1.0        # slacks
-            self.A[diag, n + m + diag] = 1.0    # artificials
-            self.A.flags.writeable = False
-            model._matrix = (self._rows_key, self.A)
-        self.b = np.fromiter((r[2] for r in rows), dtype=float, count=m)
-        sense = np.array([r[1] for r in rows], dtype=object)
+        mat = _Matrix.of(model)
+        self.A, self.b = mat.A, mat.b
         self.lo = np.empty(ncols)
         self.hi = np.empty(ncols)
         self.lo[:n] = model.lb if var_lb is None else var_lb
         self.hi[:n] = model.ub if var_ub is None else var_ub
-        self.lo[n: n + m] = np.where(sense == GREATER, -INF, 0.0)
-        self.hi[n: n + m] = np.where(sense == LESS, INF, 0.0)
+        self.lo[n: n + m] = mat.slack_lo
+        self.hi[n: n + m] = mat.slack_hi
         self.cost = np.zeros(ncols)
         self.cost[:n] = model.obj
         self.iterations = 0
@@ -193,27 +269,25 @@ class _Simplex:
         self.x = x
         return np.where(resid >= 0, 1.0, -1.0)
 
-    def _phase1_key(self) -> bytes:
-        """The exact bytes of what phase 1 reads: the rows, the right-hand
-        sides and the bounds of the structural and slack columns."""
-        nm = self.n + self.m
-        return b"".join((self._rows_key, self.b.tobytes(), self.lo[:nm].tobytes(),
-                         self.hi[:nm].tobytes()))
+    def _phase1_key(self) -> tuple:
+        """What phase 1 reads: the rows, which fix the right-hand sides and
+        the slack bounds, and the bounds of the structural columns."""
+        n = self.n
+        return self.model.revision, self.lo[:n].tobytes(), self.hi[:n].tobytes()
 
     def _warm_inverse(self) -> np.ndarray | None:
         """A fresh inverse of the basis matrix, None when it is singular.
 
-        The model keeps the last one under the matrix's exact bytes: sibling
+        The model keeps the last one under its revision and the basis: sibling
         nodes start from their parent's basis over the same rows.
         """
-        B = self.A[:, self.basis]
-        key = B.tobytes()
+        key = (self.model.revision, tuple(self.basis))
         saved = self.model._inverse
         if saved is not None and saved[0] == key:
             inv = saved[1]
         else:
             try:
-                inv = np.linalg.inv(B)
+                inv = np.linalg.inv(self.A[:, self.basis])
             except np.linalg.LinAlgError:
                 inv = None
             self.model._inverse = (key, inv)
@@ -305,12 +379,12 @@ class _Simplex:
             np.divide(bound - xb, step, out=t_rows, where=np.abs(step) > FEAS_TOL)
             t_flip = hi[enter] - lo[enter]
             if m:
-                leave = int(np.argmin(t_rows))
+                leave = int(t_rows.argmin())
                 t_limit = t_rows[leave]
                 if bland and t_limit < INF:
                     # anti-cycling: among tied rows, leave by smallest variable index
-                    ties = np.flatnonzero(t_rows <= t_limit + 1e-12)
-                    leave = int(ties[np.argmin(basis_arr[ties])])
+                    ties = (t_rows <= t_limit + 1e-12).nonzero()[0]
+                    leave = int(ties[basis_arr[ties].argmin()])
                     t_limit = t_rows[leave]
             else:
                 leave, t_limit = -1, INF
@@ -376,7 +450,7 @@ class _Simplex:
             below = lob - xb
             above = xb - hib
             infeas = np.maximum(below, above)
-            bad = np.flatnonzero(infeas > FEAS_TOL)
+            bad = (infeas > FEAS_TOL).nonzero()[0]
             if not bad.size:
                 return self._stop(basis_arr, xb, "Optimal")
             if self.iterations >= max_iter or _expired(deadline):
@@ -388,23 +462,11 @@ class _Simplex:
             # of B^-1, taken for the infeasible rows only
             rows = self.binv[bad]
             ib = infeas[bad]
-            r = int(bad[np.argmax(ib * ib / np.einsum("ij,ij->i", rows, rows))])
+            r = int(bad[(ib * ib / np.einsum("ij,ij->i", rows, rows)).argmax()])
             sign = 1.0 if below[r] > 0 else -1.0     # +1: the basic must rise to its lower bound
             g = sign * (self.binv[r] @ A)
-            can_rise = rise & (g < -PIVOT_TOL)
-            can_fall = fall & (g > PIVOT_TOL)
-            cand = np.flatnonzero(can_rise | can_fall)
-            # bound-flipping ratio test: walk the breakpoints in ratio order; a
-            # boxed column whose whole range still leaves row r out of bounds
-            # flips to its other bound, and the first that would not enters
-            gc = g[cand]
-            agc = np.abs(gc)
-            ratio = np.maximum(d[cand] / -gc, 0.0)
-            order = np.lexsort((-agc, ratio))
-            reach = agc[order] * span[cand[order]]
-            # a reach short of the infeasibility by no more than FEAS_TOL suffices
-            stop = np.flatnonzero(infeas[r] - np.cumsum(reach) <= FEAS_TOL)
-            if not stop.size:
+            step = _dual_ratio(g, d, rise, fall, span, infeas[r])
+            if step is None:
                 if pivots:
                     # rule out drift in the updated values before declaring infeasibility
                     self._refresh(basis_arr)
@@ -412,22 +474,13 @@ class _Simplex:
                     pivots = 0
                     continue
                 return self._stop(basis_arr, xb, "Infeasible")
-            k = int(stop[0])
-            # Harris pass over the remaining breakpoints: the largest pivot among
-            # those within the optimality tolerance of the stopping ratio
-            rest = order[k:]
-            ratio_rest = ratio[rest]
-            near = rest[ratio_rest <= np.min(ratio_rest + OPT_TOL / agc[rest])]
-            pick = near[np.argmax(agc[near])]
-            enter = int(cand[pick])
-            flips = cand[order[:k]]
+            enter, theta, flips, moves = step
             if flips.size:
-                step = np.where(can_rise[flips], span[flips], -span[flips])
-                x[flips] += step
-                xb -= self.binv @ (A[:, flips] @ step)
+                x[flips] += moves
+                xb -= self.binv @ (A[:, flips] @ moves)
                 rise[flips] = x[flips] < hi_tol[flips]
                 fall[flips] = x[flips] > lo_tol[flips]
-            d += ratio[pick] * g
+            d += theta * g
             d[enter] = 0.0
             w = self.binv @ self.A[:, enter]
             out = basis_arr[r]
@@ -563,12 +616,51 @@ def _entering(d: np.ndarray, rise: np.ndarray, fall: np.ndarray,
     if not d.size:
         return None
     score = np.maximum(np.where(rise, -d, 0.0), np.where(fall, d, 0.0))
-    enter = int(np.argmax(score))
+    enter = int(score.argmax())
     if score[enter] <= OPT_TOL:
         return None
     if bland:
-        enter = int(np.argmax(score > OPT_TOL))
+        enter = int((score > OPT_TOL).argmax())
     return enter, 1.0 if d[enter] < 0 else -1.0
+
+
+def _dual_ratio(g: np.ndarray, d: np.ndarray, rise: np.ndarray, fall: np.ndarray,
+                span: np.ndarray, excess: float):
+    """The dual simplex's bound-flipping ratio test on the leaving row.
+
+    ``g`` is the row of B^-1 A, signed so that the basic value must move by
+    ``excess`` against it; ``d`` holds the reduced costs and ``span`` the
+    column ranges. A column may enter when it may rise and g < -PIVOT_TOL, or
+    may fall and g > PIVOT_TOL. The test walks the breakpoints in ratio order
+    (ties: larger |g| first): a boxed column whose whole range still leaves
+    the row out of bounds flips to its other bound, and the first that would
+    not stops the walk. Among the remaining breakpoints within the optimality
+    tolerance of the stopping ratio, the largest |g| enters (Harris).
+
+    Returns (entering column, its ratio, the flipped columns, their moves), or
+    None when even every flip leaves the row out of bounds.
+    """
+    cand = ((rise & (g < -PIVOT_TOL)) | (fall & (g > PIVOT_TOL))).nonzero()[0]
+    if not cand.size:
+        return None
+    gc = g[cand]
+    agc = np.abs(gc)
+    ratio = np.maximum(d[cand] / -gc, 0.0)
+    order = np.lexsort((-agc, ratio))
+    cols = cand[order]                  # the breakpoints in walk order
+    spans = span[cols]
+    # a reach short of the excess by no more than FEAS_TOL suffices
+    enough = excess - np.cumsum(agc[order] * spans) <= FEAS_TOL
+    k = int(enough.argmax())
+    if not enough[k]:
+        return None
+    rest = order[k:]
+    ratio_rest, agc_rest = ratio[rest], agc[rest]
+    near = ratio_rest <= (ratio_rest + OPT_TOL / agc_rest).min()
+    pick = rest[np.where(near, agc_rest, -INF).argmax()]
+    # a candidate with g < 0 may rise, one with g > 0 may fall
+    moves = np.where(gc[order[:k]] < 0, spans[:k], -spans[:k]) if k else spans[:0]
+    return int(cand[pick]), ratio[pick], cols[:k], moves
 
 
 def _expired(deadline: float | None) -> bool:

@@ -8,11 +8,22 @@ from hypothesis import strategies as st
 
 from ccvsp.core import Bus, Depot, Instance, Schedule, ServiceParams, Trip, cc_threshold, schedule_cost
 from ccvsp.lagrangian import restrict
+from ccvsp.milp import MilpModel
 from ccvsp.scenarios import ScenarioSet
 from ccvsp.subproblem import greedy_evaluate
 
 # property tests draw the same examples on every run and keep no example store
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def unsolved_copy(model):
+    """The same columns and rows in a model that has never been solved."""
+    fresh = MilpModel()
+    for args in zip(model.lb, model.ub, model.obj, model.is_int):
+        fresh.add_var(*args)
+    for row in model.rows:
+        fresh.add_constr(*row)
+    return fresh
 
 
 def random_instance(rng, n_trips=6, n_depots=2, n_routes=2, span=30, horizon=400,

@@ -1,21 +1,34 @@
 """Exact branch-and-cut against exhaustive enumeration."""
 
-import copy
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
+    PROPERTY,
     brute_force_cc_optimum,
     enumerate_schedules,
+    random_cases,
     random_instance,
     random_scenarios,
+    unsolved_copy,
 )
 
 from ccvsp import baselines, bnc, gallery, milp
 from ccvsp.bnc import VARIANTS, BnCConfig, MasterModel, cut_generation_routine, solve_bnc
-from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, cc_threshold, schedule_cost
+from ccvsp.core import (
+    Bus,
+    Schedule,
+    ServiceParams,
+    ValidationError,
+    cc_threshold,
+    schedule_cost,
+    schedule_from_arcs,
+    schedule_to_arcs,
+)
 from ccvsp.cuts import CUT_KINDS
 from ccvsp.scenarios import GenParams, generate_instance, sample_scenarios
 from ccvsp.subproblem import count_violated_scenarios, greedy_evaluate
@@ -215,9 +228,7 @@ def test_node_lps_reported_infeasible_are_infeasible(monkeypatch):
     def recording(model, **kw):
         sol = lp_solve(model, **kw)
         if sol.status == "Infeasible":
-            snapshot = copy.copy(model)
-            snapshot.rows = list(model.rows)
-            infeasible.append((snapshot, kw["var_lb"], kw["var_ub"]))
+            infeasible.append((unsolved_copy(model), kw["var_lb"], kw["var_ub"]))
         return sol
 
     monkeypatch.setattr(milp, "lp_solve", recording)
@@ -378,3 +389,37 @@ def test_master_rows_are_pinned(rung, digest):
     params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
                                         delta_route=0.8, epsilon=0.05)
     assert _model_digest(MasterModel(inst, params, scen, BnCConfig()).model) == digest
+
+
+# column values on either side of the decoding threshold, and on it
+_ON = [1.0, np.nextafter(0.5, 1.0)]
+_OFF = [0.0, 0.5, np.nextafter(0.5, 0.0)]
+
+
+@PROPERTY
+@given(random_cases(), st.data())
+def test_decode_reads_the_columns_above_one_half(case, data):
+    """``decode`` gives the schedule of the arcs whose column is above 0.5,
+    read arc by arc, or raises the same error, and ``z_values`` gives the
+    indicator columns' values, byte for byte. The values sit at 0.5 and one
+    ulp either side, and one column may take any of them, which can leave an
+    arc set that is no schedule."""
+    inst, params, scen, sched = case
+    master = MasterModel(inst, params, scen, BnCConfig(use_vi=False))
+    on = {master.x[arc] for arc in schedule_to_arcs(sched)}
+    n = master.model.n_vars
+    x = np.array([data.draw(st.sampled_from(_ON if j in on else _OFF)) for j in range(n)])
+    if data.draw(st.booleans()):
+        x[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from(_ON + _OFF))
+
+    def outcome(decode):
+        try:
+            return decode(x)
+        except ValidationError as exc:
+            return str(exc)
+
+    def by_arc(x_vals):
+        return schedule_from_arcs(inst, {arc for arc, j in master.x.items() if x_vals[j] > 0.5})
+
+    assert outcome(master.decode) == outcome(by_arc)
+    assert master.z_values(x).tobytes() == np.array([x[j] for j in master.z]).tobytes()

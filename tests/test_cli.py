@@ -276,6 +276,46 @@ def test_cli_lagr_time_limit_stop_exits_zero(tmp_path):
     assert doc["schedule"] is None
 
 
+def test_cli_det_time_limit_stop_exits_zero(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    out = tmp_path / "det.json"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "1",
+                 "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
+                 "--seed", "2", "-o", str(scen_path)]) == 0
+    capsys.readouterr()
+    # a stop on the time limit proves nothing: no schedule, but not infeasible
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "det-mean", "--time-limit", "1e-6", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["status"], doc["objective"], doc["schedule"]) == ("IterLimit", None, None)
+    assert capsys.readouterr().out == "det-mean: objective null\n"
+
+
+def test_cli_det_infeasible_exits_two(tmp_path):
+    from ccvsp.core import Depot, Instance, Trip, save_instance
+    from ccvsp.scenarios import ScenarioSet, save_scenarios
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.int64)
+
+    # three trips that overlap need three buses; the two depots hold one each
+    trips = [Trip(i, 1, (0, 0), (5, 0), 100 + i, 10, 0) for i in (1, 2, 3)]
+    inst = Instance(trips, [Depot(1, (0, 0), 1), Depot(2, (0, 0), 1)], [[1, 2, 3]],
+                    zeros(3, 3), zeros(2, 3), zeros(3, 2), zeros(3, 3), zeros(2, 3),
+                    zeros(3, 2), compat=[])
+    save_instance(inst, tmp_path / "overlap.json")
+    save_scenarios(ScenarioSet(np.full((2, 3), 10, dtype=np.int64), zeros(2, 3, 3),
+                               zeros(2, 2, 3), zeros(2, 3, 2)), tmp_path / "overlap.npz")
+    for method in ("det-mean", "det-p75"):
+        out = tmp_path / f"{method}.json"
+        assert main(["solve", "--instance", str(tmp_path / "overlap.json"), "--scenarios-file",
+                     str(tmp_path / "overlap.npz"), "--method", method, "-o", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert (doc["status"], doc["objective"], doc["schedule"]) == ("Infeasible", None, None)
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

@@ -7,17 +7,20 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ccvsp import milp
 from ccvsp.milp import (
     EQUAL,
+    FEAS_TOL,
     GREATER,
     INT_TOL,
     LESS,
     OPT_TOL,
+    PIVOT_TOL,
     MilpModel,
+    _dual_ratio,
     _entering,
     _most_fractional,
     _Simplex,
@@ -25,7 +28,7 @@ from ccvsp.milp import (
     lp_solve,
 )
 
-from conftest import PROPERTY
+from conftest import PROPERTY, unsolved_copy
 
 
 def test_min_x_above_three():
@@ -382,12 +385,14 @@ def _lp_fields(sol):
             None if sol.x is None else sol.x.tobytes())
 
 
-def _unsolved_copy(model):
-    """The same rows, bounds and costs in a model that has never been solved."""
-    fresh = MilpModel()
-    fresh.obj, fresh.lb, fresh.ub = list(model.obj), list(model.lb), list(model.ub)
-    fresh.is_int, fresh.rows = list(model.is_int), list(model.rows)
-    return fresh
+def _replace_row(model, i, coeffs, sense, rhs):
+    """Row i replaced and the rows after it kept in order: rows cannot be
+    edited in place, so truncate at i and add the rows back."""
+    rest = model.rows[i + 1:]
+    model.truncate_rows(i)
+    model.add_constr(coeffs, sense, rhs)
+    for row in rest:
+        model.add_constr(*row)
 
 
 def test_phase1_is_reused_only_for_the_same_rows_and_bounds(monkeypatch):
@@ -425,20 +430,20 @@ def test_phase1_is_reused_only_for_the_same_rows_and_bounds(monkeypatch):
         elif change == "rhs":
             i = int(rng.integers(0, model.n_rows))
             coeffs, sense, rhs = model.rows[i]
-            model.rows[i] = (coeffs, sense, rhs + 0.5)
+            _replace_row(model, i, coeffs, sense, rhs + 0.5)
         elif change == "coefficient":
             i = int(rng.integers(0, model.n_rows))
             coeffs, sense, rhs = model.rows[i]
             j = next(iter(coeffs), 0)
-            model.rows[i] = ({**coeffs, j: coeffs.get(j, 0.0) + 1.0}, sense, rhs)
+            _replace_row(model, i, {**coeffs, j: coeffs.get(j, 0.0) + 1.0}, sense, rhs)
         else:
             # the last solve holds a row that a different one then replaces
             model.add_constr({0: 1.0}, GREATER, 0.5)
             cold(model)
-            del model.rows[-1]
+            model.truncate_rows(model.n_rows - 1)
             model.add_constr({0: 1.0}, GREATER, 0.25)
         got, got_runs = cold(model, lb, ub)
-        want, want_runs = cold(_unsolved_copy(model), lb, ub)
+        want, want_runs = cold(unsolved_copy(model), lb, ub)
         assert _lp_fields(got) == _lp_fields(want), (trial, change)
         if change == "objective":
             assert got_runs == 0, trial
@@ -447,7 +452,7 @@ def test_phase1_is_reused_only_for_the_same_rows_and_bounds(monkeypatch):
             model.obj = [-c for c in model.obj]
             again, again_runs = cold(model)
             assert again_runs == 0, trial
-            assert _lp_fields(again) == _lp_fields(cold(_unsolved_copy(model))[0]), trial
+            assert _lp_fields(again) == _lp_fields(cold(unsolved_copy(model))[0]), trial
         else:
             assert got_runs == want_runs, (trial, change)
             seen["rerun"] += want_runs
@@ -467,7 +472,7 @@ def test_phase1_reuse_keeps_the_iteration_budget():
             continue
         budget = saved.iterations - 1
         assert _lp_fields(_Simplex(model).solve(budget)) \
-            == _lp_fields(_Simplex(_unsolved_copy(model)).solve(budget))
+            == _lp_fields(_Simplex(unsolved_copy(model)).solve(budget))
         assert _lp_fields(_Simplex(model).solve(10_000)) == _lp_fields(full)
         return
     pytest.fail("no random LP needed two phase-1 iterations")
@@ -503,7 +508,7 @@ def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
             else:
                 lb[j] = min(ub[j], float(cut + 1))
             got, got_inv = warm(model, parent.basis, lb, ub)
-            want, want_inv = warm(_unsolved_copy(model), parent.basis, lb, ub)
+            want, want_inv = warm(unsolved_copy(model), parent.basis, lb, ub)
             assert _lp_fields(got) == _lp_fields(want), (trial, side)
             if side == "up":
                 assert got_inv == want_inv - 1, trial
@@ -512,45 +517,93 @@ def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
 
 
 def test_model_keeps_one_matrix_until_its_rows_change():
-    """Solves of one model share one read-only dense matrix while the rows'
-    nonzeros and the column count stay; an in-place coefficient edit,
-    reprice's deletion of lazy rows, an appended lazy row and a new column
-    each build it again. Every solve equals a never-solved copy's, bit for
-    bit."""
+    """Solves of one model share one read-only dense matrix while its revision
+    stays, so under a change of the objective or of the bounds; a replaced
+    row (here its right-hand side changes), reprice's truncation of lazy
+    rows, an appended lazy row and a new column each build it again. Every
+    solve equals a never-solved copy's, bit for bit."""
     rng = np.random.default_rng(31)
-    changes = ("none", "rhs", "objective", "coefficient", "deletion", "lazy row", "column")
+    changes = ("none", "bounds", "objective", "rhs", "truncation", "lazy row", "column")
     for trial in range(70):
         model = _random_lp(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(1, 6)))
         change = changes[trial % len(changes)]
-        if change == "deletion":
+        if change == "truncation":
             model.add_constr({0: 1.0}, GREATER, 0.5)
         first = lp_solve(model)
-        A = model._matrix[1]
+        A = model._matrix.A
         with pytest.raises(ValueError):
             A[0, 0] = 1.0
-        i = int(rng.integers(0, model.n_rows))
-        coeffs, sense, rhs = model.rows[i]
-        if change == "rhs":
-            model.rows[i] = (coeffs, sense, rhs + 0.5)
+        lb = None
+        if change == "bounds":
+            lb = np.array(model.lb)
+            lb[0] = min(0.5, model.ub[0])
         elif change == "objective":
             model.obj = [float(rng.integers(-5, 6)) for _ in model.obj]
-        elif change == "coefficient":
-            j = next(iter(coeffs), 0)
-            coeffs[j] = coeffs.get(j, 0.0) + 0.5
-        elif change == "deletion":
-            del model.rows[-1:]
+        elif change == "rhs":
+            i = int(rng.integers(0, model.n_rows))
+            coeffs, sense, rhs = model.rows[i]
+            _replace_row(model, i, coeffs, sense, rhs + 0.5)
+        elif change == "truncation":
+            model.truncate_rows(model.n_rows - 1)
         elif change == "lazy row":
             model.add_constr({0: 1.0}, LESS, model.ub[0])
         elif change == "column":
             model.add_var(lb=0, ub=3, obj=1.0)
-        sim = _Simplex(model)
-        assert (sim.A is A) == (change in ("none", "rhs", "objective")), (trial, change)
+        sim = _Simplex(model, var_lb=lb)
+        assert (sim.A is A) == (change in ("none", "bounds", "objective")), (trial, change)
         assert not sim.A.flags.writeable
-        assert np.array_equal(sim.A, _Simplex(_unsolved_copy(model)).A), (trial, change)
-        got = lp_solve(model)
-        assert _lp_fields(got) == _lp_fields(lp_solve(_unsolved_copy(model))), (trial, change)
+        assert np.array_equal(sim.A, _Simplex(unsolved_copy(model)).A), (trial, change)
+        got = lp_solve(model, var_lb=lb)
+        assert _lp_fields(got) == _lp_fields(lp_solve(unsolved_copy(model), var_lb=lb)), \
+            (trial, change)
         if change == "none":
             assert _lp_fields(got) == _lp_fields(first), trial
+
+
+def test_rows_change_only_through_a_new_revision():
+    """add_constr, add_var and truncate_rows each give the model a new
+    revision, and truncating back to rows it had under the same columns gives
+    the revision it had then; truncating nothing keeps it. The rows cannot be
+    edited in place, nor can the revision be set."""
+    model = MilpModel()
+    seen = [model.revision]
+    x = model.add_var(lb=0, ub=4, obj=1.0)
+    seen.append(model.revision)
+    model.add_constr({x: 1.0}, GREATER, 1.0)
+    seen.append(model.revision)
+    model.add_constr({x: 2.0}, LESS, 7.0)
+    seen.append(model.revision)
+    assert len(set(seen)) == 4
+    model.truncate_rows(2)
+    assert model.revision == seen[-1]
+    model.truncate_rows(1)
+    assert model.revision == seen[2]
+    model.add_constr({x: 3.0}, LESS, 9.0)
+    assert model.revision not in seen
+    seen.append(model.revision)
+    model.add_var(lb=0, ub=1, obj=0.0)
+    assert model.revision not in seen
+    seen.append(model.revision)
+    # row 0 is older than the new column: no earlier revision had these rows
+    model.truncate_rows(1)
+    assert model.revision not in seen
+    assert model.n_rows == 1
+
+    coeffs, sense, rhs = model.rows[0]
+    assert (dict(coeffs), sense, rhs) == ({x: 1.0}, GREATER, 1.0)
+    revision = model.revision
+    with pytest.raises(TypeError):
+        coeffs[x] = 2.0
+    with pytest.raises(TypeError):
+        model.rows[0] = ({x: 2.0}, sense, rhs)
+    with pytest.raises(TypeError):
+        del model.rows[0]
+    with pytest.raises(AttributeError):
+        model.rows = []
+    with pytest.raises(AttributeError):
+        model.revision = 0
+    assert model.revision == revision
+    assert [(dict(c), s, r) for c, s, r in model.rows] == [({x: 1.0}, GREATER, 1.0)]
 
 
 def _broadcast_pivot(self, basis_arr, leave, enter, w):
@@ -613,6 +666,128 @@ def test_einsum_rank1_update_takes_the_broadcast_pivots():
         == (want_res.status, want_res.objective, want_res.nodes)
     assert got_random >= 180 and len(got) - got_random >= 10, (got_random, len(got))
     assert got_pivots >= 1000, got_pivots
+
+
+def _masked_dual_ratio(g, d, rise, fall, span, excess):
+    """The bound-flipping ratio test with a mask per direction, a search of
+    every stopping breakpoint and a gather of the Harris candidates: the
+    reference."""
+    can_rise = rise & (g < -PIVOT_TOL)
+    can_fall = fall & (g > PIVOT_TOL)
+    cand = np.flatnonzero(can_rise | can_fall)
+    gc = g[cand]
+    agc = np.abs(gc)
+    ratio = np.maximum(d[cand] / -gc, 0.0)
+    order = np.lexsort((-agc, ratio))
+    reach = agc[order] * span[cand[order]]
+    stop = np.flatnonzero(excess - np.cumsum(reach) <= FEAS_TOL)
+    if not stop.size:
+        return None
+    k = int(stop[0])
+    rest = order[k:]
+    ratio_rest = ratio[rest]
+    near = rest[ratio_rest <= np.min(ratio_rest + OPT_TOL / agc[rest])]
+    pick = near[np.argmax(agc[near])]
+    flips = cand[order[:k]]
+    step = np.where(can_rise[flips], span[flips], -span[flips])
+    return int(cand[pick]), ratio[pick], flips, step
+
+
+def _ratio_bytes(result):
+    if result is None:
+        return None
+    enter, theta, flips, moves = result
+    return enter, np.float64(theta).tobytes(), flips.tolist(), moves.tobytes()
+
+
+# row entries at and one ulp around the pivot tolerance, signed zeros and ties
+_ROW = [0.0, -0.0, PIVOT_TOL, -PIVOT_TOL, np.nextafter(PIVOT_TOL, 1.0),
+        -np.nextafter(PIVOT_TOL, 1.0), np.nextafter(PIVOT_TOL, 0.0),
+        -np.nextafter(PIVOT_TOL, 0.0), 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+
+
+@st.composite
+def _ratio_cases(draw):
+    """Rows, reduced costs (zero, tied or arbitrary, so ratios tie), ranges
+    (fixed, boxed or unbounded) and an excess that some prefix of flips
+    may or may not cover."""
+    k = draw(st.integers(0, 14))
+    g = np.array(draw(st.lists(st.one_of(st.sampled_from(_ROW), st.floats(-3.0, 3.0)),
+                               min_size=k, max_size=k)), dtype=float)
+    d = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, OPT_TOL, 2 * OPT_TOL]),
+                                         st.floats(-2.0, 2.0)),
+                               min_size=k, max_size=k)), dtype=float)
+    span = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0, np.inf]),
+                                  min_size=k, max_size=k)), dtype=float)
+    rise = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    fall = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    excess = draw(st.one_of(st.sampled_from([FEAS_TOL, 1.0, 2.0, 3.0 + FEAS_TOL]),
+                            st.floats(0.0, 12.0)))
+    return g, d, rise, fall, span, excess
+
+
+# a Harris tie: the second breakpoint's ratio equals the first one's ratio
+# plus OPT_TOL over its |g|, and its larger |g| makes it enter
+_HARRIS_TIE = (np.array([-1.0, -2.0]), np.array([0.0, 2 * OPT_TOL]), np.array([True, True]),
+               np.array([False, False]), np.array([1.0, 1.0]), FEAS_TOL)
+
+
+@PROPERTY
+@given(_ratio_cases())
+@example(_HARRIS_TIE)
+def test_dual_ratio_matches_the_masked_rule(case):
+    """Entering column, its ratio, the flips and their moves, byte for byte."""
+    got = _dual_ratio(*case)
+    assert _ratio_bytes(got) == _ratio_bytes(_masked_dual_ratio(*case))
+    assert got is None or type(got[0]) is int
+
+
+def test_dual_ratio_takes_the_masked_rule_path_on_every_lp():
+    """Every LP takes the same steps under the reference ratio test, bit for
+    bit: random LPs solved cold and re-solved warm in both branching children,
+    and every LP of the branch-and-cut solve of the (20, 50, 1, 2) benchmark
+    master."""
+    from ccvsp import bnc
+    from ccvsp.core import ServiceParams
+    from ccvsp.scenarios import GenParams, generate_instance, sample_scenarios
+
+    inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
+    scen = sample_scenarios(inst, 50, seed=2)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                        delta_route=0.8, epsilon=0.05)
+
+    def solve_all(ratio_test):
+        steps, sols = [], []
+        solve = milp.lp_solve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(milp, "_dual_ratio",
+                       lambda *a: steps.append(1) or ratio_test(*a))
+            mp.setattr(milp, "lp_solve",
+                       lambda model, **kw: sols.append(solve(model, **kw)) or sols[-1])
+            rng = np.random.default_rng(22)
+            for _ in range(100):
+                model = _random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 7)))
+                cold = milp.lp_solve(model)
+                if cold.status != "Optimal":
+                    continue
+                j = int(rng.integers(0, model.n_vars))
+                lb, ub = np.array(model.lb), np.array(model.ub)
+                ub[j] = max(model.lb[j], math.floor(cold.x[j] - 0.5))
+                milp.lp_solve(model, warm_start=cold.basis, var_ub=ub)
+                lb[j] = min(model.ub[j], math.floor(cold.x[j] + 0.5) + 1.0)
+                milp.lp_solve(model, warm_start=cold.basis, var_lb=lb)
+            random_lps = len(sols)
+            res = bnc.MasterModel(inst, params, scen, bnc.BnCConfig()).solve()
+        return [_lp_fields(s) for s in sols], random_lps, len(steps), res
+
+    got, got_random, got_steps, got_res = solve_all(_dual_ratio)
+    want, want_random, want_steps, want_res = solve_all(_masked_dual_ratio)
+    assert got == want
+    assert got_steps == want_steps
+    assert (got_res.status, got_res.objective, got_res.nodes) \
+        == (want_res.status, want_res.objective, want_res.nodes)
+    assert got_random >= 250 and len(got) - got_random >= 5, (got_random, len(got))
+    assert got_steps >= 300, got_steps
 
 
 def test_time_limit_holds_inside_one_lp(monkeypatch):
