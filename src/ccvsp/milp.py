@@ -33,8 +33,9 @@ solve under a new objective, or after a refused warm start, begins at phase
 restores the earlier revision, so a master returned to its base rows meets
 its phase 1 again. The third is the last warm-start basis inverse, under the
 revision and the basis, since sibling nodes start from their parent's basis
-over the same rows. All of this keeps every pivot decision and every reported
-iteration count bit for bit.
+over the same rows; a basis that only swaps in columns of equal bytes has the
+same matrix and shares it. All of this keeps every pivot decision and every
+reported iteration count bit for bit.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class MilpModel:
         # the last warm-start basis inverse
         self._matrix: _Matrix | None = None
         self._phase1: _Phase1 | None = None
-        self._inverse: tuple[tuple, np.ndarray | None] | None = None
+        self._inverse: tuple[int, np.ndarray, np.ndarray | None] | None = None
 
     def _new_revision(self) -> int:
         self._last_rev += 1
@@ -279,19 +280,32 @@ class _Simplex:
         """A fresh inverse of the basis matrix, None when it is singular.
 
         The model keeps the last one under its revision and the basis: sibling
-        nodes start from their parent's basis over the same rows.
+        nodes start from their parent's basis over the same rows. A basis that
+        differs from the saved one only by columns of equal bytes, such as
+        indicators that only the budget row holds, has the same matrix and
+        shares it.
         """
-        key = (self.model.revision, tuple(self.basis))
+        basis = np.array(self.basis)
         saved = self.model._inverse
-        if saved is not None and saved[0] == key:
-            inv = saved[1]
+        if saved is not None and self._same_basis_matrix(*saved[:2]):
+            inv = saved[2]
         else:
             try:
-                inv = np.linalg.inv(self.A[:, self.basis])
+                inv = np.linalg.inv(self.A[:, basis])
             except np.linalg.LinAlgError:
                 inv = None
-            self.model._inverse = (key, inv)
+            self.model._inverse = (self.model.revision, basis, inv)
         return None if inv is None else inv.copy()
+
+    def _same_basis_matrix(self, revision: int, basis: np.ndarray) -> bool:
+        """Whether ``basis`` under ``revision`` has this basis's matrix, byte
+        for byte: the same rows, and in each position the same column or one
+        with the same bytes in the dense matrix."""
+        if revision != self.model.revision:
+            return False
+        swapped = (basis != self.basis).nonzero()[0]
+        return self.A[:, basis[swapped]].tobytes() \
+            == self.A[:, np.take(self.basis, swapped)].tobytes()
 
     def _refactor(self):
         try:

@@ -24,22 +24,25 @@ from .core import (
 
 
 SCENARIO_TABLES = ("dur", "travel", "out_t", "in_t")
+INT16_MAX = int(np.iinfo(np.int16).max)
 INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def _int32_table(name: str, table) -> np.ndarray:
-    """``table`` as int32 minutes; ValidationError unless its values are
-    integers in [0, 2**31)."""
+def _narrow_table(name: str, table) -> np.ndarray:
+    """``table`` as int16 minutes when its values fit, else as int32;
+    ValidationError unless its values are integers in [0, 2**31)."""
     arr = np.asarray(table)
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"scenario table {name} has dtype {arr.dtype}, "
                               f"not integer minutes")
+    top = 0
     if arr.size:
         if arr.min() < 0:
             raise ValidationError(f"scenario table {name} has negative times")
-        if arr.max() > INT32_MAX:
+        top = arr.max()
+        if top > INT32_MAX:
             raise ValidationError(f"scenario table {name} has times of 2**31 or more")
-    return arr.astype(np.int32, copy=False)
+    return arr.astype(np.int16 if top <= INT16_MAX else np.int32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,10 @@ class ScenarioSet:
 
     ``dur[s, i-1]`` is trip i's duration, ``travel[s, i-1, j-1]`` the deadhead
     time between trips (meaningful on compatible pairs), ``out_t``/``in_t`` the
-    depot deadheads. Every table is stored as int32; any integer table with
-    values in [0, 2**31) is accepted and converted.
+    depot deadheads. Each table is stored as int16 when all of its values lie
+    in [0, 32767] minutes and as int32 otherwise; any integer table with
+    values in [0, 2**31) is accepted and converted. Sums of table values
+    must be taken in int64: int16 + int16 wraps past 32767.
     """
 
     dur: np.ndarray          # (S, I)
@@ -60,7 +65,7 @@ class ScenarioSet:
 
     def __post_init__(self):
         for name in SCENARIO_TABLES:
-            object.__setattr__(self, name, _int32_table(name, getattr(self, name)))
+            object.__setattr__(self, name, _narrow_table(name, getattr(self, name)))
         if self.count < 1:
             raise ValidationError("a scenario set needs at least one scenario")
 
@@ -229,7 +234,8 @@ def _lognormal_rounded(rng: np.random.Generator, means: np.ndarray, cv: float) -
     return out
 
 
-# bytes of each float temporary of the block-wise sampler
+# bytes of the float normals of one block of the sampler, its one temporary:
+# the transform runs in place and writes into the int16 or int32 tables
 SAMPLE_BLOCK_BYTES = 2 << 20
 
 
@@ -243,8 +249,10 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     pull-out and pull-in tables, in that order; each table equals, bit for
     bit, what one ``_lognormal_rounded`` call per table on that substream
     gives. The transform runs on blocks of scenarios whose normals take about
-    ``SAMPLE_BLOCK_BYTES``, written straight into the int32 tables. ``cv``
-    defaults to the generator's ``lognormal_cv`` recorded in the instance meta.
+    ``SAMPLE_BLOCK_BYTES``, written straight into int16 tables; a table is
+    widened to int32 once a block's values for it pass 32767, as
+    ``ScenarioSet`` stores it. ``cv`` defaults to the generator's
+    ``lognormal_cv`` recorded in the instance meta.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
@@ -254,7 +262,7 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     means = (np.array([t.mean_dur for t in inst.trips], dtype=float),
              inst.dh_time.astype(float), inst.out_time.astype(float),
              inst.in_time.astype(float))
-    tables = [np.zeros((S, *m.shape), dtype=np.int32) for m in means]
+    tables = [np.zeros((S, *m.shape), dtype=np.int16) for m in means]
     # each table's positive entries, as flat indexes, and their spans in one draw
     flat = [np.flatnonzero(m > 0) for m in means]
     sizes = [f.size for f in flat]
@@ -269,10 +277,16 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b0 + r,)))
             rng.standard_normal(out=row)
         vals = _transform_normals(mu, sigma, zb)
-        if P and vals.max() > INT32_MAX:
-            raise ValidationError("sampled times reach 2**31 minutes; the means are too large")
-        for table, idx, hi, n in zip(tables, flat, ends, sizes):
-            table[b0:b0 + len(zb)].reshape(len(zb), -1)[:, idx] = vals[:, hi - n:hi]
+        for t, (idx, hi, n) in enumerate(zip(flat, ends, sizes)):
+            if not n:
+                continue
+            part = vals[:, hi - n:hi]
+            top = part.max()
+            if top > INT32_MAX:
+                raise ValidationError("sampled times reach 2**31 minutes; the means are too large")
+            if top > INT16_MAX and tables[t].dtype == np.int16:
+                tables[t] = tables[t].astype(np.int32)
+            tables[t][b0:b0 + len(zb)].reshape(len(zb), -1)[:, idx] = part
     return ScenarioSet(*tables, rng_seed=seed)
 
 

@@ -80,9 +80,9 @@ def pair_legs(inst: Instance, scen: ScenarioSet, s, prev: np.ndarray,
     """d_j + t_ji - e_j of the pairs (prev[k], nxt[k]) (0-based) on the last
     axis, in scenario ``s``: an index, or ``slice(None)`` for all.
 
-    The int32 duration meets the int64 expressing allowance first, so the sum
-    is taken in int64 and cannot wrap at the int32 limit. ``take`` gathers a
-    single scenario's short rows faster than fancy indexing does.
+    The int16 or int32 duration meets the int64 expressing allowance first,
+    so the sum is taken in int64 and wraps at neither type's limit. ``take``
+    gathers a single scenario's short rows faster than fancy indexing does.
     """
     return (scen.dur[s].take(prev, axis=-1) - inst.max_express.take(prev)
             + scen.travel[s][..., prev, nxt])

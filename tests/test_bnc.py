@@ -216,12 +216,10 @@ def test_gap_stop_bound_never_exceeds_objective():
 
 
 def test_node_lps_reported_infeasible_are_infeasible(monkeypatch):
-    # this rung has node LPs whose bound-flipping reach matches a row's
-    # infeasibility only up to rounding; they are feasible, not prunable
-    inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
-    scen = sample_scenarios(inst, 300, seed=2)
-    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
-                                        delta_route=0.8, epsilon=0.05)
+    # the first rung has node LPs whose bound-flipping reach matches a row's
+    # infeasibility only up to rounding; they are feasible, not prunable. The
+    # second, with every trip required on time, has node LPs that are
+    # infeasible, and each must stay so when solved cold.
     infeasible = []
     lp_solve = milp.lp_solve
 
@@ -232,9 +230,15 @@ def test_node_lps_reported_infeasible_are_infeasible(monkeypatch):
         return sol
 
     monkeypatch.setattr(milp, "lp_solve", recording)
-    res = solve_bnc(inst, params, scen, BnCConfig())
-    assert res.status == "Optimal"
-    assert res.objective == pytest.approx(3291)
+    for n_scen, rates, epsilon, cost in ((300, (0.9, 0.8), 0.05, 3291),
+                                         (50, (1.0, 1.0), 0.1, 3359)):
+        inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
+        scen = sample_scenarios(inst, n_scen, seed=2)
+        params = ServiceParams.for_instance(inst, 1, 5, *rates, epsilon)
+        res = solve_bnc(inst, params, scen, BnCConfig())
+        assert res.status == "Optimal"
+        assert res.objective == pytest.approx(cost)
+    assert infeasible
     for model, lb, ub in infeasible:
         cold = milp._Simplex(model, var_lb=lb, var_ub=ub).solve(10**6)
         assert cold.status == "Infeasible", (model.n_rows, cold.status, cold.obj)

@@ -516,6 +516,64 @@ def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
     assert reused >= 80, reused
 
 
+def _with_twin_columns(model):
+    """A copy of ``model`` with one more column per column of the first two:
+    the same coefficient in every row, with other bounds and cost. Returns
+    the copy and {column: its twin}."""
+    twin = unsolved_copy(model)
+    twins = {j: twin.add_var(0, model.ub[j] + 1, model.obj[j] - 1) for j in range(2)}
+    twin.truncate_rows(0)
+    for coeffs, sense, rhs in model.rows:
+        twin.add_constr({**coeffs, **{t: coeffs[j] for j, t in twins.items() if j in coeffs}},
+                        sense, rhs)
+    return twin, twins
+
+
+def test_basis_with_twin_columns_shares_the_inverse(monkeypatch):
+    """A warm start whose basis differs from the saved inverse's only by a
+    column of equal bytes has the same basis matrix and shares that inverse;
+    one that swaps in another column inverts again. Each solve equals a
+    never-solved model's warm solve, bit for bit."""
+    inversions = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+
+    def warm(model, basis):
+        inversions.clear()
+        sol = lp_solve(model, warm_start=basis)
+        return sol, len(inversions)
+
+    rng = np.random.default_rng(21)
+    seen = {"twin": 0, "other": 0}
+    for trial in range(200):
+        model, twins = _with_twin_columns(
+            _random_lp(rng, n=int(rng.integers(3, 8)), m=int(rng.integers(2, 6))))
+        # the same history, then ``ref`` forgets its inverse and must invert
+        ref = unsolved_copy(model)
+        first = lp_solve(model)
+        lp_solve(ref)
+        if first.status != "Optimal":
+            continue
+        basic = [j for j in twins if j in first.basis]
+        others = [k for k in range(model.n_vars)
+                  if k not in first.basis and k not in twins.values()]
+        if not basic or not others:
+            continue
+        j = basic[0]
+        for kind, k in (("twin", twins[j]), ("other", others[0])):
+            basis = [k if b == j else b for b in first.basis]
+            for m in (model, ref):
+                warm(m, first.basis)
+            ref._inverse = None
+            got, got_inv = warm(model, basis)
+            want, want_inv = warm(ref, basis)
+            assert _lp_fields(got) == _lp_fields(want) \
+                == _lp_fields(lp_solve(unsolved_copy(model), warm_start=basis)), (trial, kind)
+            assert got_inv == want_inv - (kind == "twin"), (trial, kind)
+            seen[kind] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_model_keeps_one_matrix_until_its_rows_change():
     """Solves of one model share one read-only dense matrix while its revision
     stays, so under a change of the objective or of the bounds; a replaced

@@ -1,5 +1,6 @@
 """Instance generation and scenario sampling."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,7 +27,7 @@ from ccvsp.core import (
     instance_from_json,
     instance_to_json,
 )
-from ccvsp.lagrangian import solve_lagrangian
+from ccvsp.lagrangian import restrict, solve_lagrangian
 from ccvsp.scenarios import (
     GenParams,
     ScenarioSet,
@@ -260,23 +261,39 @@ def test_generated_tables_match_their_recorded_digests(key):
     assert _digest(inst.dh_time, inst.out_time, inst.in_time,
                    inst.cost, inst.out_cost, inst.in_cost) == inst_digest
     scen = sample_scenarios(inst, n_scen, seed=seed)
-    assert all(getattr(scen, name).dtype == np.int32 for name in scenarios.SCENARIO_TABLES)
+    # every generated time fits in 16 bits
+    assert all(getattr(scen, name).dtype == np.int16 for name in scenarios.SCENARIO_TABLES)
     assert _digest(scen.dur, scen.travel, scen.out_t, scen.in_t) == scen_digest
+
+
+def _with_long_trip(inst, trip, mean_dur):
+    """``inst`` with trip ``trip``'s mean duration set to ``mean_dur``."""
+    trips = list(inst.trips)
+    trips[trip - 1] = dataclasses.replace(trips[trip - 1], mean_dur=mean_dur)
+    return Instance(trips, inst.depots, inst.routes, inst.dh_time, inst.out_time,
+                    inst.in_time, inst.cost, inst.out_cost, inst.in_cost,
+                    build_compat(trips, inst.dh_time), inst.meta)
 
 
 @pytest.mark.parametrize("block_bytes", [8, 3000, 2 << 20])
 def test_block_sampler_equals_one_call_per_table(monkeypatch, block_bytes):
-    # blocks of one scenario, of a few with a short last block, and of all
+    # blocks of one scenario, of a few with a short last block, and of all;
+    # in the second instance trip 6's durations pass 32767 first in scenario
+    # 4, so the dur table is widened to int32 after blocks were written
     inst = generate_instance(GenParams(n_trips=12, n_depots=3, trips_per_route=4, seed=4))
     monkeypatch.setattr(scenarios, "SAMPLE_BLOCK_BYTES", block_bytes)
-    scen = sample_scenarios(inst, 7, seed=11, cv=0.3)
-    for s in range(7):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(s,)))
-        for name, means in (("dur", [t.mean_dur for t in inst.trips]),
-                            ("travel", inst.dh_time), ("out_t", inst.out_time),
-                            ("in_t", inst.in_time)):
-            assert np.array_equal(getattr(scen, name)[s],
-                                  _lognormal_rounded(rng, means, 0.3)), (s, name)
+    for case, dur_dtype in ((inst, np.int16), (_with_long_trip(inst, 6, 28_000), np.int32)):
+        scen = sample_scenarios(case, 7, seed=11, cv=0.3)
+        assert [getattr(scen, n).dtype for n in scenarios.SCENARIO_TABLES] \
+            == [dur_dtype, np.int16, np.int16, np.int16]
+        for s in range(7):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(s,)))
+            for name, means in (("dur", [t.mean_dur for t in case.trips]),
+                                ("travel", case.dh_time), ("out_t", case.out_time),
+                                ("in_t", case.in_time)):
+                assert np.array_equal(getattr(scen, name)[s],
+                                      _lognormal_rounded(rng, means, 0.3)), (s, name)
+    assert scen.dur[:4].max() <= 32767 < scen.dur[4].max()
 
 
 def test_sampler_refuses_times_beyond_int32():
@@ -296,7 +313,7 @@ def _tables(S=2, I=3, K=2, dtype=np.int64):
 def test_scenario_set_refuses_float_large_and_negative_tables(name):
     tables = _tables()
     scen = ScenarioSet(**tables)
-    assert all(getattr(scen, n).dtype == np.int32 for n in scenarios.SCENARIO_TABLES)
+    assert all(getattr(scen, n).dtype == np.int16 for n in scenarios.SCENARIO_TABLES)
     for bad, match in ((tables[name].astype(float), "dtype float64"),
                        (tables[name].astype(bool), "dtype bool"),
                        (tables[name] + 2**31, "times of 2\\*\\*31 or more"),
@@ -308,20 +325,54 @@ def test_scenario_set_refuses_float_large_and_negative_tables(name):
     assert getattr(edge, name).dtype == np.int32 and (getattr(edge, name) == 2**31 - 1).all()
 
 
-def test_int64_scenario_file_loads_as_int32():
+def test_int64_and_int32_scenario_files_load_narrowed():
     inst = generate_instance(GenParams(n_trips=10, n_depots=2, trips_per_route=5, seed=17))
     scen = sample_scenarios(inst, 6, seed=4)
-    buf = io.BytesIO()
-    # the layout of files written when the tables were int64
-    np.savez_compressed(buf, **{n: getattr(scen, n).astype(np.int64)
-                                for n in scenarios.SCENARIO_TABLES},
-                        rng_seed=np.array([scen.rng_seed]))
-    buf.seek(0)
-    loaded = load_scenarios(buf)
+    # the layouts of files written when the tables were int64, then int32
+    for dtype in (np.int64, np.int32):
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **{n: getattr(scen, n).astype(dtype)
+                                    for n in scenarios.SCENARIO_TABLES},
+                            rng_seed=np.array([scen.rng_seed]))
+        buf.seek(0)
+        loaded = load_scenarios(buf)
+        for name in scenarios.SCENARIO_TABLES:
+            a, b = getattr(scen, name), getattr(loaded, name)
+            assert b.dtype == np.int16 and np.array_equal(a, b), (dtype, name)
+        assert loaded.rng_seed == 4
+
+
+@pytest.mark.parametrize("top, dtype", [(32767, np.int16), (32768, np.int32)])
+def test_tables_are_int16_up_to_32767_and_int32_above(top, dtype):
+    """Each table takes its own type from its largest value, and restriction,
+    percentiles and a file round trip keep the values and the type."""
+    inst = generate_instance(GenParams(n_trips=6, n_depots=2, trips_per_route=3, seed=1))
+    base = sample_scenarios(inst, 5, seed=2)
+    tables = {n: getattr(base, n) for n in scenarios.SCENARIO_TABLES}
     for name in scenarios.SCENARIO_TABLES:
-        a, b = getattr(scen, name), getattr(loaded, name)
-        assert b.dtype == np.int32 and np.array_equal(a, b), name
-    assert loaded.rng_seed == 4
+        edited = tables[name].astype(np.int64)
+        edited.reshape(5, -1)[:, -1] = top
+        scen = ScenarioSet(**{**tables, name: edited})
+        assert getattr(scen, name).dtype == dtype, name
+        assert np.array_equal(getattr(scen, name), edited), name
+        others = [n for n in scenarios.SCENARIO_TABLES if n != name]
+        assert all(getattr(scen, n).dtype == np.int16 for n in others), name
+        buf = io.BytesIO()
+        save_scenarios(scen, buf)
+        buf.seek(0)
+        loaded = load_scenarios(buf)
+        assert getattr(loaded, name).dtype == dtype
+        assert np.array_equal(getattr(loaded, name), edited), name
+    scen = ScenarioSet(**{**tables, "dur": np.full(base.dur.shape, top),
+                          "travel": np.full(base.travel.shape, top)})
+    dur, travel = percentile_times(inst, scen, 50)
+    assert dur.dtype == travel.dtype == dtype and (dur == top).all() and (travel == top).all()
+    sub = restrict(inst, scen, [2, 4, 5]).scen
+    assert sub.dur.dtype == sub.travel.dtype == dtype and (sub.dur == top).all()
+    # a restriction that drops every wide entry narrows
+    wide_first = np.where(np.arange(6) == 0, top, base.dur.astype(np.int64))
+    narrow = ScenarioSet(**{**tables, "dur": wide_first})
+    assert restrict(inst, narrow, [2, 3]).scen.dur.dtype == np.int16
 
 
 def test_vector_distance_equals_the_scalar_one():

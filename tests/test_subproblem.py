@@ -264,17 +264,17 @@ def _python_int_verdict(inst, params, sched, scen, s):
     return late, broken
 
 
-def _limit_scenarios(rng, inst, base, n):
+def _limit_scenarios(rng, inst, base, n, top=INT32_MAX):
     """Copies of ``base``'s first scenario whose durations and deadheads are
-    set, entry by entry, to 0 or the int32 maximum with probability 1/4 each."""
+    set, entry by entry, to 0 or ``top`` with probability 1/4 each."""
     tables = {name: np.repeat(getattr(base, name)[:1], n, axis=0).astype(np.int64)
               for name in ("dur", "travel", "out_t", "in_t")}
     for name in ("dur", "travel"):
         pick = rng.random(tables[name].shape)
-        tables[name][pick < 0.25] = INT32_MAX
+        tables[name][pick < 0.25] = top
         tables[name][(pick >= 0.25) & (pick < 0.5)] = 0
-    tables["dur"][0, :] = INT32_MAX      # every leg at the limit in scenario 0
-    tables["travel"][0] = INT32_MAX
+    tables["dur"][0, :] = top            # every leg at the limit in scenario 0
+    tables["travel"][0] = top
     return ScenarioSet(**tables)
 
 
@@ -283,7 +283,7 @@ def test_evaluators_agree_at_the_int32_limits():
     evaluator, the batch evaluator and a Python-int propagation agree."""
     inst = gallery.two_depot_grid()
     params = gallery.grid_service_params(inst)
-    dur = gallery.grid_scenarios().dur.copy()
+    dur = gallery.grid_scenarios().dur.astype(np.int64)
     dur[0, 0] = INT32_MAX                  # trip 1, first of the left schedule's bus 1
     base = gallery.grid_scenarios()
     scen = ScenarioSet(dur, base.travel, base.out_t, base.in_t)
@@ -313,3 +313,32 @@ def test_evaluators_agree_at_the_int32_limits():
             assert np.array_equal(v[s], g.v_star)
             limit_breaks += want
     assert limit_breaks >= 10, limit_breaks
+
+
+@pytest.mark.parametrize("top", [32767, 32768])
+def test_evaluators_and_oracle_agree_at_the_int16_limit(top):
+    """Tables whose largest value is 32767 are stored as int16, at 32768 as
+    int32. In both, where a duration plus a deadhead passes 32767, the greedy
+    evaluator, the batch evaluator, the MILP oracle and a Python-int
+    propagation agree. Starts spread over 120,000 minutes make some of those
+    legs late and others not."""
+    rng = np.random.default_rng(47)
+    verdicts = [0, 0]
+    for _ in range(6):
+        inst = random_instance(rng, n_trips=int(rng.integers(4, 7)), horizon=120_000)
+        params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.7,
+                                            delta_route=0.5, epsilon=0.2)
+        sched = random_schedule(rng, inst)
+        scen = _limit_scenarios(rng, inst, random_scenarios(rng, inst, 1), 4, top)
+        assert scen.dur.dtype == scen.travel.dtype == (np.int16 if top == 32767 else np.int32)
+        broken, v = evaluate_scenarios(inst, params, sched, scen)
+        for s in range(scen.count):
+            late, want = _python_int_verdict(inst, params, sched, scen, s)
+            g = greedy_evaluate(inst, params, sched, scen, s)
+            z, _, v_oracle = milp_subproblem_oracle(inst, params, sched, scen, s)
+            assert g.delayed == late
+            assert g.z_star == int(want) == int(broken[s]) == z
+            assert np.array_equal(v[s], g.v_star)
+            assert int(v_oracle.sum()) == g.on_time_count()
+            verdicts[want] += 1
+    assert min(verdicts) >= 3, verdicts
