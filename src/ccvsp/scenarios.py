@@ -24,13 +24,22 @@ from .core import (
 
 
 SCENARIO_TABLES = ("dur", "travel", "out_t", "in_t")
-INT16_MAX = int(np.iinfo(np.int16).max)
 INT32_MAX = int(np.iinfo(np.int32).max)
+# the widths a table may take, narrowest first; int64 only for a duration
+# table whose legs pass 2**31 - 1
+TABLE_TYPES = (np.uint8, np.int16, np.int32, np.int64)
 
 
-def _narrow_table(name: str, table) -> np.ndarray:
-    """``table`` as int16 minutes when its values fit, else as int32;
-    ValidationError unless its values are integers in [0, 2**31)."""
+def _narrowest(top: int) -> type:
+    """The first of ``TABLE_TYPES`` that holds the value ``top``."""
+    return next(t for t in TABLE_TYPES if top <= np.iinfo(t).max)
+
+
+def _narrow_table(name: str, table, extra: int = 0) -> np.ndarray:
+    """``table`` in the narrowest of uint8, int16, int32 and int64 that holds
+    its largest value plus ``extra``; ValidationError unless its values are
+    integers in [0, 2**31). For ``dur``, ``extra`` is the largest deadhead,
+    so a leg ``dur + travel`` never wraps in the tables' own types."""
     arr = np.asarray(table)
     if arr.dtype.kind not in "iu":
         raise ValidationError(f"scenario table {name} has dtype {arr.dtype}, "
@@ -39,10 +48,11 @@ def _narrow_table(name: str, table) -> np.ndarray:
     if arr.size:
         if arr.min() < 0:
             raise ValidationError(f"scenario table {name} has negative times")
-        top = arr.max()
+        # a Python int: a uint8 or int16 scalar plus ``extra`` would wrap
+        top = int(arr.max())
         if top > INT32_MAX:
             raise ValidationError(f"scenario table {name} has times of 2**31 or more")
-    return arr.astype(np.int16 if top <= INT16_MAX else np.int32, copy=False)
+    return arr.astype(_narrowest(top + extra), copy=False)
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,13 @@ class ScenarioSet:
 
     ``dur[s, i-1]`` is trip i's duration, ``travel[s, i-1, j-1]`` the deadhead
     time between trips (meaningful on compatible pairs), ``out_t``/``in_t`` the
-    depot deadheads. Each table is stored as int16 when all of its values lie
-    in [0, 32767] minutes and as int32 otherwise; any integer table with
-    values in [0, 2**31) is accepted and converted. Sums of table values
-    must be taken in int64: int16 + int16 wraps past 32767.
+    depot deadheads. Any integer table with values in [0, 2**31) is accepted
+    and converted: ``travel``, ``out_t`` and ``in_t`` each to the narrowest of
+    uint8, int16 and int32 that holds their values, and ``dur`` to the
+    narrowest type that holds its largest value plus the largest deadhead
+    (int64 only when that passes 2**31 - 1). So ``dur[:, :, None] + travel``
+    never wraps in the tables' own types. Every other sum or difference of
+    table values must be taken in int64: uint8 - 1 wraps to 255 silently.
     """
 
     dur: np.ndarray          # (S, I)
@@ -64,8 +77,10 @@ class ScenarioSet:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in SCENARIO_TABLES:
+        for name in ("travel", "out_t", "in_t"):
             object.__setattr__(self, name, _narrow_table(name, getattr(self, name)))
+        object.__setattr__(self, "dur", _narrow_table("dur", self.dur,
+                                                      int(self.travel.max(initial=0))))
         if self.count < 1:
             raise ValidationError("a scenario set needs at least one scenario")
 
@@ -235,7 +250,7 @@ def _lognormal_rounded(rng: np.random.Generator, means: np.ndarray, cv: float) -
 
 
 # bytes of the float normals of one block of the sampler, its one temporary:
-# the transform runs in place and writes into the int16 or int32 tables
+# the transform runs in place and writes into the uint8, int16 or int32 tables
 SAMPLE_BLOCK_BYTES = 2 << 20
 
 
@@ -249,10 +264,11 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     pull-out and pull-in tables, in that order; each table equals, bit for
     bit, what one ``_lognormal_rounded`` call per table on that substream
     gives. The transform runs on blocks of scenarios whose normals take about
-    ``SAMPLE_BLOCK_BYTES``, written straight into int16 tables; a table is
-    widened to int32 once a block's values for it pass 32767, as
-    ``ScenarioSet`` stores it. ``cv`` defaults to the generator's
-    ``lognormal_cv`` recorded in the instance meta.
+    ``SAMPLE_BLOCK_BYTES``, written straight into uint8 tables; a table is
+    widened to int16 or int32 once a block's values for it pass 255 or
+    32767, and ``ScenarioSet`` then widens ``dur`` by its leg rule. ``cv``
+    defaults to the generator's ``lognormal_cv`` recorded in the instance
+    meta.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
@@ -262,7 +278,7 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     means = (np.array([t.mean_dur for t in inst.trips], dtype=float),
              inst.dh_time.astype(float), inst.out_time.astype(float),
              inst.in_time.astype(float))
-    tables = [np.zeros((S, *m.shape), dtype=np.int16) for m in means]
+    tables = [np.zeros((S, *m.shape), dtype=np.uint8) for m in means]
     # each table's positive entries, as flat indexes, and their spans in one draw
     flat = [np.flatnonzero(m > 0) for m in means]
     sizes = [f.size for f in flat]
@@ -284,8 +300,8 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
             top = part.max()
             if top > INT32_MAX:
                 raise ValidationError("sampled times reach 2**31 minutes; the means are too large")
-            if top > INT16_MAX and tables[t].dtype == np.int16:
-                tables[t] = tables[t].astype(np.int32)
+            if top > np.iinfo(tables[t].dtype).max:
+                tables[t] = tables[t].astype(_narrowest(top))
             tables[t][b0:b0 + len(zb)].reshape(len(zb), -1)[:, idx] = part
     return ScenarioSet(*tables, rng_seed=seed)
 

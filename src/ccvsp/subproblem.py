@@ -80,8 +80,9 @@ def pair_legs(inst: Instance, scen: ScenarioSet, s, prev: np.ndarray,
     """d_j + t_ji - e_j of the pairs (prev[k], nxt[k]) (0-based) on the last
     axis, in scenario ``s``: an index, or ``slice(None)`` for all.
 
-    The int16 or int32 duration meets the int64 expressing allowance first,
-    so the sum is taken in int64 and wraps at neither type's limit. ``take``
+    The uint8, int16, int32 or int64 duration meets the int64 expressing
+    allowance first, so the sum is taken in int64: a uint8 duration less its
+    allowance does not wrap below 0, and no leg wraps at 2**31. ``take``
     gathers a single scenario's short rows faster than fancy indexing does.
     """
     return (scen.dur[s].take(prev, axis=-1) - inst.max_express.take(prev)

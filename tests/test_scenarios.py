@@ -202,6 +202,23 @@ def test_instance_and_scenarios_survive_round_trip(case):
         assert np.array_equal(g.y_star, g2.y_star) and g.violated == g2.violated
 
 
+def _fits(top: int):
+    """The narrowest of uint8, int16, int32 and int64 that holds ``top``."""
+    return next(t for t in (np.uint8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
+
+
+def _rule_types(dur, travel, out_t, in_t) -> list:
+    """The types a ``ScenarioSet`` gives its tables: each holds its largest
+    value, and ``dur`` its largest value plus the largest deadhead."""
+    top = [int(np.max(t, initial=0)) for t in (dur, travel, out_t, in_t)]
+    return [_fits(top[0] + top[1])] + [_fits(t) for t in top[1:]]
+
+
+def _types(scen) -> list:
+    return [getattr(scen, n).dtype for n in scenarios.SCENARIO_TABLES]
+
+
 def _digest(*tables) -> str:
     """SHA-256 over the shapes and the int64 little-endian bytes of the tables."""
     h = hashlib.sha256()
@@ -261,8 +278,10 @@ def test_generated_tables_match_their_recorded_digests(key):
     assert _digest(inst.dh_time, inst.out_time, inst.in_time,
                    inst.cost, inst.out_cost, inst.in_cost) == inst_digest
     scen = sample_scenarios(inst, n_scen, seed=seed)
-    # every generated time fits in 16 bits
-    assert all(getattr(scen, name).dtype == np.int16 for name in scenarios.SCENARIO_TABLES)
+    # every generated deadhead fits in 8 bits; dur holds the longest leg
+    assert _types(scen)[1:] == [np.uint8] * 3
+    leg = int(scen.dur.max()) + int(scen.travel.max())
+    assert scen.dur.dtype == (np.uint8 if leg <= 255 else np.int16)
     assert _digest(scen.dur, scen.travel, scen.out_t, scen.in_t) == scen_digest
 
 
@@ -275,17 +294,31 @@ def _with_long_trip(inst, trip, mean_dur):
                     build_compat(trips, inst.dh_time), inst.meta)
 
 
+def _with_long_deadhead(inst, i, j, mean):
+    """``inst`` with the mean deadhead from trip ``i`` to trip ``j`` set to ``mean``."""
+    dh = inst.dh_time.copy()
+    dh[i - 1, j - 1] = mean
+    return Instance(inst.trips, inst.depots, inst.routes, dh, inst.out_time,
+                    inst.in_time, inst.cost, inst.out_cost, inst.in_cost,
+                    build_compat(inst.trips, dh), inst.meta)
+
+
 @pytest.mark.parametrize("block_bytes", [8, 3000, 2 << 20])
 def test_block_sampler_equals_one_call_per_table(monkeypatch, block_bytes):
-    # blocks of one scenario, of a few with a short last block, and of all;
-    # in the second instance trip 6's durations pass 32767 first in scenario
-    # 4, so the dur table is widened to int32 after blocks were written
+    # blocks of one scenario, of a few with a short last block, and of all.
+    # In the second instance trip 6's durations pass 32767 first in scenario
+    # 4, so the dur table is widened to int32 after blocks were written; in
+    # the third the deadhead 5 -> 3 passes 255 first in scenario 3, so the
+    # travel table is widened from uint8 to int16 after blocks were written,
+    # and dur (at most 106 minutes) to int16 by the leg rule
     inst = generate_instance(GenParams(n_trips=12, n_depots=3, trips_per_route=4, seed=4))
     monkeypatch.setattr(scenarios, "SAMPLE_BLOCK_BYTES", block_bytes)
-    for case, dur_dtype in ((inst, np.int16), (_with_long_trip(inst, 6, 28_000), np.int32)):
+    u8, i16, i32 = np.uint8, np.int16, np.int32
+    long_trip, long_dh = _with_long_trip(inst, 6, 28_000), _with_long_deadhead(inst, 5, 3, 220)
+    for case, types in ((inst, [u8, u8, u8, u8]), (long_trip, [i32, u8, u8, u8]),
+                        (long_dh, [i16, i16, u8, u8])):
         scen = sample_scenarios(case, 7, seed=11, cv=0.3)
-        assert [getattr(scen, n).dtype for n in scenarios.SCENARIO_TABLES] \
-            == [dur_dtype, np.int16, np.int16, np.int16]
+        assert _types(scen) == types
         for s in range(7):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(s,)))
             for name, means in (("dur", [t.mean_dur for t in case.trips]),
@@ -293,7 +326,11 @@ def test_block_sampler_equals_one_call_per_table(monkeypatch, block_bytes):
                                 ("in_t", case.in_time)):
                 assert np.array_equal(getattr(scen, name)[s],
                                       _lognormal_rounded(rng, means, 0.3)), (s, name)
-    assert scen.dur[:4].max() <= 32767 < scen.dur[4].max()
+        if case is long_trip:
+            assert scen.dur[:4].max() <= 32767 < scen.dur[4].max()
+        if case is long_dh:
+            assert scen.travel[:3].max() <= 255 < scen.travel[3].max()
+            assert scen.dur.max() <= 106
 
 
 def test_sampler_refuses_times_beyond_int32():
@@ -313,23 +350,28 @@ def _tables(S=2, I=3, K=2, dtype=np.int64):
 def test_scenario_set_refuses_float_large_and_negative_tables(name):
     tables = _tables()
     scen = ScenarioSet(**tables)
-    assert all(getattr(scen, n).dtype == np.int16 for n in scenarios.SCENARIO_TABLES)
+    assert _types(scen) == [np.uint8] * 4
     for bad, match in ((tables[name].astype(float), "dtype float64"),
                        (tables[name].astype(bool), "dtype bool"),
                        (tables[name] + 2**31, "times of 2\\*\\*31 or more"),
                        (tables[name] - 10, "negative times")):
         with pytest.raises(ValidationError, match=f"scenario table {name} has {match}"):
             ScenarioSet(**{**tables, name: bad})
-    # the largest int32 value and unsigned tables are accepted
+    # the largest int32 value and unsigned tables are accepted; a deadhead of
+    # 2**31 - 1 makes the legs pass it, so dur (at most 5) becomes int64
     edge = ScenarioSet(**{**tables, name: (tables[name] * 0 + 2**31 - 1).astype(np.uint64)})
     assert getattr(edge, name).dtype == np.int32 and (getattr(edge, name) == 2**31 - 1).all()
+    assert edge.dur.dtype == (np.int64 if name == "travel" else
+                              np.int32 if name == "dur" else np.uint8)
 
 
 def test_int64_and_int32_scenario_files_load_narrowed():
     inst = generate_instance(GenParams(n_trips=10, n_depots=2, trips_per_route=5, seed=17))
     scen = sample_scenarios(inst, 6, seed=4)
-    # the layouts of files written when the tables were int64, then int32
-    for dtype in (np.int64, np.int32):
+    # the layouts of files written when the tables were int64, then int32,
+    # then int16
+    assert _types(scen) == [np.int16, np.uint8, np.uint8, np.uint8]
+    for dtype in (np.int64, np.int32, np.int16):
         buf = io.BytesIO()
         np.savez_compressed(buf, **{n: getattr(scen, n).astype(dtype)
                                     for n in scenarios.SCENARIO_TABLES},
@@ -338,41 +380,93 @@ def test_int64_and_int32_scenario_files_load_narrowed():
         loaded = load_scenarios(buf)
         for name in scenarios.SCENARIO_TABLES:
             a, b = getattr(scen, name), getattr(loaded, name)
-            assert b.dtype == np.int16 and np.array_equal(a, b), (dtype, name)
+            assert b.dtype == a.dtype and np.array_equal(a, b), (dtype, name)
         assert loaded.rng_seed == 4
 
 
-@pytest.mark.parametrize("top, dtype", [(32767, np.int16), (32768, np.int32)])
-def test_tables_are_int16_up_to_32767_and_int32_above(top, dtype):
-    """Each table takes its own type from its largest value, and restriction,
-    percentiles and a file round trip keep the values and the type."""
+def _legs_exact(scen) -> bool:
+    """Whether every leg ``dur + travel``, summed in the tables' own types,
+    equals its int64 sum."""
+    legs = scen.dur[:, :, None] + scen.travel
+    return np.array_equal(legs, scen.dur.astype(np.int64)[:, :, None] + scen.travel)
+
+
+def _check_table_types(top, dtype):
+    """Set each table's largest value to ``top``: the table takes ``dtype``,
+    dur the type of its largest leg, and restriction, percentiles and a file
+    round trip keep the values and the types."""
     inst = generate_instance(GenParams(n_trips=6, n_depots=2, trips_per_route=3, seed=1))
     base = sample_scenarios(inst, 5, seed=2)
     tables = {n: getattr(base, n) for n in scenarios.SCENARIO_TABLES}
+    assert _types(base) == [np.int16, np.uint8, np.uint8, np.uint8]
+    travel_top = int(base.travel.max())
     for name in scenarios.SCENARIO_TABLES:
         edited = tables[name].astype(np.int64)
         edited.reshape(5, -1)[:, -1] = top
-        scen = ScenarioSet(**{**tables, name: edited})
-        assert getattr(scen, name).dtype == dtype, name
+        given = {**tables, name: edited}
+        scen = ScenarioSet(**given)
+        want = _fits(top + travel_top) if name == "dur" else dtype
+        assert getattr(scen, name).dtype == want, name
+        assert _types(scen) == _rule_types(*given.values()), name
         assert np.array_equal(getattr(scen, name), edited), name
-        others = [n for n in scenarios.SCENARIO_TABLES if n != name]
-        assert all(getattr(scen, n).dtype == np.int16 for n in others), name
+        assert _legs_exact(scen), name
         buf = io.BytesIO()
         save_scenarios(scen, buf)
         buf.seek(0)
         loaded = load_scenarios(buf)
-        assert getattr(loaded, name).dtype == dtype
+        assert _types(loaded) == _types(scen), name
         assert np.array_equal(getattr(loaded, name), edited), name
     scen = ScenarioSet(**{**tables, "dur": np.full(base.dur.shape, top),
                           "travel": np.full(base.travel.shape, top)})
+    assert scen.dur.dtype == _fits(2 * top) and scen.travel.dtype == dtype and _legs_exact(scen)
     dur, travel = percentile_times(inst, scen, 50)
-    assert dur.dtype == travel.dtype == dtype and (dur == top).all() and (travel == top).all()
+    assert (dur.dtype, travel.dtype) == (scen.dur.dtype, dtype)
+    assert (dur == top).all() and (travel == top).all()
     sub = restrict(inst, scen, [2, 4, 5]).scen
-    assert sub.dur.dtype == sub.travel.dtype == dtype and (sub.dur == top).all()
-    # a restriction that drops every wide entry narrows
+    assert _types(sub) == _types(scen) and (sub.dur == top).all() and _legs_exact(sub)
+    # a restriction that drops every wide entry takes the types of what it keeps
     wide_first = np.where(np.arange(6) == 0, top, base.dur.astype(np.int64))
-    narrow = ScenarioSet(**{**tables, "dur": wide_first})
-    assert restrict(inst, narrow, [2, 3]).scen.dur.dtype == np.int16
+    kept = restrict(inst, ScenarioSet(**{**tables, "dur": wide_first}), [2, 3]).scen
+    assert _types(kept) == _rule_types(kept.dur, kept.travel, kept.out_t, kept.in_t)
+
+
+@pytest.mark.parametrize("top, dtype", [(255, np.uint8), (256, np.int16)])
+def test_tables_are_uint8_up_to_255_and_int16_above(top, dtype):
+    _check_table_types(top, dtype)
+
+
+@pytest.mark.parametrize("top, dtype", [(32767, np.int16), (32768, np.int32)])
+def test_tables_are_int16_up_to_32767_and_int32_above(top, dtype):
+    _check_table_types(top, dtype)
+
+
+@pytest.mark.parametrize("dur_top, travel_top, dtype", [
+    (200, 55, np.uint8), (200, 56, np.int16), (255, 0, np.uint8), (0, 256, np.int16),
+    (32000, 767, np.int16), (32000, 768, np.int32), (32767, 0, np.int16),
+    (2**31 - 2, 1, np.int32), (2**31 - 1, 1, np.int64), (2**31 - 1, 2**31 - 1, np.int64)])
+def test_dur_holds_its_largest_value_plus_the_largest_deadhead(dur_top, travel_top, dtype):
+    """A uint8 dur whose largest value plus the largest deadhead passes 255
+    widens, and so on at each width: every leg summed in the tables' own
+    types equals its int64 sum."""
+    S, I = 3, 4
+    dur = np.full((S, I), dur_top // 2, dtype=np.int64)
+    travel = np.zeros((S, I, I), dtype=np.int64)
+    dur[1, 2] = dur_top
+    travel[2, 0, 3] = travel_top           # the largest of each in different cells
+    # each given in its own narrowest type, as the sampler and files give them
+    scen = ScenarioSet(dur.astype(_fits(dur_top)), travel.astype(_fits(travel_top)),
+                       np.ones((S, 1, I), dtype=np.uint8), np.ones((S, I, 1), dtype=np.uint8))
+    assert scen.dur.dtype == dtype and scen.travel.dtype == _fits(travel_top)
+    assert _legs_exact(scen)
+    assert np.array_equal(scen.dur, dur) and np.array_equal(scen.travel, travel)
+
+
+def test_two_trips_at_20000_minutes_sum_without_wrapping():
+    """Every time 20,000: an int16 leg would wrap to -25,536."""
+    scen = ScenarioSet(*(np.full(shape, 20_000) for shape in
+                         ((2, 2), (2, 2, 2), (2, 1, 2), (2, 2, 1))))
+    assert _types(scen) == [np.int32, np.int16, np.int16, np.int16]
+    assert ((scen.dur[:, :, None] + scen.travel) == 40_000).all()
 
 
 def test_vector_distance_equals_the_scalar_one():

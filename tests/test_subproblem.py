@@ -303,7 +303,8 @@ def test_evaluators_agree_at_the_int32_limits():
                       _limit_scenarios(rng, rinst, random_scenarios(rng, rinst, 1), 12)))
     limit_breaks = 0
     for inst_c, params_c, sched, scen_c in cases:
-        assert scen_c.dur.dtype == np.int32
+        # the legs pass 2**31 - 1, so dur is int64 by the leg rule
+        assert (scen_c.dur.dtype, scen_c.travel.dtype) == (np.int64, np.int32)
         broken, v = evaluate_scenarios(inst_c, params_c, sched, scen_c)
         for s in range(scen_c.count):
             late, want = _python_int_verdict(inst_c, params_c, sched, scen_c, s)
@@ -315,22 +316,25 @@ def test_evaluators_agree_at_the_int32_limits():
     assert limit_breaks >= 10, limit_breaks
 
 
-@pytest.mark.parametrize("top", [32767, 32768])
-def test_evaluators_and_oracle_agree_at_the_int16_limit(top):
-    """Tables whose largest value is 32767 are stored as int16, at 32768 as
-    int32. In both, where a duration plus a deadhead passes 32767, the greedy
-    evaluator, the batch evaluator, the MILP oracle and a Python-int
-    propagation agree. Starts spread over 120,000 minutes make some of those
-    legs late and others not."""
+def _check_limit_agreement(top, horizon, narrow):
+    """Tables whose largest value is ``top``, in every scenario's durations
+    and deadheads: travel is stored as ``narrow`` at ``top`` and as the next
+    width above it, and dur as the type of twice ``top``. Where a duration
+    plus a deadhead passes ``top``, the greedy evaluator, the batch
+    evaluator, the MILP oracle and a Python-int propagation agree. Starts
+    spread over ``horizon`` minutes make some of those legs late and others
+    not."""
     rng = np.random.default_rng(47)
     verdicts = [0, 0]
+    wide = {np.uint8: np.int16, np.int16: np.int32}[narrow]
     for _ in range(6):
-        inst = random_instance(rng, n_trips=int(rng.integers(4, 7)), horizon=120_000)
+        inst = random_instance(rng, n_trips=int(rng.integers(4, 7)), horizon=horizon)
         params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.7,
                                             delta_route=0.5, epsilon=0.2)
         sched = random_schedule(rng, inst)
         scen = _limit_scenarios(rng, inst, random_scenarios(rng, inst, 1), 4, top)
-        assert scen.dur.dtype == scen.travel.dtype == (np.int16 if top == 32767 else np.int32)
+        assert scen.travel.dtype == (narrow if top == np.iinfo(narrow).max else wide)
+        assert scen.dur.dtype == wide
         broken, v = evaluate_scenarios(inst, params, sched, scen)
         for s in range(scen.count):
             late, want = _python_int_verdict(inst, params, sched, scen, s)
@@ -342,3 +346,13 @@ def test_evaluators_and_oracle_agree_at_the_int16_limit(top):
             assert int(v_oracle.sum()) == g.on_time_count()
             verdicts[want] += 1
     assert min(verdicts) >= 3, verdicts
+
+
+@pytest.mark.parametrize("top", [255, 256])
+def test_evaluators_and_oracle_agree_at_the_uint8_limit(top):
+    _check_limit_agreement(top, 1_000, np.uint8)
+
+
+@pytest.mark.parametrize("top", [32767, 32768])
+def test_evaluators_and_oracle_agree_at_the_int16_limit(top):
+    _check_limit_agreement(top, 120_000, np.int16)
