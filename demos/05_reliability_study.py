@@ -8,9 +8,9 @@ planning at a fraction of the percentile padding's cost.
 
 from ccvsp.baselines import (
     MEAN,
-    compare_table,
     evaluate_out_of_sample,
     percentile,
+    report_table,
     solve_deterministic,
 )
 from ccvsp.bnc import BnCConfig, solve_bnc
@@ -35,6 +35,6 @@ for seed in range(3):
                              ("cc", cc.schedule, cc.time_s)]:
         rep = evaluate_out_of_sample(inst, params, sched, ev, method=method,
                                      train_scen=scen, time_s=t)
-        rows.append((label, inst, scen.count, rep))
+        rows.append((label, inst.n_trips, inst.n_depots, scen.count, rep))
 
-print(compare_table(rows))
+print(report_table(rows))

@@ -158,9 +158,3 @@ def read_report(path) -> list[ReportRow]:
         except ValueError as exc:
             raise ValidationError(f"{path}:{n}: {exc}") from None
     return rows
-
-
-def compare_table(reports: list[tuple[str, Instance, int, EvalReport]]) -> str:
-    """Aggregate (instance label, instance, S, report) rows into one CSV."""
-    return report_table([(label, inst.n_trips, inst.n_depots, S, rep)
-                         for label, inst, S, rep in reports])

@@ -23,7 +23,6 @@ from .core import (
     Pair,
     Schedule,
     ServiceParams,
-    ValidationError,
     cc_threshold,
     schedule_cost,
     schedule_from_arcs,
@@ -49,8 +48,6 @@ from .cuts import (
 from .milp import EQUAL, LESS, MilpModel, bnb_solve
 from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios, evaluate_scenarios, greedy_evaluate
-
-MASTER_VAR_CAP = 200_000
 
 VARIANTS = {
     "Nn": (False, False),   # no enhancements
@@ -175,11 +172,10 @@ class MasterModel(FlowModel):
     def __init__(self, inst: Instance, params: ServiceParams, scen: ScenarioSet,
                  cfg: BnCConfig):
         depots = range(1, inst.n_depots + 1)
-        n_vars = len(depots) * (len(inst.compat) + 2 * inst.n_trips) + scen.count
-        if n_vars > MASTER_VAR_CAP:
-            raise ValidationError(f"master model has {n_vars} variables, over the cap of {MASTER_VAR_CAP}")
         super().__init__(inst, inst.compat)
         self.params, self.scen, self.cfg = params, scen, cfg
+        # the most scenarios the schedule may break
+        self._budget = cc_threshold(scen.count, params.epsilon)
         self.z = [self.model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
         self._z_cols = np.array(self.z, dtype=np.intp)
         for k in depots:
@@ -187,8 +183,7 @@ class MasterModel(FlowModel):
         for k in depots:
             self.add_balance_rows(k)
         # violation budget
-        self.model.add_constr({zv: 1.0 for zv in self.z}, LESS,
-                              float(cc_threshold(scen.count, params.epsilon)))
+        self.model.add_constr({zv: 1.0 for zv in self.z}, LESS, float(self._budget))
         if cfg.use_vi:
             for vi in valid_inequalities(inst, params, scen):
                 coeffs = {j: 1.0 for pair in sorted(vi.pairs) for j in self.pair_cols[pair]}
@@ -251,10 +246,8 @@ class MasterModel(FlowModel):
         sched = self.decode(sol.x)
         z = tuple(float(v) for v in self.z_values(sol.x))
         bad = count_violated_scenarios(inst, params, sched, scen)
-        if sol.status == "Optimal" and bad > cc_threshold(scen.count, params.epsilon):
-            raise AssertionError(
-                f"accepted schedule violates {bad} scenarios, budget "
-                f"{cc_threshold(scen.count, params.epsilon)}")
+        if sol.status == "Optimal" and bad > self._budget:
+            raise AssertionError(f"accepted schedule violates {bad} scenarios, budget {self._budget}")
         return BnCResult(sol.status, sched, schedule_cost(inst, sched), float(sol.bound),
                          float(sol.gap), cuts_added, sol.nodes, elapsed, z,
                          train_violations=bad)
@@ -263,19 +256,16 @@ class MasterModel(FlowModel):
         return x_vals[self._z_cols]
 
     def cut_row(self, cut: Cut):
-        coeffs: dict[int, float] = {}
-        for pair, c in cut.pairs:
-            for j in self.pair_cols[pair]:
-                coeffs[j] = coeffs.get(j, 0.0) + float(c)
-        for arc, c in cut.depot_terms:
-            coeffs[self.x[arc]] = coeffs.get(self.x[arc], 0.0) + float(c)
+        """The cut as a master row: one on every column of its pairs and arcs."""
+        coeffs = dict.fromkeys([j for pair in cut.pairs for j in self.pair_cols[pair]]
+                               + [self.x[arc] for arc in cut.depot_terms], 1.0)
         coeffs[self.z[cut.s]] = -1.0
         return (coeffs, LESS, float(cut.rhs_const - 1))
 
     def encode_incumbent(self, sched: Schedule):
         """Feasible start point: the schedule's arcs plus honest indicators."""
         z_star = evaluate_scenarios(self.inst, self.params, sched, self.scen)[0]
-        if z_star.sum() > cc_threshold(self.scen.count, self.params.epsilon):
+        if z_star.sum() > self._budget:
             return None
         x = np.zeros(self.model.n_vars)
         for arc in schedule_to_arcs(sched):

@@ -208,14 +208,13 @@ class Instance:
             if (table < 0).any():
                 bad = np.argwhere(table < 0)[0]
                 raise ValidationError(f"{name}[{bad[0] + 1},{bad[1] + 1}] is negative")
-        for (i, j) in self.compat:
+        bad = self.compat - build_compat(self.trips, self.dh_time)
+        if bad:
+            i, j = min(bad)
             if i == j or not (1 <= i <= I and 1 <= j <= I):
                 raise ValidationError(f"compatibility pair ({i},{j}) is not a valid ordered trip pair")
-            ti, tj = self.trips[i - 1], self.trips[j - 1]
-            if ti.start + ti.mean_dur + int(self.dh_time[i - 1, j - 1]) > tj.start:
-                raise ValidationError(
-                    f"compatibility pair ({i},{j}) violates s_i + d_i + t_ij <= s_j under mean times"
-                )
+            raise ValidationError(
+                f"compatibility pair ({i},{j}) violates s_i + d_i + t_ij <= s_j under mean times")
 
     # -- derived data -------------------------------------------------------
 

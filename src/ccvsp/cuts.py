@@ -38,35 +38,32 @@ CUT_KINDS = (NO_GOOD, STRONG_NO_GOOD, MIS, CMIS, ECMIS)
 
 @dataclass(frozen=True)
 class Cut:
-    """One master inequality: sum over pairs (depot-aggregated) plus optional
-    depot-specific terms <= rhs_const - 1 + z_s."""
+    """One master inequality with unit weights: the number of its pairs
+    sequenced (over any depot) plus the number of its depot-specific arcs
+    used is at most rhs_const - 1 + z_s. Pairs and arcs are sorted."""
 
     s: int
     kind: str
-    pairs: tuple[tuple[Pair, int], ...]          # ((i, j), coefficient)
+    pairs: tuple[Pair, ...]
     rhs_const: int
-    depot_terms: tuple[tuple[Arc, int], ...] = ()  # only the plain no-good uses these
+    depot_terms: tuple[Arc, ...] = ()    # only the plain no-good uses these
 
     def key(self):
-        return (self.s, tuple(sorted(self.pairs)), tuple(sorted(self.depot_terms)),
-                self.rhs_const)
+        return self.s, self.pairs, self.depot_terms, self.rhs_const
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "s": self.s,
-                "pairs": [[i, j, c] for (i, j), c in sorted(self.pairs)],
-                "depot_terms": [[list(a), c] for a, c in sorted(self.depot_terms)],
+                "pairs": [[i, j, 1] for i, j in self.pairs],
+                "depot_terms": [[list(a), 1] for a in self.depot_terms],
                 "rhs": self.rhs_const}
 
     def violated_by(self, sched: Schedule, z_s: float) -> bool:
-        lhs = self.evaluate(sched)
-        return lhs > self.rhs_const - 1 + z_s + 1e-9
+        return self.evaluate(sched) > self.rhs_const - 1 + z_s + 1e-9
 
     def evaluate(self, sched: Schedule) -> int:
-        seq = set(sched.sequenced_pairs())
-        lhs = sum(c for p, c in self.pairs if p in seq)
+        lhs = len(set(sched.sequenced_pairs()).intersection(self.pairs))
         if self.depot_terms:
-            arcs = schedule_to_arcs(sched)
-            lhs += sum(c for a, c in self.depot_terms if a in arcs)
+            lhs += len(schedule_to_arcs(sched).intersection(self.depot_terms))
         return lhs
 
 
@@ -162,16 +159,16 @@ def no_good_cut(sched: Schedule, s: int, g: GreedyResult) -> Cut:
     """
     if not g.violated:
         raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
-    arcs = sorted(schedule_to_arcs(sched))
-    return Cut(s, NO_GOOD, (), len(arcs), tuple((a, 1) for a in arcs))
+    arcs = tuple(sorted(schedule_to_arcs(sched)))
+    return Cut(s, NO_GOOD, (), len(arcs), arcs)
 
 
 def strong_no_good_cut(sched: Schedule, s: int, g: GreedyResult) -> Cut:
     """Exclude the sequenced trip pairs under every depot assignment."""
     if not g.violated:
         raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
-    pairs = sorted(set(sched.sequenced_pairs()))
-    return Cut(s, STRONG_NO_GOOD, tuple((p, 1) for p in pairs), len(pairs))
+    pairs = tuple(sorted(set(sched.sequenced_pairs())))
+    return Cut(s, STRONG_NO_GOOD, pairs, len(pairs))
 
 
 def select_delay_core(inst: Instance, params: ServiceParams, sched: Schedule,
@@ -339,11 +336,11 @@ def mis_deletion_filter(inst: Instance, params: ServiceParams, scen: ScenarioSet
 def mis_cut(inst: Instance, params: ServiceParams, sched: Schedule,
             scen: ScenarioSet, s: int, g: GreedyResult) -> Cut:
     """Cut on a single-deletion-minimal infeasible subset of the sequenced
-    pairs (``mis_deletion_filter``), coefficient one on each."""
+    pairs (``mis_deletion_filter``)."""
     if not g.violated:
         raise ValueError(f"schedule meets the requirements in scenario {s}; no cut to build")
     pairs = mis_deletion_filter(inst, params, scen, s, set(sched.sequenced_pairs()))
-    return Cut(s, MIS, tuple((p, 1) for p in sorted(pairs)), len(pairs))
+    return Cut(s, MIS, tuple(sorted(pairs)), len(pairs))
 
 
 def extend_cmis(inst: Instance, params: ServiceParams, scen: ScenarioSet,
@@ -372,11 +369,10 @@ def extend_cmis(inst: Instance, params: ServiceParams, scen: ScenarioSet,
 
 
 def cmis_cut(ctx: CMisContext) -> Cut:
-    """Master cut for the subsequences: coefficients one on every pair,
-    right-hand side |pairs| - 1 + z_s (unchanged by extension)."""
-    all_pairs = sorted(ctx.pairs | ctx.extra)
+    """Master cut for the subsequences and their extension pairs, right-hand
+    side |pairs| - 1 + z_s (unchanged by extension)."""
     kind = ECMIS if ctx.extra else CMIS
-    return Cut(ctx.s, kind, tuple((p, 1) for p in all_pairs), len(ctx.pairs))
+    return Cut(ctx.s, kind, tuple(sorted(ctx.pairs | ctx.extra)), len(ctx.pairs))
 
 
 @dataclass
@@ -480,12 +476,10 @@ def dual_certificate(inst: Instance, params: ServiceParams, sched: Schedule,
     if obj != 1:
         fail(f"dual objective is {obj}, expected exactly 1")
 
-    lam = {}
-    for (j, i), a in alpha.items():
-        lam[(j, i)] = a * y[i]   # alpha times the tightened M_start
+    lam = {(j, i): a * y[i] for (j, i), a in alpha.items()}   # alpha times the tightened M_start
     if any(v != 1 for v in lam.values()):
         fail("Benders coefficients are not all one")
-    induced = Cut(ctx.s, CMIS, tuple((p, 1) for p in sorted(lam)), len(lam))
+    induced = Cut(ctx.s, CMIS, tuple(sorted(lam)), len(lam))
     reference = cmis_cut(replace(ctx, extra=frozenset()))
     if induced.key() != reference.key():
         fail("induced Benders cut differs from the subsequence cut")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .core import (
     Instance,
     Schedule,
     ServiceParams,
-    Trip,
     ValidationError,
     cc_threshold,
     schedule_cost,
@@ -98,13 +97,8 @@ def restrict(inst: Instance, scen: ScenarioSet, trip_ids) -> SubInstance:
     to_local = {o: l for l, o in enumerate(orig, start=1)}
     route_ids = sorted({inst.trips[o - 1].route_id for o in orig})
     route_map = {r: l for l, r in enumerate(route_ids, start=1)}
-    trips = [
-        Trip(to_local[o], route_map[inst.trips[o - 1].route_id],
-             inst.trips[o - 1].start_loc, inst.trips[o - 1].end_loc,
-             inst.trips[o - 1].start, inst.trips[o - 1].mean_dur,
-             inst.trips[o - 1].max_express)
-        for o in orig
-    ]
+    trips = [replace(t, id=to_local[t.id], route_id=route_map[t.route_id])
+             for t in (inst.trips[o - 1] for o in orig)]
     routes = [[to_local[i] for i in inst.routes[r - 1] if i in to_local]
               for r in route_ids]
     idx = np.array([o - 1 for o in orig])
@@ -171,12 +165,10 @@ def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
 
 
 def subgradient(z_by_group: list[np.ndarray]) -> np.ndarray:
-    """Component s: -(P-1) z^1_s + sum over the other groups."""
+    """Component s: the sum over groups p of penalty_coefficient(p, P) z^p_s."""
     P = len(z_by_group)
-    g = -(P - 1) * z_by_group[0].astype(float)
-    for zp in z_by_group[1:]:
-        g = g + zp
-    return g
+    return sum(penalty_coefficient(p, P) * z.astype(float)
+               for p, z in enumerate(z_by_group, start=1))
 
 
 class BundleModel:

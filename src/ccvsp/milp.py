@@ -50,6 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import ValidationError
+
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 INT_TOL = 1e-6
@@ -57,6 +59,8 @@ GAP_TOL = 1e-6
 PIVOT_TOL = 1e-9
 REFACTOR_EVERY = 120
 INF = math.inf
+# the most bytes a model's dense arrays may take (see _Matrix.of)
+_BYTES_CAP = 1 << 30
 
 LESS, GREATER, EQUAL = "<=", ">=", "=="
 
@@ -194,11 +198,18 @@ class _Matrix(NamedTuple):
     @classmethod
     def of(cls, model: MilpModel) -> _Matrix:
         """The model's saved matrix when its revision is current, else a new
-        one, saved on the model."""
+        one, saved on the model. A new one is refused before it is allocated
+        when a solve's dense arrays would pass ``_BYTES_CAP``: the m x (n + 2m)
+        matrix and four m x m ones (the inverse, its update buffer, and the
+        phase-1 and warm-start inverses the model keeps)."""
         saved = model._matrix
         if saved is not None and saved.revision == model.revision:
             return saved
         n, m = model.n_vars, model.n_rows
+        need = 8 * m * (n + 2 * m) + 4 * 8 * m * m
+        if need > _BYTES_CAP:
+            raise ValidationError(f"the LP of {n} columns and {m} rows needs {need} bytes "
+                                  f"of dense arrays, over the cap of {_BYTES_CAP} bytes")
         A = np.zeros((m, n + 2 * m))
         if m:
             counts = np.fromiter(map(len, model._cols), dtype=np.intp, count=m)
@@ -222,7 +233,7 @@ class _Phase1(NamedTuple):
     key: tuple              # the model revision and the bytes of the variable bounds
     iterations: int
     infeasible: bool
-    basis: list[int]
+    basis: np.ndarray
     binv: np.ndarray
     x: np.ndarray
 
@@ -246,7 +257,7 @@ class _Simplex:
         self.cost = np.zeros(ncols)
         self.cost[:n] = model.obj
         self.iterations = 0
-        self.basis: list[int] = []
+        self.basis = np.empty(0, dtype=np.intp)      # the basic column of each row
         self.in_basis = np.zeros(ncols, dtype=bool)
         self.x = np.zeros(ncols)
         self.binv = np.eye(m)
@@ -263,7 +274,7 @@ class _Simplex:
         x[art] = resid
         self.lo[art] = np.where(resid >= 0, 0.0, -INF)
         self.hi[art] = np.where(resid >= 0, INF, 0.0)
-        self.basis = list(art)
+        self.basis = art
         self.in_basis[:] = False
         self.in_basis[art] = True
         self.binv = np.eye(m)
@@ -285,16 +296,15 @@ class _Simplex:
         indicators that only the budget row holds, has the same matrix and
         shares it.
         """
-        basis = np.array(self.basis)
         saved = self.model._inverse
         if saved is not None and self._same_basis_matrix(*saved[:2]):
             inv = saved[2]
         else:
             try:
-                inv = np.linalg.inv(self.A[:, basis])
+                inv = np.linalg.inv(self.A[:, self.basis])
             except np.linalg.LinAlgError:
                 inv = None
-            self.model._inverse = (self.model.revision, basis, inv)
+            self.model._inverse = (self.model.revision, self.basis.copy(), inv)
         return None if inv is None else inv.copy()
 
     def _same_basis_matrix(self, revision: int, basis: np.ndarray) -> bool:
@@ -304,8 +314,7 @@ class _Simplex:
         if revision != self.model.revision:
             return False
         swapped = (basis != self.basis).nonzero()[0]
-        return self.A[:, basis[swapped]].tobytes() \
-            == self.A[:, np.take(self.basis, swapped)].tobytes()
+        return self.A[:, basis[swapped]].tobytes() == self.A[:, self.basis[swapped]].tobytes()
 
     def _refactor(self):
         try:
@@ -321,16 +330,15 @@ class _Simplex:
         nb = ~self.in_basis
         self.x[self.basis] = self.binv @ (self.b - self.A[:, nb] @ self.x[nb])
 
-    def _refresh(self, basis_arr):
+    def _refresh(self):
         """Fresh inverse and basic values, dropping the drift of the updates."""
-        self.basis = list(basis_arr)
         self._refactor()
         self._set_basics()
 
-    def _pivot(self, basis_arr, leave: int, enter: int, w: np.ndarray):
-        self.in_basis[basis_arr[leave]] = False
+    def _pivot(self, leave: int, enter: int, w: np.ndarray):
+        self.in_basis[self.basis[leave]] = False
         self.in_basis[enter] = True
-        basis_arr[leave] = enter
+        self.basis[leave] = enter
         row = self.binv[leave] / w[leave]
         # rank-1 update in place: binv -= outer(w, row), through a reused
         # buffer; einsum writes the products faster than a broadcast multiply,
@@ -339,16 +347,14 @@ class _Simplex:
         self.binv -= self._outer
         self.binv[leave] = row
 
-    def _stop(self, basis_arr, xb, status: str) -> str:
-        """Write a loop's basic values and basis back, and return ``status``."""
-        self.x[basis_arr] = xb
-        self.basis = list(basis_arr)
+    def _stop(self, xb, status: str) -> str:
+        """Write a loop's basic values back, and return ``status``."""
+        self.x[self.basis] = xb
         return status
 
     def _iterate(self, cost, max_iter, deadline) -> str:
         n, m = self.n, self.m
-        lo, hi, x = self.lo, self.hi, self.x
-        basis_arr = np.array(self.basis, dtype=int)
+        lo, hi, x, basis = self.lo, self.hi, self.x, self.basis
         bland = False
         degen_streak = 0
         pivots = 0
@@ -371,17 +377,17 @@ class _Simplex:
             fall[j] = movable and (a_hi or not a_lo)
 
         # values, bounds and costs of the basic columns, by row
-        xb, lob, hib, cb = x[basis_arr], lo[basis_arr], hi[basis_arr], cost[basis_arr]
+        xb, lob, hib, cb = x[basis], lo[basis], hi[basis], cost[basis]
         t_rows = np.empty(m)
         while True:
             if self.iterations >= max_iter or _expired(deadline):
-                return self._stop(basis_arr, xb, "IterLimit")
+                return self._stop(xb, "IterLimit")
             self.iterations += 1
             y = cb @ self.binv
             d = cost_k - y @ A
             entering = _entering(d, rise, fall, bland)
             if entering is None:
-                return self._stop(basis_arr, xb, "Optimal")
+                return self._stop(xb, "Optimal")
             enter, direction = entering
             w = self.binv @ self.A[:, enter]
             # ratio test; entering moves t*direction, basics move -t*direction*w
@@ -398,32 +404,31 @@ class _Simplex:
                 if bland and t_limit < INF:
                     # anti-cycling: among tied rows, leave by smallest variable index
                     ties = (t_rows <= t_limit + 1e-12).nonzero()[0]
-                    leave = int(ties[basis_arr[ties].argmin()])
+                    leave = int(ties[basis[ties].argmin()])
                     t_limit = t_rows[leave]
             else:
                 leave, t_limit = -1, INF
             if t_flip < t_limit - 1e-12:
                 if t_flip == INF:
-                    return self._stop(basis_arr, xb, "Unbounded")
+                    return self._stop(xb, "Unbounded")
                 x[enter] += direction * t_flip
                 xb -= direction * t_flip * w
                 moved(enter)
             else:
                 if t_limit == INF:
-                    return self._stop(basis_arr, xb, "Unbounded")
+                    return self._stop(xb, "Unbounded")
                 t = max(t_limit, 0.0)
                 x[enter] += direction * t
                 xb -= direction * t * w
-                out = basis_arr[leave]
+                out = basis[leave]
                 x[out] = bound[leave]
-                self._pivot(basis_arr, leave, enter, w)
+                self._pivot(leave, enter, w)
                 xb[leave], lob[leave], hib[leave], cb[leave] = x[enter], lo[enter], hi[enter], cost[enter]
                 rise[enter] = fall[enter] = False
                 if out < k:
                     moved(out)
                 pivots += 1
                 if pivots >= REFACTOR_EVERY:
-                    self.basis = list(basis_arr)
                     self._refactor()
                     pivots = 0
                 t_flip = t  # for the degeneracy bookkeeping below
@@ -445,8 +450,7 @@ class _Simplex:
         n + m iterations, which only a cycling or stalled run reaches.
         """
         n, m = self.n, self.m
-        lo, hi, x = self.lo, self.hi, self.x
-        basis_arr = np.array(self.basis, dtype=int)
+        lo, hi, x, basis = self.lo, self.hi, self.x, self.basis
         span = hi[: n + m] - lo[: n + m]
         lo_tol, hi_tol = lo[: n + m] + FEAS_TOL, hi[: n + m] - FEAS_TOL
         A = self.A[:, : n + m]          # artificials stay nonbasic at zero
@@ -457,7 +461,7 @@ class _Simplex:
         free = ~self.in_basis[: n + m] & (lo[: n + m] < hi[: n + m])
         rise, fall = free & (xn < hi_tol), free & (xn > lo_tol)
         # values and bounds of the basic columns, by row
-        xb, lob, hib = x[basis_arr], lo[basis_arr], hi[basis_arr]
+        xb, lob, hib = x[basis], lo[basis], hi[basis]
         cap = self.iterations + n + m
         pivots = 0
         while True:
@@ -466,9 +470,9 @@ class _Simplex:
             infeas = np.maximum(below, above)
             bad = (infeas > FEAS_TOL).nonzero()[0]
             if not bad.size:
-                return self._stop(basis_arr, xb, "Optimal")
+                return self._stop(xb, "Optimal")
             if self.iterations >= max_iter or _expired(deadline):
-                return self._stop(basis_arr, xb, "IterLimit")
+                return self._stop(xb, "IterLimit")
             if self.iterations >= cap:
                 return None
             self.iterations += 1
@@ -483,11 +487,11 @@ class _Simplex:
             if step is None:
                 if pivots:
                     # rule out drift in the updated values before declaring infeasibility
-                    self._refresh(basis_arr)
-                    xb = x[basis_arr]
+                    self._refresh()
+                    xb = x[basis]
                     pivots = 0
                     continue
-                return self._stop(basis_arr, xb, "Infeasible")
+                return self._stop(xb, "Infeasible")
             enter, theta, flips, moves = step
             if flips.size:
                 x[flips] += moves
@@ -497,13 +501,13 @@ class _Simplex:
             d += theta * g
             d[enter] = 0.0
             w = self.binv @ self.A[:, enter]
-            out = basis_arr[r]
+            out = basis[r]
             target = lob[r] if sign > 0 else hib[r]
             delta = (xb[r] - target) / w[r]
             x[enter] += delta
             xb -= delta * w
             x[out] = target
-            self._pivot(basis_arr, r, enter, w)
+            self._pivot(r, enter, w)
             xb[r], lob[r], hib[r] = x[enter], lo[enter], hi[enter]
             rise[enter] = fall[enter] = False
             movable = lo[out] < hi[out]
@@ -511,18 +515,22 @@ class _Simplex:
             fall[out] = movable and target > lo_tol[out]
             pivots += 1
             if pivots >= REFACTOR_EVERY:
-                self._refresh(basis_arr)
-                xb = x[basis_arr]
+                self._refresh()
+                xb = x[basis]
                 d = self._reduced_costs()[: n + m]
                 pivots = 0
 
-    def _extract(self) -> LpSolution:
+    def _result(self, status: str) -> LpSolution:
+        """How the solve ended: the status and the iterations, and on Optimal
+        also x, its objective and the final basis."""
+        if status != "Optimal":
+            return LpSolution(status, iterations=self.iterations)
         n, m = self.n, self.m
         obj = float(self.cost[: n + m] @ self.x[: n + m])
         # artificial i and slack i are the same column e_i; naming the slack keeps
         # the basis valid after rows are appended (artificial indices shift)
-        basis = [int(j - m if j >= n + m else j) for j in self.basis]
-        return LpSolution("Optimal", x=self.x[:n].copy(), obj=obj,
+        basis = np.where(self.basis >= n + m, self.basis - m, self.basis).tolist()
+        return LpSolution(status, x=self.x[:n].copy(), obj=obj,
                           iterations=self.iterations, basis=basis)
 
     def solve(self, max_iter: int, deadline: float | None = None) -> LpSolution:
@@ -541,7 +549,7 @@ class _Simplex:
         saved = self.model._phase1
         if saved is not None and saved.key == key \
                 and self.iterations + saved.iterations <= max_iter:
-            self.basis = list(saved.basis)
+            self.basis = saved.basis.copy()
             self.in_basis[:] = False
             self.in_basis[self.basis] = True
             self.binv = saved.binv.copy()
@@ -557,19 +565,16 @@ class _Simplex:
                 p1cost[art] = phase1_sign
                 status = self._iterate(p1cost, max_iter, deadline)
                 if status == "IterLimit":
-                    return LpSolution("IterLimit", iterations=self.iterations)
+                    return self._result(status)
                 infeasible = float(p1cost @ self.x) > 1e-6
                 self.model._phase1 = _Phase1(key, self.iterations - start, infeasible,
-                                             list(self.basis), self.binv.copy(), self.x.copy())
+                                             self.basis.copy(), self.binv.copy(), self.x.copy())
         if infeasible:
-            return LpSolution("Infeasible", iterations=self.iterations)
+            return self._result("Infeasible")
         self.lo[art] = 0.0
         self.hi[art] = 0.0
         self.x[art][np.abs(self.x[art]) < 1e-9] = 0.0
-        status = self._iterate(self.cost, max_iter, deadline)
-        if status != "Optimal":
-            return LpSolution(status, iterations=self.iterations)
-        return self._extract()
+        return self._result(self._iterate(self.cost, max_iter, deadline))
 
     def solve_from_basis(self, basis: list[int], max_iter: int,
                          deadline: float | None = None) -> LpSolution | None:
@@ -588,7 +593,7 @@ class _Simplex:
         if k > m or len(set(basis)) != k or min(basis, default=0) < 0 \
                 or max(basis, default=-1) >= n + k:
             return None
-        self.basis = [int(j) for j in basis] + list(range(n + k, n + m))
+        self.basis = np.concatenate([np.asarray(basis, dtype=np.intp), np.arange(n + k, n + m)])
         binv = self._warm_inverse()
         if binv is None:
             return None
@@ -609,12 +614,9 @@ class _Simplex:
         status = self._dual_iterate(d, max_iter, deadline)
         if status is None:
             return None
-        if status != "Optimal":
-            return LpSolution(status, iterations=self.iterations)
-        status = self._iterate(self.cost, max_iter, deadline)
-        if status != "Optimal":
-            return LpSolution(status, iterations=self.iterations)
-        return self._extract()
+        if status == "Optimal":
+            status = self._iterate(self.cost, max_iter, deadline)
+        return self._result(status)
 
 
 def _entering(d: np.ndarray, rise: np.ndarray, fall: np.ndarray,
@@ -735,8 +737,7 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     caller that re-solves one model under a sequence of objectives passes each
     solve's root basis to the next.
     """
-    t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     int_vars = np.flatnonzero(model.is_int)
     base_lb = np.array(model.lb)
     base_ub = np.array(model.ub)
@@ -749,7 +750,6 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     total_iters = 0
     counter = 0
     heap = [_Node(-INF, counter, {}, root_basis)]
-    hit_limit = False
     first_basis: list[int] | None = None
 
     def result(status, x, obj, bound, gap):
@@ -762,13 +762,9 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
             low = min(inc_obj, heap[0].bound)
             if _rel_gap(inc_obj, low) <= GAP_TOL:
                 return result("Optimal", incumbent, inc_obj, low, _rel_gap(inc_obj, low))
-        node = heapq.heappop(heap)
-        if incumbent is not None and node.bound >= inc_obj - _gap_slack(inc_obj):
-            continue
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            heapq.heappush(heap, node)
-            hit_limit = True
+        if _expired(deadline):
             break
+        node = heapq.heappop(heap)    # the gap test kept it: no prune needed
         nodes += 1
         lb = base_lb.copy()
         ub = base_ub.copy()
@@ -812,15 +808,13 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
             heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, right, sol.basis))
             break
 
+    # open nodes left mean the time limit stopped the search
     if incumbent is None:
-        status = "IterLimit" if hit_limit else "Infeasible"
-        return result(status, None, math.nan,
+        return result("IterLimit" if heap else "Infeasible", None, math.nan,
                       heap[0].bound if heap else -INF, math.inf)
     if heap:
         low = min(inc_obj, heap[0].bound)
-        gap = _rel_gap(inc_obj, low)
-        status = "Optimal" if gap <= GAP_TOL else "IterLimit"
-        return result(status, incumbent, inc_obj, low, gap)
+        return result("IterLimit", incumbent, inc_obj, low, _rel_gap(inc_obj, low))
     return result("Optimal", incumbent, inc_obj, inc_obj, 0.0)
 
 

@@ -312,17 +312,29 @@ def test_repriced_master_reuses_its_phase1_bit_for_bit(monkeypatch):
         == (want.schedule, want.objective, want.bound, want.nodes, want.z)
 
 
-def test_master_var_cap_counts_the_columns_exactly(monkeypatch):
+def test_matrix_byte_cap_counts_the_bytes_exactly(monkeypatch):
+    """The dense arrays of the grid master's root LP take exactly the
+    estimate: a cap of that many bytes solves it, one byte less refuses it
+    before the matrix is built."""
     inst = gallery.two_depot_grid()
     params = gallery.grid_service_params(inst)
     scen = gallery.grid_scenarios()
-    n_vars = MasterModel(inst, params, scen, BnCConfig()).model.n_vars
-    assert n_vars == 78
-    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", n_vars)
-    assert MasterModel(inst, params, scen, BnCConfig()).model.n_vars == n_vars
-    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", n_vars - 1)
-    with pytest.raises(ValidationError, match="78 variables, over the cap of 77"):
-        MasterModel(inst, params, scen, BnCConfig())
+    model = MasterModel(inst, params, scen, BnCConfig()).model
+    n, m = model.n_vars, model.n_rows
+    assert (n, m) == (78, 29)
+    need = 8 * m * (n + 2 * m) + 4 * 8 * m * m
+    assert need == 58_464
+    monkeypatch.setattr(milp, "_BYTES_CAP", need)
+    sim = milp._Simplex(model)
+    assert sim.A.nbytes + 4 * sim.binv.nbytes == need
+    assert milp.lp_solve(model).status == "Optimal"
+    monkeypatch.setattr(milp, "_BYTES_CAP", need - 1)
+    fresh = unsolved_copy(model)
+    with pytest.raises(ValidationError, match=f"^the LP of 78 columns and 29 rows needs {need} "
+                       f"bytes of dense arrays, over the cap of {need - 1} bytes$"):
+        milp.lp_solve(fresh)
+    assert fresh._matrix is None
+    assert milp.lp_solve(model).status == "Optimal"     # its matrix is built already
 
 
 def _model_digest(model: milp.MilpModel) -> str:

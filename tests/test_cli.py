@@ -1,12 +1,13 @@
 """Baselines, evaluation and the command-line pipeline."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ccvsp import gallery
-from ccvsp.baselines import MEAN, compare_table, evaluate_out_of_sample, percentile, solve_deterministic
+from ccvsp.baselines import MEAN, evaluate_out_of_sample, percentile, report_table, solve_deterministic
 from ccvsp.cli import main
 from ccvsp.core import (
     Bus,
@@ -75,7 +76,8 @@ def test_compare_table_diffs():
     right = gallery.grid_schedule_right()
     r1 = evaluate_out_of_sample(inst, params, right, scen, method="det-mean")
     r2 = evaluate_out_of_sample(inst, params, right, scen, method="cc")
-    table = compare_table([("g", inst, 2, r1), ("g", inst, 2, r2)])
+    table = report_table([("g", inst.n_trips, inst.n_depots, 2, r1),
+                          ("g", inst.n_trips, inst.n_depots, 2, r2)])
     lines = table.splitlines()
     assert lines[0].startswith("method,instance,I,K,S,objective")
     assert lines[2].split(",")[6] == "0.000"  # same objective -> zero diff
@@ -128,7 +130,8 @@ def test_cli_deterministic_methods(tmp_path):
 
 
 def test_cli_master_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
-    from ccvsp import bnc
+    from ccvsp import bnc, milp
+    from ccvsp.scenarios import load_scenarios
 
     inst_path = tmp_path / "inst.json"
     scen_path = tmp_path / "scen.npz"
@@ -137,11 +140,19 @@ def test_cli_master_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
     assert main(["sample", "--instance", str(inst_path), "--scenarios", "6", "--seed", "2",
                  "-o", str(scen_path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(bnc, "MASTER_VAR_CAP", 10)
+    inst = load_instance(inst_path)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,   # CLI defaults
+                                        delta_route=0.8, epsilon=0.05)
+    model = bnc.MasterModel(inst, params, load_scenarios(scen_path), bnc.BnCConfig()).model
+    n, m = model.n_vars, model.n_rows
+    need = 8 * m * (n + 2 * m) + 4 * 8 * m * m    # the root LP's dense arrays
+    monkeypatch.setattr(milp, "_BYTES_CAP", need - 1)
     assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
                  "--method", "bnc", "-o", str(tmp_path / "out.json")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: master model has ") and "over the cap of 10" in err, err
+    assert err == (f"error: the LP of {n} columns and {m} rows needs {need} bytes of dense "
+                   f"arrays, over the cap of {need - 1} bytes\n"), err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_cli_median_baseline_stays_in_planning_set(tmp_path):
@@ -405,7 +416,7 @@ def _solved_pair(tmp_path):
     return inst_path, scen_path, results
 
 
-def test_cli_compare_matches_compare_table(tmp_path):
+def test_cli_compare_matches_report_table(tmp_path):
     from ccvsp.scenarios import load_scenarios
 
     inst_path, scen_path, results = _solved_pair(tmp_path)
@@ -427,9 +438,9 @@ def test_cli_compare_matches_compare_table(tmp_path):
         doc = json.loads(results[method].read_text())
         rep = evaluate_out_of_sample(inst, params, schedule_from_json(doc["schedule"]), ev,
                                      method=method, train_scen=train, time_s=doc["time_s"])
-        rows.append((str(inst_path), inst, ev.count, rep))
+        rows.append((str(inst_path), inst.n_trips, inst.n_depots, ev.count, rep))
     lines = table_path.read_text().splitlines()
-    assert lines == compare_table(rows).splitlines()
+    assert lines == report_table(rows).splitlines()
     mean_row, p75_row = (line.split(",") for line in lines[1:])
     assert mean_row[6] == "0.000" and mean_row[7] == ""   # det-mean, no training set
     assert p75_row[6] != "" and p75_row[7] != ""
@@ -452,6 +463,26 @@ def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, edit, expected):
     err = capsys.readouterr().err
     assert f"{path}:4: " in err and expected in err, err
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "method,instance\n", "det-mean,inst.json,10,2,40,5530.0,,,81.73,0.12\n"],
+                         ids=["empty", "blank-lines", "short-header", "no-header"])
+def test_read_report_refuses_a_file_without_the_header(tmp_path, text):
+    from ccvsp.baselines import read_report
+
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path} is not an evaluation report") + "$"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("times, scen, message", [
+    (percentile(75), None, "percentile baseline needs sampled scenarios"),
+    (("median", None), None, "unknown time table ('median', None)"),
+])
+def test_solve_deterministic_refusals(times, scen, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        solve_deterministic(gallery.two_depot_grid(), times, scen)
 
 
 def test_cli_evaluate_rejects_result_without_schedule(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Domain types, cost evaluation, arc encoding and serialization."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,8 +13,10 @@ from conftest import PROPERTY
 from ccvsp import gallery
 from ccvsp.core import (
     Bus,
+    Depot,
     Instance,
     Schedule,
+    ServiceParams,
     Trip,
     ValidationError,
     build_compat,
@@ -141,6 +146,65 @@ def test_service_params_derivation(grid):
     params = gallery.grid_service_params(grid)
     assert params.f_trip == 7
     assert params.f_route == (1, 1, 1, 1)
+
+
+def _grid_parts(grid) -> dict:
+    return dict(trips=list(grid.trips), depots=list(grid.depots),
+                routes=[list(r) for r in grid.routes], dh_time=grid.dh_time,
+                out_time=grid.out_time, in_time=grid.in_time, cost=grid.cost,
+                out_cost=grid.out_cost, in_cost=grid.in_cost, compat=set(grid.compat))
+
+
+def _edit_trip(parts, i, **changes):
+    parts["trips"][i - 1] = dataclasses.replace(parts["trips"][i - 1], **changes)
+
+
+def _negative_cost(parts):
+    parts["cost"] = parts["cost"].copy()
+    parts["cost"][0, 1] = -1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["trips"].reverse(), "trip ids must be 1..8 in order, got 8 at position 1"),
+    (lambda p: _edit_trip(p, 1, mean_dur=0), "trip 1: mean duration must be positive"),
+    (lambda p: _edit_trip(p, 1, max_express=11), "trip 1: max_express must lie in [0, mean_dur]"),
+    (lambda p: _edit_trip(p, 1, start=-1), "trip 1: scheduled start must be non-negative"),
+    (lambda p: _edit_trip(p, 1, route_id=9), "trip 1: route 9 does not exist"),
+    (lambda p: p["depots"].reverse(), "depot ids must be 1..2 in order, got 2"),
+    (lambda p: p["depots"].__setitem__(0, Depot(1, (1, 2), 0)),
+     "depot 1: capacity must be at least 1"),
+    (lambda p: p["routes"][1].insert(0, 2), "trip 2 appears in routes 1 and 2"),
+    (lambda p: p["routes"][2].append(p["routes"][3].pop(0)),
+     "trip 7 listed in route 3 but tagged route 4"),
+    (lambda p: p["routes"][3].pop(), "routes do not partition the trips; missing [8]"),
+    (lambda p: p.update(dh_time=p["dh_time"][:7]), "dh_time has shape (7, 8), expected (8, 8)"),
+    (_negative_cost, "cost[1,2] is negative"),
+    (lambda p: p["compat"].add((3, 3)),
+     "compatibility pair (3,3) is not a valid ordered trip pair"),
+    (lambda p: p["compat"].add((1, 9)),
+     "compatibility pair (1,9) is not a valid ordered trip pair"),
+    (lambda p: p["compat"].add((2, 1)),
+     "compatibility pair (2,1) violates s_i + d_i + t_ij <= s_j under mean times"),
+])
+def test_instance_refusals_name_their_fault(grid, edit, message):
+    parts = _grid_parts(grid)
+    Instance(**parts)
+    edit(parts)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        Instance(**parts)
+
+
+@pytest.mark.parametrize("window, deltas, epsilon, message", [
+    ((-1, 5), (0.9, 0.8), 0.05, "lb and ub must be non-negative"),
+    ((1, -5), (0.9, 0.8), 0.05, "lb and ub must be non-negative"),
+    ((1, 5), (0.0, 0.8), 0.05, "delta_trip and delta_route must lie in (0, 1]"),
+    ((1, 5), (0.9, 1.5), 0.05, "delta_trip and delta_route must lie in (0, 1]"),
+    ((1, 5), (0.9, 0.8), 0.0, "epsilon must lie in (0, 1)"),
+    ((1, 5), (0.9, 0.8), 1.0, "epsilon must lie in (0, 1)"),
+])
+def test_service_params_refusals(grid, window, deltas, epsilon, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        ServiceParams.for_instance(grid, *window, *deltas, epsilon)
 
 
 @st.composite

@@ -57,7 +57,7 @@ def test_chain_cut_shape(chain):
     ctx = build_cmis(inst, params, sched, scen, 0, g, TRIP_LEVEL)
     cut = cmis_cut(ctx)
     assert cut.rhs_const == 3
-    assert dict(cut.pairs) == {(3, 4): 1, (4, 5): 1, (5, 6): 1}
+    assert cut.pairs == ((3, 4), (4, 5), (5, 6))
     # the generating schedule violates it at z=0 and satisfies it at z=1
     assert cut.violated_by(sched, 0.0)
     assert not cut.violated_by(sched, 1.0)
@@ -249,7 +249,7 @@ def test_strong_no_good_on_grid():
     g = greedy_evaluate(inst, params, left, scen, 0)
     cut = strong_no_good_cut(left, 0, g)
     assert cut.rhs_const == 6
-    assert set(dict(cut.pairs)) == {(1, 3), (3, 4), (4, 2), (8, 6), (6, 5), (5, 7)}
+    assert cut.pairs == ((1, 3), (3, 4), (4, 2), (5, 7), (6, 5), (8, 6))
     # any depot reassignment of the same sequences is still cut off
     flipped = Schedule((Bus(2, (1, 3, 4, 2)), Bus(1, (8, 6, 5, 7))))
     assert cut.violated_by(flipped, 0.0)
@@ -328,7 +328,7 @@ def test_degenerate_strong_no_good_forces_z():
     g2 = greedy_evaluate(inst, params, two, late, 0)
     assert g2.z_star == 1
     cut = strong_no_good_cut(two, 0, g2)
-    assert cut.rhs_const == 2 and dict(cut.pairs) == {(1, 2): 1, (3, 4): 1}
+    assert cut.rhs_const == 2 and cut.pairs == ((1, 2), (3, 4))
 
 
 def test_extension_on_chain_with_alternative_head():

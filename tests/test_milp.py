@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -38,6 +39,25 @@ def test_min_x_above_three():
     sol = lp_solve(m)
     assert sol.status == "Optimal"
     assert sol.x[x] == pytest.approx(3.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("args, message", [
+    (dict(lb=2.0, ub=1.0), "variable bounds cross: [2.0, 1.0]"),
+    (dict(lb=0.0, ub=np.inf, is_int=True), "integer variables need finite bounds"),
+    (dict(lb=-np.inf, ub=3.0, is_int=True), "integer variables need finite bounds"),
+])
+def test_add_var_refusals(args, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        MilpModel().add_var(**args)
+
+
+@pytest.mark.parametrize("sense", ["<", "=", "le", None])
+def test_add_constr_refuses_an_unknown_sense(sense):
+    m = MilpModel()
+    x = m.add_var()
+    with pytest.raises(ValueError, match=re.escape(f"unknown sense {sense!r}") + "$"):
+        m.add_constr({x: 1.0}, sense, 1.0)
+    assert m.n_rows == 0
 
 
 def test_infeasible_and_unbounded():
@@ -664,11 +684,11 @@ def test_rows_change_only_through_a_new_revision():
     assert [(dict(c), s, r) for c, s, r in model.rows] == [({x: 1.0}, GREATER, 1.0)]
 
 
-def _broadcast_pivot(self, basis_arr, leave, enter, w):
+def _broadcast_pivot(self, leave, enter, w):
     """The rank-1 inverse update through a broadcast multiply: the reference."""
-    self.in_basis[basis_arr[leave]] = False
+    self.in_basis[self.basis[leave]] = False
     self.in_basis[enter] = True
-    basis_arr[leave] = enter
+    self.basis[leave] = enter
     row = self.binv[leave] / w[leave]
     np.multiply(w[:, None], row, out=self._outer)
     self.binv -= self._outer
@@ -869,6 +889,53 @@ def test_time_limit_holds_inside_one_lp(monkeypatch):
     (elapsed, status), = calls
     assert status == "IterLimit"
     assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("with_incumbent", [True, False])
+def test_time_limit_already_passed_stops_before_the_root(with_incumbent):
+    """A search whose time limit has passed solves no node: IterLimit, with
+    the given incumbent and a bound no higher, or with no schedule at all."""
+    m = MilpModel()
+    x = m.add_var(0, 3, -1.0, is_int=True)
+    y = m.add_var(0, 3, -1.0, is_int=True)
+    m.add_constr({x: 2.0, y: 2.0}, LESS, 5.0)
+    incumbent = np.array([1.0, 0.0])
+    sol = bnb_solve(m, time_limit=-1.0,
+                    incumbent0=(incumbent, -1.0) if with_incumbent else None)
+    assert sol.status == "IterLimit"
+    assert (sol.nodes, sol.iterations) == (0, 0)
+    if with_incumbent:
+        assert np.array_equal(sol.x, incumbent) and sol.obj == -1.0
+        assert sol.bound <= sol.obj
+    else:
+        assert sol.x is None and math.isnan(sol.obj)
+
+
+def test_blands_rule_takes_over_on_a_degenerate_lp(monkeypatch):
+    """Rows A x <= 0 through the origin make the primal simplex stall at a
+    degenerate vertex; past the streak limit Bland's rule prices and picks
+    the leaving row, and the solve still ends at HiGHS's optimum."""
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(55)
+    c = rng.random(250) - 0.5
+    A = rng.random((20, 250)) - 0.5
+    model = MilpModel()
+    cols = [model.add_var(0.0, np.inf, float(cj)) for cj in c]
+    for row in A:
+        model.add_constr(dict(zip(cols, row.tolist())), LESS, 0.0)
+    model.add_constr(dict.fromkeys(cols, 1.0), LESS, 1.0)
+    pricings = []
+    entering = milp._entering
+    monkeypatch.setattr(milp, "_entering", lambda d, rise, fall, bland: (
+        pricings.append(bland) or entering(d, rise, fall, bland)))
+    sol = lp_solve(model)
+    assert sol.status == "Optimal"
+    assert (sum(pricings), len(pricings)) == (112, 237)
+    ref = linprog(c, A_ub=np.vstack([A, np.ones(250)]), b_ub=np.append(np.zeros(20), 1.0),
+                  bounds=(0, None), method="highs")
+    assert sol.obj == pytest.approx(ref.fun, abs=1e-9)
+    assert sol.obj == pytest.approx(-0.46901863196, abs=1e-10)
 
 
 def _most_fractional_loop(x, int_vars):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,41 @@ def test_same_seed_same_instance():
 def test_zero_grid_rejected():
     with pytest.raises(ValidationError):
         generate_instance(GenParams(n_trips=10, n_depots=1, grid_width=0))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(n_trips=0), "n_trips, n_depots and trips_per_route must be positive"),
+    (dict(n_depots=0), "n_trips, n_depots and trips_per_route must be positive"),
+    (dict(trips_per_route=0), "n_trips, n_depots and trips_per_route must be positive"),
+    (dict(grid_height=0), "grid must be non-degenerate"),
+    (dict(headway_buffer=(-1, 4)), "headway_buffer must be a non-negative range"),
+    (dict(headway_buffer=(5, 4)), "headway_buffer must be a non-negative range"),
+])
+def test_generator_refusals(changes, message):
+    p = dataclasses.replace(GenParams(n_trips=10, n_depots=1), **changes)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        generate_instance(p)
+
+
+def test_scenario_set_refuses_no_scenarios():
+    with pytest.raises(ValidationError, match="^a scenario set needs at least one scenario$"):
+        ScenarioSet(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3, 3), dtype=np.int64),
+                    np.zeros((0, 1, 3), dtype=np.int64), np.zeros((0, 3, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sampler_refuses_fewer_than_one_scenario(n):
+    inst = generate_instance(GenParams(n_trips=6, n_depots=1, seed=1))
+    with pytest.raises(ValidationError, match="^need at least one scenario$"):
+        sample_scenarios(inst, n, seed=1)
+
+
+@pytest.mark.parametrize("q", [0, -5, 100.5, math.inf, math.nan])
+def test_percentile_refuses_q_outside_0_to_100(q):
+    inst = generate_instance(GenParams(n_trips=6, n_depots=1, seed=1))
+    scen = sample_scenarios(inst, 4, seed=1)
+    with pytest.raises(ValidationError, match=re.escape("percentile must lie in (0, 100]") + "$"):
+        percentile_times(inst, scen, q)
 
 
 def test_sampling_deterministic():
