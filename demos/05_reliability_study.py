@@ -35,6 +35,6 @@ for seed in range(3):
                              ("cc", cc.schedule, cc.time_s)]:
         rep = evaluate_out_of_sample(inst, params, sched, ev, method=method,
                                      train_scen=scen, time_s=t)
-        rows.append((label, inst.n_trips, inst.n_depots, scen.count, rep))
+        rows.append((label, inst.n_trips, inst.n_depots, ev.count, rep))
 
 print(report_table(rows))

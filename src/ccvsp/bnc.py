@@ -321,9 +321,12 @@ def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
               cfg: BnCConfig, initial_schedule: Schedule | None = None,
               time_limit: float | None = None) -> BnCResult:
     """Exact solve of the scenario reformulation by branch-and-cut; a stop on
-    ``time_limit`` (seconds) returns IterLimit with the best schedule found."""
+    ``time_limit`` (seconds, counted from before the master is built) returns
+    IterLimit with the best schedule found."""
     scen.check_instance(inst)
     t0 = time.monotonic()
-    res = MasterModel(inst, params, scen, cfg).solve(time_limit, initial_schedule)
+    master = MasterModel(inst, params, scen, cfg)
+    left = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
+    res = master.solve(left, initial_schedule)
     res.time_s = time.monotonic() - t0
     return res

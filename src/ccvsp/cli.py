@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 problem proven infeasible, 1 any other error
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -162,12 +163,7 @@ def cmd_solve(args) -> int:
     else:
         res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
                                time_limit=args.time_limit)
-        doc = {"status": res.status, "method": "lagr", "objective": res.objective,
-               "violations": res.violations, "feasible": res.feasible,
-               "primal_bound": res.primal_bound, "dual_bound": res.dual_bound,
-               "iterations": res.iterations, "n_groups": res.n_groups,
-               "schedule": schedule_to_json(res.schedule) if res.schedule else None,
-               "time_s": res.time_s, "log": res.log_csv()}
+        doc = dataclasses.asdict(res) | {"method": "lagr"}
     doc = _finite_or_null(doc)
     Path(args.output).write_text(json.dumps(doc, indent=1, allow_nan=False))
     if doc["status"] == "Infeasible":

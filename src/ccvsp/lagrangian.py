@@ -26,10 +26,13 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .baselines import NoSchedule, percentile, solve_deterministic
 # solve_bnc stays bound here: perfbench's tracer test calls lagrangian.solve_bnc
 from .bnc import BnCConfig, MasterModel, solve_bnc  # noqa: F401
 from .core import (
@@ -53,35 +56,28 @@ IPM_TOL = 1e-9
 IPM_ITER_CAP = 100
 
 
-@dataclass(frozen=True)
-class Partition:
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = [i for g in self.groups for i in g]
-        if len(seen) != len(set(seen)):
-            raise ValidationError("groups overlap")
-
-
-def partition_trips(det_sched: Schedule, m_gr: int) -> Partition:
+def partition_trips(det_sched: Schedule, m_gr: int) -> tuple[tuple[int, ...], ...]:
     """Append whole buses to the current group; close it at m_gr trips.
 
     Trips left over when the buses run out stay together as the final group
     (possibly smaller than m_gr), so every trip is assigned and no group grows
-    past one bus beyond the threshold.
+    past one bus beyond the threshold. A trip on two buses raises.
     """
     if m_gr < 1:
         raise ValidationError("minimum group size must be at least 1")
-    groups: list[list[int]] = []
+    ids = det_sched.trip_ids()
+    if len(ids) != len(set(ids)):
+        raise ValidationError("groups overlap")
+    groups: list[tuple[int, ...]] = []
     current: list[int] = []
     for bus in det_sched.buses:
         current.extend(bus.trips)
         if len(current) >= m_gr:
-            groups.append(current)
+            groups.append(tuple(current))
             current = []
     if current:
-        groups.append(current)
-    return Partition(tuple(tuple(g) for g in groups))
+        groups.append(tuple(current))
+    return tuple(groups)
 
 
 @dataclass
@@ -145,18 +141,18 @@ def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
     for ``mu`` and its root LP starts from the previous solve's root basis.
     ``time_limit`` bounds the solve in seconds.
 
-    Returns (schedule in original ids, z vector, value, solved_to_optimality);
-    the schedule and z vector are None when the time limit passed before any
-    schedule was found. The value is the schedule's integer cost plus the
-    penalty term on the rounded indicators, coef * (mu @ z). A group proven to
-    have no schedule raises ``GroupInfeasible``.
+    Returns (schedule in original ids, z vector, value, solved_to_optimality),
+    or None when the time limit passed before any schedule was found. The
+    value is the schedule's integer cost plus the penalty term on the rounded
+    indicators, coef * (mu @ z). A group proven to have no schedule raises
+    ``GroupInfeasible``.
     """
     coef = penalty_coefficient(p, n_groups)
     master.reprice(coef * mu)
     res = master.solve(time_limit)
     if res.schedule is None:
         if res.status == "IterLimit":
-            return None, None, math.nan, False
+            return None
         raise GroupInfeasible(f"group {p} has no feasible schedule")
     buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
                   for b in res.schedule.buses)
@@ -164,7 +160,7 @@ def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
     return Schedule(buses), z, res.objective + coef * float(mu @ z), res.status == "Optimal"
 
 
-def subgradient(z_by_group: list[np.ndarray]) -> np.ndarray:
+def subgradient(z_by_group: Sequence[np.ndarray]) -> np.ndarray:
     """Component s: the sum over groups p of penalty_coefficient(p, P) z^p_s."""
     P = len(z_by_group)
     return sum(penalty_coefficient(p, P) * z.astype(float)
@@ -303,11 +299,12 @@ class CapacityError(ValidationError):
     """Recombined buses exceed the total depot capacity."""
 
 
-def combine_and_repair(sub_scheds: list[Schedule], inst: Instance) -> Schedule:
+def combine_and_repair(sub_scheds: Sequence[Schedule], inst: Instance) -> Schedule:
     """Concatenate group buses, then move sequences off overloaded depots.
 
     Repeatedly relocates the sequence whose new pull-out plus pull-in cost is
-    smallest among all spare depots until every capacity holds.
+    smallest among all spare depots (ties: the lower bus index, then the lower
+    depot) until every capacity holds.
     """
     buses = [b for sched in sub_scheds for b in sched.buses]
     caps = {k: inst.depot(k).capacity for k in range(1, inst.n_depots + 1)}
@@ -315,24 +312,14 @@ def combine_and_repair(sub_scheds: list[Schedule], inst: Instance) -> Schedule:
         raise CapacityError(
             f"{len(buses)} buses exceed the total depot capacity {sum(caps.values())}")
     while True:
-        used = {k: 0 for k in caps}
-        for b in buses:
-            used[b.depot] += 1
-        over = [k for k in caps if used[k] > caps[k]]
+        used = Counter(b.depot for b in buses)
+        over = {k for k in caps if used[k] > caps[k]}
         if not over:
             break
         spare = [k for k in caps if used[k] < caps[k]]
-        best = None
-        for idx, b in enumerate(buses):
-            if b.depot not in over:
-                continue
-            first, last = b.trips[0], b.trips[-1]
-            for k in spare:
-                delta = int(inst.out_cost[k - 1, first - 1]) + int(inst.in_cost[last - 1, k - 1])
-                cand = (delta, idx, k)
-                if best is None or cand < best:
-                    best = cand
-        _, idx, k = best
+        _, idx, k = min((int(inst.out_cost[k - 1, b.trips[0] - 1])
+                         + int(inst.in_cost[b.trips[-1] - 1, k - 1]), idx, k)
+                        for idx, b in enumerate(buses) if b.depot in over for k in spare)
         buses[idx] = Bus(k, buses[idx].trips)
     sched = Schedule(tuple(buses))
     validate_schedule(inst, sched)
@@ -364,14 +351,6 @@ class LagrangianResult:
     log: list[LagrIterate] = field(default_factory=list)
     time_s: float = 0.0
 
-    def log_csv(self) -> str:
-        rows = ["iter,primal,dual,step,t,incumbent_violations,incumbent_cost"]
-        for e in self.log:
-            rows.append(f"{e.iteration},{e.primal},{e.dual},{e.step},{e.t},"
-                        f"{'' if e.incumbent_violations is None else e.incumbent_violations},"
-                        f"{'' if e.incumbent_cost is None else e.incumbent_cost}")
-        return "\n".join(rows)
-
 
 def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                      cfg: BnCConfig, m_gr: int, det_sched: Schedule | None = None,
@@ -396,10 +375,12 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     best value. The proximal theta never exceeds the dual bound, so the
     over-model's LP runs only once theta is that close.
 
-    ``time_limit`` bounds the whole run in seconds: every group solve gets the
-    time that remains. A group value not proven optimal (cut short by the
-    limit) adds no cut and ends the run as IterLimit, keeping the incumbent.
-    A lone group proven to have no schedule gives status Infeasible.
+    ``time_limit`` bounds the whole run in seconds, the deterministic start
+    included (a start cut short by it gives IterLimit; one proven infeasible
+    raises). Every group solve gets the time that remains. A group value not
+    proven optimal (cut short by the limit) adds no cut and ends the run as
+    IterLimit, keeping the incumbent. A lone group proven to have no schedule
+    gives status Infeasible.
     """
     scen.check_instance(inst)
     t0 = time.monotonic()
@@ -409,19 +390,16 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
         return None if deadline is None else max(0.0, deadline - time.monotonic())
 
     if det_sched is None:
-        from .baselines import solve_deterministic
-
         try:
-            det_sched = solve_deterministic(inst, ("percentile", 75.0), scen,
-                                            time_limit=remaining())
-        except ValidationError:
-            if remaining() != 0.0:
+            det_sched = solve_deterministic(inst, percentile(75), scen, time_limit=remaining())
+        except NoSchedule as stop:
+            if stop.status != "IterLimit":
                 raise
             return LagrangianResult("IterLimit", None, math.nan, None, False, -math.inf,
                                     math.inf, 0, 0, [], time.monotonic() - t0)
-    part = partition_trips(det_sched, m_gr)
-    P = len(part.groups)
-    subs = [restrict(inst, scen, g) for g in part.groups]
+    groups = partition_trips(det_sched, m_gr)
+    P = len(groups)
+    subs = [restrict(inst, scen, g) for g in groups]
     masters = [group_master(sub, params, cfg) for sub in subs]
     S = scen.count
     budget = cc_threshold(S, params.epsilon)
@@ -437,53 +415,48 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     predicted = None
 
     for it in range(max_iters):
-        scheds, zs, values, exact = [], [], [], True
+        outs = []
         for p, (sub, master) in enumerate(zip(subs, masters), start=1):
             try:
-                sched_p, z_p, val_p, opt_p = solve_group(sub, master, mu, p, P, remaining())
+                out = solve_group(sub, master, mu, p, P, remaining())
             except GroupInfeasible:
                 if P > 1:
                     raise           # one group of several proves nothing of the whole
                 status = "Infeasible"
                 break
-            if sched_p is None:
+            if out is None:
                 break
-            scheds.append(sched_p)
-            zs.append(z_p)
-            values.append(val_p)
-            exact = exact and opt_p
-        if len(scheds) < P:
+            outs.append(out)
+        if len(outs) < P:
             break                   # no schedule: out of time, or proven infeasible
+        scheds, zs, values, opts = zip(*outs)
         value = float(sum(values))
         g = subgradient(zs)
         try:
             combined = combine_and_repair(scheds, inst)
-            bad = count_violated_scenarios(inst, params, combined, scen)
-            cost = schedule_cost(inst, combined)
-            cand = (bad, cost, combined)
-            if incumbent is None or (cand[0], cand[1]) < (incumbent[0], incumbent[1]):
+            cand = (count_violated_scenarios(inst, params, combined, scen),
+                    schedule_cost(inst, combined), combined)
+            if incumbent is None or cand[:2] < incumbent[:2]:
                 incumbent = cand
         except CapacityError:
             pass
-        if not exact:
+        if not all(opts):
             break                   # a group value cut short is no dual value
 
         bundle.add_cut(value, g, mu)
         step_kind = "serious"
-        if it == 0 or value > best_value:
+        if value > best_value:
             center = mu.copy()
             best_value = value
         if predicted is not None:
-            gain = value - prev_value
-            if gain < 0.1 * max(predicted, 1e-12):
+            if value - prev_value < 0.1 * max(predicted, 1e-12):
                 step_kind = "null"
                 t = max(t / 2.0, 1e-6)
             else:
                 t = min(t * 2.0, 0.9)
         mu_new, theta = bundle.proximal_step(center, t)
         log.append(LagrIterate(it, value, theta, step_kind, t,
-                               None if incumbent is None else incumbent[0],
-                               None if incumbent is None else incumbent[1]))
+                               *(incumbent[:2] if incumbent else (None, None))))
         tol = rel_tol * max(1.0, abs(best_value))
         if theta - best_value <= tol:
             dual_bound = bundle.maximum()

@@ -727,7 +727,9 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     configuration. ``incumbent0`` seeds the search with a known feasible
     (x, objective) pair; the caller vouches for its feasibility.
     ``time_limit`` also bounds the time spent inside one LP. The search stops
-    as Optimal once the relative gap is at most ``GAP_TOL``.
+    as Optimal once the relative gap is at most ``GAP_TOL``. It also stops, as
+    IterLimit with its incumbent and bound so far, when lazy rows push an LP
+    past ``_BYTES_CAP``; an LP over the cap before any lazy row raises.
 
     ``root_basis`` warm-starts the root LP. It is the ``root_basis`` of an
     earlier solve of this model with the same rows, which may since have been
@@ -738,6 +740,7 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     solve's root basis to the next.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    n_rows0 = model.n_rows
     int_vars = np.flatnonzero(model.is_int)
     base_lb = np.array(model.lb)
     base_ub = np.array(model.ub)
@@ -773,7 +776,12 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
             ub[j] = min(ub[j], hi)
         basis = node.basis
         while True:
-            sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub, deadline=deadline)
+            try:
+                sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub, deadline=deadline)
+            except ValidationError:
+                if model.n_rows == n_rows0:
+                    raise
+                sol = LpSolution("IterLimit")    # the lazy rows passed the byte cap
             total_iters += sol.iterations
             if nodes == 1 and first_basis is None:
                 first_basis = sol.basis

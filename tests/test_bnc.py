@@ -1,6 +1,7 @@
 """Exact branch-and-cut against exhaustive enumeration."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -335,6 +336,36 @@ def test_matrix_byte_cap_counts_the_bytes_exactly(monkeypatch):
         milp.lp_solve(fresh)
     assert fresh._matrix is None
     assert milp.lp_solve(model).status == "Optimal"     # its matrix is built already
+
+
+def test_cut_rows_past_the_byte_cap_stop_the_search(monkeypatch):
+    """The grid master's root LP fits a cap of exactly its estimate; the cut
+    rows the search adds then pass it, which stops the search as IterLimit
+    rather than raising."""
+    inst = gallery.two_depot_grid()
+    master = MasterModel(inst, gallery.grid_service_params(inst), gallery.grid_scenarios(),
+                         BnCConfig())
+    monkeypatch.setattr(milp, "_BYTES_CAP", 58_464)
+    res = master.solve()
+    assert isinstance(res, bnc.BnCResult)
+    assert res.status == "IterLimit"
+    assert master.model.n_rows > 29 and sum(res.cuts_added.values()) > 0
+
+
+def test_time_limit_counts_the_master_build(monkeypatch):
+    """A build that takes longer than the whole limit leaves no time to search."""
+    valid_inequalities = bnc.valid_inequalities
+
+    def slow(*args):
+        time.sleep(0.3)
+        return valid_inequalities(*args)
+
+    monkeypatch.setattr(bnc, "valid_inequalities", slow)
+    inst = gallery.two_depot_grid()
+    res = solve_bnc(inst, gallery.grid_service_params(inst), gallery.grid_scenarios(),
+                    BnCConfig(), time_limit=0.2)
+    assert (res.status, res.nodes) == ("IterLimit", 0)
+    assert res.time_s >= 0.3
 
 
 def _model_digest(model: milp.MilpModel) -> str:

@@ -365,6 +365,45 @@ def test_cli_solve_writes_non_finite_numbers_as_null(tmp_path):
     assert doc["objective"] is None and doc["gap"] is None
 
 
+def test_cli_lagr_result_file_is_the_result_as_data(tmp_path):
+    """Every key but ``log`` holds what the hand-listed document of earlier
+    versions held; ``log`` holds one object per iteration with the fields of
+    ``LagrIterate``."""
+    from ccvsp.bnc import BnCConfig
+    from ccvsp.core import schedule_to_json
+    from ccvsp.lagrangian import solve_lagrangian
+    from ccvsp.scenarios import load_scenarios
+
+    inst_path = tmp_path / "inst.json"
+    scen_path = tmp_path / "scen.npz"
+    out = tmp_path / "lagr.json"
+    assert main(["generate", "--trips", "24", "--depots", "2", "--seed", "1",
+                 "-o", str(inst_path)]) == 0
+    assert main(["sample", "--instance", str(inst_path), "--scenarios", "20",
+                 "--seed", "2", "-o", str(scen_path)]) == 0
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "lagr", "--group-size", "12", "-o", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    inst = load_instance(inst_path)
+    params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9, delta_route=0.8,
+                                        epsilon=0.05)
+    res = solve_lagrangian(inst, params, load_scenarios(scen_path), BnCConfig(), m_gr=12)
+    earlier = {"status": res.status, "method": "lagr", "objective": res.objective,
+               "violations": res.violations, "feasible": res.feasible,
+               "primal_bound": res.primal_bound, "dual_bound": res.dual_bound,
+               "iterations": res.iterations, "n_groups": res.n_groups,
+               "schedule": schedule_to_json(res.schedule), "time_s": res.time_s}
+    assert set(doc) == set(earlier) | {"log"}
+    assert {k: doc[k] for k in earlier if k != "time_s"} == \
+        {k: v for k, v in earlier.items() if k != "time_s"}
+    assert type(doc["time_s"]) is float
+    assert len(doc["log"]) == doc["iterations"] == 2
+    assert doc["log"] == [
+        {"iteration": e.iteration, "primal": e.primal, "dual": e.dual, "step": e.step,
+         "t": e.t, "incumbent_violations": e.incumbent_violations,
+         "incumbent_cost": e.incumbent_cost} for e in res.log]
+
+
 def test_cli_solve_prints_the_objective_it_writes(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     scen_path = tmp_path / "scen.npz"

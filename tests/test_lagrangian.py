@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import joint_optimum, random_instance, random_scenarios
+from conftest import joint_optimum, random_instance, random_scenarios, random_schedule
 
 from ccvsp import baselines, lagrangian, scenarios
 from ccvsp.bnc import BnCConfig, MasterModel, solve_bnc
-from ccvsp.core import Bus, Schedule, ServiceParams, cc_threshold, schedule_cost
+from ccvsp.core import Bus, Schedule, ServiceParams, ValidationError, cc_threshold, schedule_cost
 from ccvsp.lagrangian import (
     BundleModel,
     CapacityError,
@@ -34,20 +34,26 @@ def _sched(sizes):
 
 def test_partition_remainder_becomes_last_group():
     part = partition_trips(_sched([4, 4, 4]), m_gr=8)
-    assert [sorted(g) for g in part.groups] == [[1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11, 12]]
+    assert [sorted(g) for g in part] == [[1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11, 12]]
     part2 = partition_trips(_sched([4, 4, 3]), m_gr=8)
-    assert [sorted(g) for g in part2.groups] == [[1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11]]
+    assert [sorted(g) for g in part2] == [[1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11]]
 
 
 def test_partition_single_group_when_mgr_large():
     part = partition_trips(_sched([3, 3]), m_gr=100)
-    assert len(part.groups) == 1
-    assert sorted(part.groups[0]) == [1, 2, 3, 4, 5, 6]
+    assert len(part) == 1
+    assert sorted(part[0]) == [1, 2, 3, 4, 5, 6]
 
 
 def test_partition_one_group_per_bus():
     part = partition_trips(_sched([3, 4, 5]), m_gr=3)
-    assert [len(g) for g in part.groups] == [3, 4, 5]
+    assert [len(g) for g in part] == [3, 4, 5]
+
+
+def test_partition_refuses_a_trip_on_two_buses():
+    sched = Schedule((Bus(1, (1, 2)), Bus(2, (2, 3))))
+    with pytest.raises(ValidationError, match="^groups overlap$"):
+        partition_trips(sched, m_gr=1)
 
 
 def test_subgradient_formula():
@@ -185,6 +191,60 @@ def test_combine_and_repair_reassigns_cheapest():
     assert sorted(t for b in merged.buses for t in b.trips) == list(range(1, 7))
 
 
+def _relocate_cheapest_first(buses, inst):
+    """Reference repair: while a depot is over capacity, move the bus of an
+    overloaded depot whose pull-out plus pull-in cost at a depot with room is
+    least, ties to the lower bus index and then the lower depot. Returns the
+    buses and the number of moves, and of those chosen among tied moves."""
+    buses, moves, tied = list(buses), 0, 0
+    depots = range(1, inst.n_depots + 1)
+    while True:
+        used = {k: sum(b.depot == k for b in buses) for k in depots}
+        if all(used[k] <= inst.depot(k).capacity for k in depots):
+            return buses, moves, tied
+        best, n_best = None, 0
+        for idx, b in enumerate(buses):
+            if used[b.depot] <= inst.depot(b.depot).capacity:
+                continue
+            for k in depots:
+                if used[k] >= inst.depot(k).capacity:
+                    continue
+                cost = int(inst.out_cost[k - 1, b.trips[0] - 1]) + int(inst.in_cost[b.trips[-1] - 1, k - 1])
+                if best is None or cost < best[0]:
+                    best, n_best = (cost, idx, k), 1
+                elif cost == best[0]:
+                    n_best += 1
+        _, idx, k = best
+        buses[idx] = Bus(k, buses[idx].trips)
+        moves, tied = moves + 1, tied + (n_best > 1)
+
+
+def test_combine_and_repair_relocates_cheapest_bus_first():
+    """Three depots, several overloaded buses and pull-out and pull-in costs
+    of 0 or 1, so equal-cost moves compete at almost every step."""
+    from ccvsp.core import Depot, Instance
+
+    tied_steps = 0
+    for seed in range(8):
+        rng = np.random.default_rng(400 + seed)
+        base = random_instance(rng, n_trips=9, n_depots=3, n_routes=3)
+        caps = [int(c) for c in rng.permutation([1, 3, 5])]
+        inst = Instance(base.trips, [Depot(k, (0, 0), c) for k, c in enumerate(caps, start=1)],
+                        base.routes, base.dh_time, base.out_time, base.in_time, base.cost,
+                        rng.integers(0, 2, size=(3, 9)), rng.integers(0, 2, size=(9, 3)),
+                        base.compat)
+        chains = [b.trips for b in random_schedule(rng, inst, allow_capacity_violation=True).buses]
+        # most buses start at the smallest depot
+        small = caps.index(1) + 1
+        buses = [Bus(small if rng.random() < 0.7 else int(rng.integers(1, 4)), c) for c in chains]
+        groups = [Schedule(tuple(buses[:len(buses) // 2])), Schedule(tuple(buses[len(buses) // 2:]))]
+        want, moves, tied = _relocate_cheapest_first(buses, inst)
+        assert moves >= 2, seed
+        assert combine_and_repair(groups, inst) == Schedule(tuple(want)), seed
+        tied_steps += tied
+    assert tied_steps >= 10
+
+
 def test_combine_capacity_exhausted_raises():
     from ccvsp.core import Depot, Instance
 
@@ -311,7 +371,7 @@ def _mu_sequence(S, scale, seed):
 
 def test_reused_group_master_matches_fresh_master():
     inst, params, scen, det = _demo04(22)
-    groups = partition_trips(det, 12).groups
+    groups = partition_trips(det, 12)
     assert len(groups) == 2
     mus = _mu_sequence(scen.count, 30.0, 200)
     reused = _group_solves(inst, params, scen, groups, mus, reuse=True)
@@ -443,3 +503,25 @@ def test_time_limit_bounds_the_whole_run():
     # the deterministic start is bounded by the same limit
     res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, time_limit=1e-6)
     assert (res.status, res.schedule) == ("IterLimit", None)
+
+
+@pytest.mark.parametrize("status", ["Infeasible", "IterLimit"])
+def test_deterministic_start_stops_only_on_its_time_limit(monkeypatch, status):
+    """A deterministic start cut short by the time limit ends the run as
+    IterLimit; one proven infeasible raises, even once the time is up."""
+    inst, params, scen = _cli_repro()
+
+    def no_schedule(*args, **kwargs):
+        raise baselines.NoSchedule(status, f"deterministic model is {status}")
+
+    monkeypatch.setattr(lagrangian, "solve_deterministic", no_schedule)
+
+    def run():
+        return solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, time_limit=1e-9)
+
+    if status == "Infeasible":
+        with pytest.raises(baselines.NoSchedule, match="Infeasible"):
+            run()
+    else:
+        res = run()
+        assert (res.status, res.schedule, res.iterations, res.n_groups) == ("IterLimit", None, 0, 0)
