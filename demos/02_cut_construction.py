@@ -6,6 +6,8 @@ predecessors needed to explain the delays, then tries alternative heads and
 finally certifies the cut through the dual of a tightened LP.
 """
 
+import dataclasses
+
 from ccvsp import gallery
 from ccvsp.cuts import build_cmis, cmis_cut, dual_certificate, extend_cmis, \
     is_infeasible_set, mis_deletion_filter
@@ -14,7 +16,7 @@ from ccvsp.subproblem import TRIP_LEVEL, greedy_evaluate
 inst, params, sched, scen = gallery.delay_chain()
 g = greedy_evaluate(inst, params, sched, scen, 0)
 
-print("earliest starts:", list(g.y_star))
+print("earliest starts:", g.y_star.tolist())
 print("on-time windows:", [(t.start - params.lb, t.start + params.ub) for t in inst.trips])
 print("delayed trips:", sorted(g.delayed), "violated:", [str(c) for c in g.violated], "\n")
 
@@ -32,7 +34,7 @@ print("deletion filter returns it unchanged:",
 ext = extend_cmis(inst, params, scen, 0, ctx)
 print("alternative-head pairs:", sorted(ext.extra) or "none")
 cut = cmis_cut(ext)
-print("cut:", cut.to_json())
+print("cut:", dataclasses.asdict(cut))
 
 rep = dual_certificate(inst, params, sched, scen, 0, g, ctx)
 print("\ndual certificate verified:", rep.ok)

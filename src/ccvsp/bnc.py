@@ -27,7 +27,6 @@ from .core import (
     schedule_cost,
     schedule_from_arcs,
     schedule_to_arcs,
-    schedule_to_json,
     validate_schedule,
 )
 from .cuts import (
@@ -75,7 +74,8 @@ class BnCConfig:
 
 @dataclass
 class BnCResult:
-    """``objective`` is the schedule's integer cost (nan without a schedule)."""
+    """``objective`` is the schedule's integer cost (nan without a schedule);
+    ``iterations`` counts the simplex iterations of every LP of the search."""
 
     status: str
     schedule: Schedule | None
@@ -84,23 +84,10 @@ class BnCResult:
     gap: float
     cuts_added: dict[str, int]
     nodes: int
+    iterations: int
     time_s: float
     z: tuple[float, ...]
     train_violations: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "bound": self.bound,
-            "gap": self.gap,
-            "nodes": self.nodes,
-            "cuts": dict(self.cuts_added),
-            "time_s": self.time_s,
-            "schedule": schedule_to_json(self.schedule) if self.schedule else None,
-            "z": list(self.z),
-            "train_violations": self.train_violations,
-        }
 
 
 class FlowModel:
@@ -242,14 +229,14 @@ class MasterModel(FlowModel):
         cuts_added = {k: v for k, v in counts.items() if v}
         if sol.x is None:
             return BnCResult(sol.status, None, math.nan, sol.bound, sol.gap,
-                             cuts_added, sol.nodes, elapsed, ())
+                             cuts_added, sol.nodes, sol.iterations, elapsed, ())
         sched = self.decode(sol.x)
         z = tuple(float(v) for v in self.z_values(sol.x))
         bad = count_violated_scenarios(inst, params, sched, scen)
         if sol.status == "Optimal" and bad > self._budget:
             raise AssertionError(f"accepted schedule violates {bad} scenarios, budget {self._budget}")
         return BnCResult(sol.status, sched, schedule_cost(inst, sched), float(sol.bound),
-                         float(sol.gap), cuts_added, sol.nodes, elapsed, z,
+                         float(sol.gap), cuts_added, sol.nodes, sol.iterations, elapsed, z,
                          train_violations=bad)
 
     def z_values(self, x_vals: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .core import (
     save_instance,
     schedule_cost,
     schedule_from_json,
-    schedule_to_json,
 )
 from .cuts import CUT_KINDS, ECMIS
 from .lagrangian import solve_lagrangian
@@ -130,12 +129,12 @@ def cmd_sample(args) -> int:
 
 def _finite_or_null(value):
     """The value with every non-finite float (inf, -inf, nan) replaced by None,
-    through dicts and lists, so that it serializes as strict JSON."""
+    through dicts, lists and tuples, so that it serializes as strict JSON."""
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
     return value
 
@@ -154,16 +153,16 @@ def cmd_solve(args) -> int:
             status, objective, schedule = stop.status, None, None
         else:
             status, objective, schedule = ("Optimal", schedule_cost(inst, sched),
-                                           schedule_to_json(sched))
+                                           dataclasses.asdict(sched))
         doc = {"status": status, "method": args.method, "objective": objective,
                "schedule": schedule, "time_s": time.monotonic() - t0}
-    elif args.method == "bnc":
-        res = solve_bnc(inst, params, scen, cfg, time_limit=args.time_limit)
-        doc = res.to_json() | {"method": "bnc"}
     else:
-        res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
-                               time_limit=args.time_limit)
-        doc = dataclasses.asdict(res) | {"method": "lagr"}
+        if args.method == "bnc":
+            res = solve_bnc(inst, params, scen, cfg, time_limit=args.time_limit)
+        else:
+            res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
+                                   time_limit=args.time_limit)
+        doc = dataclasses.asdict(res) | {"method": args.method}
     doc = _finite_or_null(doc)
     Path(args.output).write_text(json.dumps(doc, indent=1, allow_nan=False))
     if doc["status"] == "Infeasible":
@@ -172,15 +171,30 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _read_result(path):
+    """The result document of ``solve`` at ``path`` and its schedule; a
+    ValidationError naming the file when it is not one or holds no schedule."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:          # not JSON, or not UTF-8 text
+        raise ValidationError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} is not a result object")
+    if doc.get("schedule") is None:
+        raise ValidationError(f"{path} holds no schedule (status {doc.get('status')})")
+    time_s = doc.get("time_s")
+    if time_s is not None and (isinstance(time_s, bool) or not isinstance(time_s, (int, float))):
+        raise ValidationError(f"{path}: time_s {time_s!r} is not a number")
+    try:
+        return doc, schedule_from_json(doc["schedule"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def cmd_evaluate(args) -> int:
     inst = load_instance(args.instance)
     params = _load_params(inst, args)
-    with open(args.schedule) as fh:
-        doc = json.load(fh)
-    if doc.get("schedule") is None:
-        raise ValidationError(f"{args.schedule} holds no schedule "
-                              f"(status {doc.get('status')})")
-    sched = schedule_from_json(doc["schedule"])
+    doc, sched = _read_result(args.schedule)
     # check only what a schedule of another instance breaks; planning
     # compatibility and depot capacity are the solvers' concern
     if sorted(sched.trip_ids()) != list(range(1, inst.n_trips + 1)) or \

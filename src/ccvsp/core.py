@@ -379,6 +379,24 @@ def schedule_from_arcs(inst: Instance, arcs: Iterable[Arc]) -> Schedule:
 
 # -- serialization -----------------------------------------------------------
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int when it is a JSON integer (or an integral float)
+    that fits 64 bits; a ValidationError naming ``where`` for anything else."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63:
+        return value
+    raise ValidationError(f"{where}: {value!r} is not a 64-bit integer")
+
+
+def _integers(value, n: int, where: str) -> tuple[int, ...]:
+    """``value`` as ``n`` ints when it is a JSON list of ``n`` integers; a
+    ValidationError naming ``where`` otherwise."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValidationError(f"{where}: {value!r} is not a list of {n} integers")
+    return tuple(_integer(v, where) for v in value)
+
+
 def _sparse(table: np.ndarray) -> list[list[int]]:
     return [[int(a) + 1, int(b) + 1, int(table[a, b])] for a, b in np.argwhere(table != 0)]
 
@@ -407,47 +425,56 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: dict) -> Instance:
+    """The instance an ``instance_to_json`` document describes. Ids, times,
+    costs and locations must be JSON integers, and each sparse entry
+    [row id, column id, value] must name a cell of its table; a
+    ValidationError names the table and the entry that does not."""
     try:
-        trips = [
-            Trip(int(t["id"]), int(t["route"]), tuple(t["start_loc"]), tuple(t["end_loc"]),
-                 int(t["s"]), int(t["mean_d"]), int(t["e"]))
-            for t in doc["trips"]
-        ]
-        depots = [Depot(int(d["id"]), tuple(d["loc"]), int(d["b"])) for d in doc["depots"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed instance document: {exc}") from exc
-    I, K = len(trips), len(depots)
+        trips = [Trip(*(_integer(t[k], f"trips[{n}].{k}") for k in ("id", "route")),
+                      *(_integers(t[k], 2, f"trips[{n}].{k}") for k in ("start_loc", "end_loc")),
+                      *(_integer(t[k], f"trips[{n}].{k}") for k in ("s", "mean_d", "e")))
+                 for n, t in enumerate(doc["trips"])]
+        depots = [Depot(_integer(d["id"], f"depots[{n}].id"),
+                        _integers(d["loc"], 2, f"depots[{n}].loc"),
+                        _integer(d["b"], f"depots[{n}].b"))
+                  for n, d in enumerate(doc["depots"])]
+        I, K = len(trips), len(depots)
+
+        def fill(group: str, name: str, shape: tuple[int, int]) -> np.ndarray:
+            table = np.zeros(shape, dtype=np.int64)
+            for n, entry in enumerate(doc.get(group, {}).get(name, [])):
+                where = f"{group}.{name}[{n}]"
+                a, b, v = _integers(entry, 3, where)
+                if not (1 <= a <= shape[0] and 1 <= b <= shape[1]):
+                    raise ValidationError(f"{where}: {entry} lies outside the "
+                                          f"{shape[0]} x {shape[1]} table (ids from 1)")
+                table[a - 1, b - 1] = v
+            return table
+
+        tables = dict(dh_time=fill("times", "pairs", (I, I)),
+                      out_time=fill("times", "pull_out", (K, I)),
+                      in_time=fill("times", "pull_in", (I, K)),
+                      cost=fill("costs", "pairs", (I, I)),
+                      out_cost=fill("costs", "pull_out", (K, I)),
+                      in_cost=fill("costs", "pull_in", (I, K)))
+        compat = [_integers(p, 2, f"compat[{n}]") for n, p in enumerate(doc.get("compat", []))]
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValidationError(f"meta: {meta!r} is not an object")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed instance document: {exc!r}") from exc
     routes: dict[int, list[int]] = {}
     for t in trips:
         routes.setdefault(t.route_id, []).append(t.id)
     route_list = [routes.get(r, []) for r in range(1, max(routes, default=0) + 1)]
-
-    def fill(entries, shape, row_off=1, col_off=1):
-        table = np.zeros(shape, dtype=np.int64)
-        for a, b, v in entries:
-            table[a - row_off, b - col_off] = v
-        return table
-
-    costs, times = doc.get("costs", {}), doc.get("times", {})
-    inst = Instance(
-        trips, depots, route_list,
-        dh_time=fill(times.get("pairs", []), (I, I)),
-        out_time=fill(times.get("pull_out", []), (K, I)),
-        in_time=fill(times.get("pull_in", []), (I, K)),
-        cost=fill(costs.get("pairs", []), (I, I)),
-        out_cost=fill(costs.get("pull_out", []), (K, I)),
-        in_cost=fill(costs.get("pull_in", []), (I, K)),
-        compat=[(int(i), int(j)) for i, j in doc.get("compat", [])],
-        meta=doc.get("meta", {}),
-    )
-    return inst
+    return Instance(trips, depots, route_list, **tables, compat=compat, meta=meta)
 
 
 def load_instance(path: str | Path) -> Instance:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:      # not JSON, or not UTF-8 text
             raise ValidationError(f"cannot parse {path}: {exc}") from exc
     return instance_from_json(doc)
 
@@ -457,10 +484,16 @@ def save_instance(inst: Instance, path: str | Path) -> None:
         json.dump(instance_to_json(inst), fh)
 
 
-def schedule_to_json(sched: Schedule) -> dict:
-    return {"buses": [{"depot": b.depot, "trips": list(b.trips)} for b in sched.buses]}
-
-
-def schedule_from_json(doc: dict) -> Schedule:
-    return Schedule(tuple(Bus(int(b["depot"]), tuple(int(i) for i in b["trips"]))
-                          for b in doc["buses"]))
+def schedule_from_json(doc) -> Schedule:
+    """The schedule a ``dataclasses.asdict(schedule)`` document describes: an
+    object whose ``buses`` each hold an integer ``depot`` and a list of
+    integer ``trips``; a ValidationError names the part that does not."""
+    buses = doc.get("buses") if isinstance(doc, dict) else None
+    if not isinstance(buses, list):
+        raise ValidationError("the schedule is not an object with a list of buses")
+    for n, b in enumerate(buses):
+        if not isinstance(b, dict) or not isinstance(b.get("trips"), list):
+            raise ValidationError(f"buses[{n}] is not an object with a list of trips")
+    return Schedule(tuple(Bus(_integer(b.get("depot"), f"buses[{n}].depot"),
+                              tuple(_integer(i, f"buses[{n}].trips") for i in b["trips"]))
+                          for n, b in enumerate(buses)))

@@ -51,12 +51,6 @@ class Cut:
     def key(self):
         return self.s, self.pairs, self.depot_terms, self.rhs_const
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "s": self.s,
-                "pairs": [[i, j, 1] for i, j in self.pairs],
-                "depot_terms": [[list(a), 1] for a in self.depot_terms],
-                "rhs": self.rhs_const}
-
     def violated_by(self, sched: Schedule, z_s: float) -> bool:
         return self.evaluate(sched) > self.rhs_const - 1 + z_s + 1e-9
 

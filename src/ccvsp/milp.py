@@ -20,22 +20,22 @@ rows only; the dual ratio test builds one candidate mask and finds its
 stopping breakpoint with one search. The rank-1 inverse update writes its
 products (through einsum) and the result into existing arrays.
 
-A model turns each row into arrays once, when it is added, and its rows are
-never edited in place, so one integer, the model's ``revision``, names its
-rows and columns. Work that repeats across solves of one model is kept on the
-model under that revision. The first entry is the dense matrix of the rows,
-with the right-hand sides and slack bounds, read-only, which every solve
-shares until a row or a column is added or rows are truncated. The second is
-the end state of the last completed cold phase 1, under the revision and the
-bytes of the variable bounds: phase 1 does not read the objective, so a cold
-solve under a new objective, or after a refused warm start, begins at phase
-2 and still counts the phase-1 iterations. Truncating back to earlier rows
-restores the earlier revision, so a master returned to its base rows meets
-its phase 1 again. The third is the last warm-start basis inverse, under the
-revision and the basis, since sibling nodes start from their parent's basis
-over the same rows; a basis that only swaps in columns of equal bytes has the
-same matrix and shares it. All of this keeps every pivot decision and every
-reported iteration count bit for bit.
+A model turns each row into arrays once and never edits it in place, so its
+``revision``, the column count and the number of the last row, names its rows
+and columns. Work that repeats across solves of one model is kept on the model
+under that revision. The first entry is the dense matrix of the rows, with the
+right-hand sides and slack bounds, read-only, which every solve shares until a
+row or a column is added or rows are truncated. The second is the end state of
+the last completed cold phase 1, under the revision and the bytes of the
+variable bounds: phase 1 does not read the objective, so a cold solve under a
+new objective, or after a refused warm start, begins at phase 2 and still
+counts the phase-1 iterations. Truncating back to earlier rows gives the
+earlier revision, so a master returned to its base rows meets its phase 1
+again. The third is the last warm-start basis inverse, under the revision and
+the basis, since sibling nodes start from their parent's basis over the same
+rows; a basis that only swaps in columns of equal bytes has the same matrix
+and shares it. All of this keeps every pivot decision and every reported
+iteration count bit for bit.
 """
 
 from __future__ import annotations
@@ -69,45 +69,35 @@ class MilpModel:
     """Bounded-variable LP/MILP in row form, minimization.
 
     Each row is turned into arrays of its columns and values once, when it is
-    added. Rows are not edited in place: ``rows`` gives read-only views, and
-    ``truncate_rows`` drops rows from the end. ``revision`` names the rows and
-    the column count: adding a row or a column gives a new revision, and
-    truncating back to rows the model had under the same columns gives the
-    revision it had then, so equal revisions mean equal rows and columns.
-    """
+    added, and numbered; no number is given twice. Rows are not edited in
+    place (``rows`` gives read-only views) and leave only from the end, by
+    ``truncate_rows``; columns are only added. So ``revision``, the column
+    count and the last row's number (0 without rows), names the rows and
+    columns."""
 
     def __init__(self):
         self.obj: list[float] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.is_int: list[bool] = []
-        # each row: its columns and values, sense and right-hand side
+        # each row: its columns and values, sense, right-hand side and number
         self._cols: list[np.ndarray] = []
         self._vals: list[np.ndarray] = []
         self._sense: list[str] = []
         self._rhs: list[float] = []
-        # the revision each row was added at, the revision of the last column,
-        # and the last revision handed out
-        self._revision = 0
-        self._row_revs: list[int] = []
-        self._col_rev = 0
-        self._last_rev = 0
+        self._row_nums: list[int] = []
+        self._rows_added = 0
         # what the simplex computed on this model and may meet again, each
         # under the revision it was computed at: the dense matrix of the rows
         # (read-only), the end state of the last completed cold phase 1, and
         # the last warm-start basis inverse
         self._matrix: _Matrix | None = None
         self._phase1: _Phase1 | None = None
-        self._inverse: tuple[int, np.ndarray, np.ndarray | None] | None = None
-
-    def _new_revision(self) -> int:
-        self._last_rev += 1
-        self._revision = self._last_rev
-        return self._revision
+        self._inverse: tuple[tuple[int, int], np.ndarray, np.ndarray | None] | None = None
 
     @property
-    def revision(self) -> int:
-        return self._revision
+    def revision(self) -> tuple[int, int]:
+        return self.n_vars, self._row_nums[-1] if self._row_nums else 0
 
     def add_var(self, lb: float = 0.0, ub: float = INF, obj: float = 0.0,
                 is_int: bool = False) -> int:
@@ -119,7 +109,6 @@ class MilpModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_int.append(bool(is_int))
-        self._col_rev = self._new_revision()
         return len(self.obj) - 1
 
     def add_constr(self, coeffs: Mapping[int, float], sense: str, rhs: float) -> int:
@@ -130,22 +119,16 @@ class MilpModel:
         self._vals.append(np.fromiter(row.values(), dtype=float, count=len(row)))
         self._sense.append(sense)
         self._rhs.append(float(rhs))
-        self._row_revs.append(self._new_revision())
+        self._rows_added += 1
+        self._row_nums.append(self._rows_added)
         return len(self._rhs) - 1
 
     def truncate_rows(self, n: int) -> None:
         """Keep the first ``n`` rows; a no-op when there are no more."""
         if n >= self.n_rows:
             return
-        for rows in (self._cols, self._vals, self._sense, self._rhs, self._row_revs):
+        for rows in (self._cols, self._vals, self._sense, self._rhs, self._row_nums):
             del rows[n:]
-        # the model had these rows and columns at the last row's revision,
-        # unless a column came after it
-        last = self._row_revs[-1] if n else -1
-        if last >= self._col_rev:
-            self._revision = last
-        else:
-            self._new_revision()
 
     @property
     def rows(self) -> tuple[tuple[Mapping[int, float], str, float], ...]:
@@ -189,7 +172,7 @@ class _Matrix(NamedTuple):
     matrix [rows | slacks | artificials], the right-hand sides and the bounds
     of the slack columns."""
 
-    revision: int
+    revision: tuple[int, int]
     A: np.ndarray
     b: np.ndarray
     slack_lo: np.ndarray
@@ -307,7 +290,7 @@ class _Simplex:
             self.model._inverse = (self.model.revision, self.basis.copy(), inv)
         return None if inv is None else inv.copy()
 
-    def _same_basis_matrix(self, revision: int, basis: np.ndarray) -> bool:
+    def _same_basis_matrix(self, revision: tuple[int, int], basis: np.ndarray) -> bool:
         """Whether ``basis`` under ``revision`` has this basis's matrix, byte
         for byte: the same rows, and in each position the same column or one
         with the same bytes in the dense matrix."""

@@ -10,6 +10,7 @@ minutes.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +326,20 @@ def save_scenarios(scen: ScenarioSet, path) -> None:
 
 
 def load_scenarios(path) -> ScenarioSet:
-    with np.load(path) as data:
-        return ScenarioSet(dur=data["dur"], travel=data["travel"], out_t=data["out_t"],
-                           in_t=data["in_t"], rng_seed=int(data["rng_seed"][0]))
+    """The scenario set ``save_scenarios`` wrote to ``path``; a
+    ValidationError naming the file when it is not such a file."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path} is not a scenario file: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path} is not a scenario file: it holds one array, not an npz")
+    with data:
+        missing = [n for n in (*SCENARIO_TABLES, "rng_seed") if n not in data.files]
+        if missing:
+            raise ValidationError(f"{path} lacks the scenario tables {missing}")
+        try:
+            return ScenarioSet(**{n: data[n] for n in SCENARIO_TABLES},
+                               rng_seed=int(data["rng_seed"][0]))
+        except (ValueError, IndexError) as exc:
+            raise ValidationError(f"{path}: {exc}") from exc

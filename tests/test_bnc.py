@@ -1,6 +1,8 @@
 """Exact branch-and-cut against exhaustive enumeration."""
 
+import dataclasses
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -28,6 +30,7 @@ from ccvsp.core import (
     cc_threshold,
     schedule_cost,
     schedule_from_arcs,
+    schedule_from_json,
     schedule_to_arcs,
 )
 from ccvsp.cuts import CUT_KINDS
@@ -77,7 +80,36 @@ def test_objective_is_the_integer_schedule_cost():
     res = solve_bnc(inst, params, scen, BnCConfig())
     assert type(res.objective) is int
     assert res.objective == schedule_cost(inst, res.schedule)
-    assert res.to_json()["objective"] == res.objective
+    assert dataclasses.asdict(res)["objective"] == res.objective
+
+
+@pytest.mark.parametrize("case", ["grid", "I20-S50"])
+def test_iterations_are_the_sum_over_every_lp(monkeypatch, case):
+    """``iterations`` counts the simplex iterations of every LP the search
+    solves, root, nodes and re-solves after cuts: the sum over what
+    ``lp_solve`` returns, on the grid and on the exact ladder's first rung."""
+    if case == "grid":
+        inst = gallery.two_depot_grid()
+        params = gallery.grid_service_params(inst)
+        scen = gallery.grid_scenarios()
+    else:
+        inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=1))
+        scen = sample_scenarios(inst, 50, seed=2)
+        params = ServiceParams.for_instance(inst, lb=1, ub=5, delta_trip=0.9,
+                                            delta_route=0.8, epsilon=0.05)
+    counted = []
+    real = milp.lp_solve
+
+    def lp_solve(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        counted.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(milp, "lp_solve", lp_solve)
+    res = solve_bnc(inst, params, scen, BnCConfig())
+    assert res.status == "Optimal"
+    assert len(counted) > 1
+    assert res.iterations == sum(counted)
 
 
 def test_cuts_never_fire_when_mean_solution_reliable():
@@ -139,7 +171,7 @@ def test_cut_validity_no_feasible_point_removed():
             for cut in collected:
                 # z = verdict per scenario is feasible; the cut must hold there
                 assert not cut.violated_by(sched, verdicts[cut.s]), (
-                    f"cut {cut.to_json()} removes a feasible schedule")
+                    f"cut {cut} removes a feasible schedule")
     assert total >= 30
 
 
@@ -182,9 +214,10 @@ def test_result_json_round_trip(tmp_path):
     params = gallery.grid_service_params(inst)
     scen = gallery.grid_scenarios()
     res = solve_bnc(inst, params, scen, BnCConfig())
-    doc = res.to_json()
-    assert set(doc) >= {"objective", "bound", "gap", "nodes", "cuts", "time_s",
-                        "schedule", "z"}
+    doc = json.loads(json.dumps(dataclasses.asdict(res)))
+    assert set(doc) >= {"objective", "bound", "gap", "nodes", "iterations", "cuts_added",
+                        "time_s", "schedule", "z"}
+    assert schedule_from_json(doc["schedule"]) == res.schedule
 
 
 def test_infeasible_when_capacity_too_small():

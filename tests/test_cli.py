@@ -1,5 +1,6 @@
 """Baselines, evaluation and the command-line pipeline."""
 
+import dataclasses
 import json
 import re
 
@@ -370,7 +371,6 @@ def test_cli_lagr_result_file_is_the_result_as_data(tmp_path):
     versions held; ``log`` holds one object per iteration with the fields of
     ``LagrIterate``."""
     from ccvsp.bnc import BnCConfig
-    from ccvsp.core import schedule_to_json
     from ccvsp.lagrangian import solve_lagrangian
     from ccvsp.scenarios import load_scenarios
 
@@ -392,7 +392,9 @@ def test_cli_lagr_result_file_is_the_result_as_data(tmp_path):
                "violations": res.violations, "feasible": res.feasible,
                "primal_bound": res.primal_bound, "dual_bound": res.dual_bound,
                "iterations": res.iterations, "n_groups": res.n_groups,
-               "schedule": schedule_to_json(res.schedule), "time_s": res.time_s}
+               "schedule": {"buses": [{"depot": b.depot, "trips": list(b.trips)}
+                                      for b in res.schedule.buses]},
+               "time_s": res.time_s}
     assert set(doc) == set(earlier) | {"log"}
     assert {k: doc[k] for k in earlier if k != "time_s"} == \
         {k: v for k, v in earlier.items() if k != "time_s"}
@@ -550,15 +552,74 @@ def test_cli_evaluate_rejects_schedule_of_another_instance(tmp_path, capsys):
 
 
 def test_cli_evaluate_replays_schedule_over_depot_capacity(tmp_path):
-    from ccvsp.core import schedule_to_json
-
     inst_path, _, _ = _solved_pair(tmp_path)
     inst = load_instance(inst_path)
     singles = Schedule(tuple(Bus(1, (i,)) for i in range(1, inst.n_trips + 1)))
     assert len(singles.buses) > inst.depot(1).capacity   # validate_schedule would refuse it
     result = tmp_path / "singles.json"
-    result.write_text(json.dumps({"method": "singles", "schedule": schedule_to_json(singles)}))
+    result.write_text(json.dumps({"method": "singles", "schedule": dataclasses.asdict(singles)}))
     report = tmp_path / "report.csv"
     assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(result),
                  "--eval-scenarios", "20", "-o", str(report)]) == 0
     assert report.read_text().splitlines()[1].split(",")[8] == "100.00"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["costs"]["pairs"].__setitem__(0, [0, 1, 5]),
+     "costs.pairs[0]: [0, 1, 5] lies outside the 10 x 10 table (ids from 1)"),
+    (lambda d: d["times"]["pairs"].__setitem__(0, [1, 11, 5]),
+     "times.pairs[0]: [1, 11, 5] lies outside the 10 x 10 table (ids from 1)"),
+    (lambda d: d["costs"]["pull_out"].__setitem__(0, [3, 1, 5]),
+     "costs.pull_out[0]: [3, 1, 5] lies outside the 2 x 10 table (ids from 1)"),
+    (lambda d: d["times"]["pull_in"].__setitem__(0, [1, 3, 5]),
+     "times.pull_in[0]: [1, 3, 5] lies outside the 10 x 2 table (ids from 1)"),
+    (lambda d: d["costs"]["pairs"].__setitem__(0, [1, 2, 2.5]),
+     "costs.pairs[0]: 2.5 is not a 64-bit integer"),
+    (lambda d: d["trips"][0].update(mean_d=2.5), "trips[0].mean_d: 2.5 is not a 64-bit integer"),
+    (lambda d: d["trips"][2].update(s="abc"), "trips[2].s: 'abc' is not a 64-bit integer"),
+    (lambda d: d["depots"][1].update(b=True), "depots[1].b: True is not a 64-bit integer"),
+    (lambda d: d["costs"]["pairs"].__setitem__(0, [1, 2, 2**63]),
+     f"costs.pairs[0]: {2**63} is not a 64-bit integer"),
+    (lambda d: d["compat"].__setitem__(0, [1]), "compat[0]: [1] is not a list of 2 integers"),
+    (lambda d: d.update(meta=[1, 2]), "meta: [1, 2] is not an object"),
+])
+def test_cli_refuses_malformed_instance_entries(tmp_path, capsys, edit, message):
+    """Every id, time and cost of an instance file is checked where it enters:
+    the error names the table and the entry, and the CLI exits 1 with it."""
+    from ccvsp.core import instance_from_json
+
+    path = tmp_path / "inst.json"
+    assert main(["generate", "--trips", "10", "--depots", "2", "--route-size", "5",
+                 "--seed", "3", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        instance_from_json(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["sample", "--instance", str(path), "--scenarios", "2",
+                 "-o", str(tmp_path / "scen.npz")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"schedule": {"bus": []}}, "the schedule is not an object with a list of buses"),
+    ({"schedule": {"buses": [{"depot": 1}]}}, "buses[0] is not an object with a list of trips"),
+    ({"schedule": {"buses": [{"depot": 1.5, "trips": [1]}]}},
+     "buses[0].depot: 1.5 is not a 64-bit integer"),
+    ({"schedule": [[1, 2]]}, "the schedule is not an object with a list of buses"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": "1.5"},
+     "time_s '1.5' is not a number"),
+    ([{"depot": 1, "trips": [1]}], None),
+])
+def test_cli_evaluate_names_a_malformed_result_file(tmp_path, capsys, doc, message):
+    inst_path = tmp_path / "inst.json"
+    assert main(["generate", "--trips", "10", "--depots", "2", "--route-size", "5",
+                 "--seed", "3", "-o", str(inst_path)]) == 0
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(result),
+                 "--eval-scenarios", "4", "-o", str(tmp_path / "report.csv")]) == 1
+    want = f"{result}: {message}" if message else f"{result} is not a result object"
+    assert capsys.readouterr().err == f"error: {want}\n"

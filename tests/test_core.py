@@ -128,6 +128,13 @@ def test_load_rejects_garbage(tmp_path):
         load_instance(path)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ValidationError, match="^" + re.escape(f"cannot parse {path}")):
+        load_instance(path)
+
+
 def test_capacity_validation(grid):
     sched = Schedule((Bus(1, (1, 3, 4, 2)), Bus(1, (8, 6, 5, 7)), Bus(1, ())))
     # three buses at depot 1 exceeds capacity 2, but empty buses are dropped from counting?

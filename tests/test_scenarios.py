@@ -401,6 +401,30 @@ def test_scenario_set_refuses_float_large_and_negative_tables(name):
                               np.int32 if name == "dur" else np.uint8)
 
 
+def test_load_scenarios_names_a_file_that_lacks_a_table(tmp_path):
+    inst = generate_instance(GenParams(n_trips=6, n_depots=2, trips_per_route=3, seed=1))
+    scen = sample_scenarios(inst, 3, seed=2)
+    path = tmp_path / "scen.npz"
+    np.savez(path, dur=scen.dur, travel=scen.travel, in_t=scen.in_t, rng_seed=np.array([2]))
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{path} lacks the scenario tables ['out_t']") + "$"):
+        load_scenarios(path)
+
+
+@pytest.mark.parametrize("content", ["text", "one array", "broken zip"])
+def test_load_scenarios_names_a_file_that_is_not_an_npz(tmp_path, content):
+    path = tmp_path / "scen.npz"
+    if content == "text":
+        path.write_text("dur,travel\n1,2\n")
+    elif content == "one array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+    else:
+        path.write_bytes(b"PK\x03\x04 not a zip archive")
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path} is not a scenario file")):
+        load_scenarios(path)
+
+
 def test_int64_and_int32_scenario_files_load_narrowed():
     inst = generate_instance(GenParams(n_trips=10, n_depots=2, trips_per_route=5, seed=17))
     scen = sample_scenarios(inst, 6, seed=4)
