@@ -36,7 +36,7 @@ print("alternative-head pairs:", sorted(ext.extra) or "none")
 cut = cmis_cut(ext)
 print("cut:", dataclasses.asdict(cut))
 
-rep = dual_certificate(inst, params, sched, scen, 0, g, ctx)
+rep = dual_certificate(inst, params, sched, scen, 0, ctx)
 print("\ndual certificate verified:", rep.ok)
 print("pair weights:", {p: str(a) for p, a in sorted(rep.alpha.items())})
 print("dual objective:", rep.objective)

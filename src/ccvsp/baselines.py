@@ -8,7 +8,6 @@ operational model over an independent scenario set.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .bnc import FlowModel
@@ -20,7 +19,7 @@ from .core import (
     build_compat,
     schedule_cost,
 )
-from .milp import bnb_solve
+from .milp import bnb_solve, deadline_after
 from .scenarios import ScenarioSet, percentile_times
 from .subproblem import greedy_evaluate
 
@@ -49,8 +48,10 @@ def solve_deterministic(inst: Instance, times=MEAN,
     sampled scenarios. The schedule sequences only pairs of the instance's
     planning set that the chosen table also finds compatible, so it passes
     ``validate_schedule`` and ``schedule_cost`` prices it. A model left
-    without a schedule raises ``NoSchedule``.
+    without a schedule, as when ``time_limit`` (seconds from the call, the
+    build included) stops it, raises ``NoSchedule``.
     """
+    deadline = deadline_after(time_limit)
     kind, q = times
     if kind == "mean":
         compat = inst.compat
@@ -58,7 +59,7 @@ def solve_deterministic(inst: Instance, times=MEAN,
         if scen is None:
             raise ValidationError("percentile baseline needs sampled scenarios")
         scen.check_instance(inst)
-        dur, travel = percentile_times(inst, scen, q)
+        dur, travel = percentile_times(scen, q)
         compat = build_compat(inst.trips, travel, dur) & inst.compat
     else:
         raise ValidationError(f"unknown time table {times!r}")
@@ -67,7 +68,7 @@ def solve_deterministic(inst: Instance, times=MEAN,
     for k in range(1, inst.n_depots + 1):
         flow.add_capacity_row(k)
         flow.add_balance_rows(k)
-    sol = bnb_solve(flow.model, time_limit=time_limit)
+    sol = bnb_solve(flow.model, deadline=deadline)
     if sol.x is None:
         cause = ("likely insufficient depot capacity" if sol.status == "Infeasible"
                  else "no schedule found within the time limit")
@@ -102,16 +103,17 @@ def evaluate_out_of_sample(inst: Instance, params: ServiceParams, sched: Schedul
                            eval_scen: ScenarioSet, method: str = "",
                            train_scen: ScenarioSet | None = None,
                            time_s: float = 0.0) -> EvalReport:
-    """Percent of evaluation scenarios in which every requirement holds."""
+    """Percent of evaluation scenarios in which every requirement holds.
+
+    ``time_s`` is the time of the solve that made the schedule, written to
+    the report as given."""
     for scen in (eval_scen, train_scen):
         if scen is not None:
             scen.check_instance(inst)
-    t0 = time.monotonic()
     pct = satisfaction_pct(inst, params, sched, eval_scen)
     train = satisfaction_pct(inst, params, sched, train_scen) if train_scen else None
     return EvalReport(method=method, objective=float(schedule_cost(inst, sched)),
-                      eval_sat_pct=pct, train_sat_pct=train,
-                      time_s=time_s or (time.monotonic() - t0))
+                      eval_sat_pct=pct, train_sat_pct=train, time_s=time_s)
 
 
 COMPARE_HEADER = "method,instance,I,K,S,objective,obj_diff_vs_mean_pct,train_sat_pct,eval_sat_pct,time_s"

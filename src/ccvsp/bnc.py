@@ -44,7 +44,7 @@ from .cuts import (
     strong_no_good_cut,
     valid_inequalities,
 )
-from .milp import EQUAL, LESS, MilpModel, bnb_solve
+from .milp import EQUAL, LESS, MilpModel, bnb_solve, deadline_after
 from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios, evaluate_scenarios, greedy_evaluate
 
@@ -163,14 +163,14 @@ class MasterModel(FlowModel):
         self.params, self.scen, self.cfg = params, scen, cfg
         # the most scenarios the schedule may break
         self._budget = cc_threshold(scen.count, params.epsilon)
-        self.z = [self.model.add_var(0, 1, 0.0, not cfg.relax_z) for _ in range(scen.count)]
-        self._z_cols = np.array(self.z, dtype=np.intp)
+        self.z = np.array([self.model.add_var(0, 1, 0.0, not cfg.relax_z)
+                           for _ in range(scen.count)], dtype=np.intp)
         for k in depots:
             self.add_capacity_row(k)
         for k in depots:
             self.add_balance_rows(k)
         # violation budget
-        self.model.add_constr({zv: 1.0 for zv in self.z}, LESS, float(self._budget))
+        self.model.add_constr(dict.fromkeys(self.z, 1.0), LESS, float(self._budget))
         if cfg.use_vi:
             for vi in valid_inequalities(inst, params, scen):
                 coeffs = {j: 1.0 for pair in sorted(vi.pairs) for j in self.pair_cols[pair]}
@@ -196,9 +196,9 @@ class MasterModel(FlowModel):
         self.model.truncate_rows(self.n_base_rows)
         self.pool.clear()
 
-    def solve(self, time_limit: float | None = None,
+    def solve(self, deadline: float | None = None,
               initial_schedule: Schedule | None = None) -> BnCResult:
-        """Branch-and-cut on this master as it stands; lazy rows stay added.
+        """Branch-and-cut on this master as it stands until ``deadline``; lazy rows stay added.
 
         The root LP starts from ``root_basis``, which is then replaced by the
         basis this solve's first root LP ended with. ``initial_schedule``, a
@@ -221,7 +221,7 @@ class MasterModel(FlowModel):
             return [self.cut_row(c) for c in cuts]
 
         incumbent0 = None if initial_schedule is None else self.encode_incumbent(initial_schedule)
-        sol = bnb_solve(self.model, lazy=lazy, time_limit=time_limit,
+        sol = bnb_solve(self.model, lazy=lazy, deadline=deadline,
                         incumbent0=incumbent0, root_basis=self.root_basis)
         if sol.root_basis is not None:
             self.root_basis = sol.root_basis
@@ -240,7 +240,7 @@ class MasterModel(FlowModel):
                          train_violations=bad)
 
     def z_values(self, x_vals: np.ndarray) -> np.ndarray:
-        return x_vals[self._z_cols]
+        return x_vals[self.z]
 
     def cut_row(self, cut: Cut):
         """The cut as a master row: one on every column of its pairs and arcs."""
@@ -308,12 +308,12 @@ def solve_bnc(inst: Instance, params: ServiceParams, scen: ScenarioSet,
               cfg: BnCConfig, initial_schedule: Schedule | None = None,
               time_limit: float | None = None) -> BnCResult:
     """Exact solve of the scenario reformulation by branch-and-cut; a stop on
-    ``time_limit`` (seconds, counted from before the master is built) returns
-    IterLimit with the best schedule found."""
-    scen.check_instance(inst)
+    ``time_limit`` (seconds from the call, the master build included; nan
+    raises ValidationError) returns IterLimit with the best schedule found."""
     t0 = time.monotonic()
+    deadline = deadline_after(time_limit)
+    scen.check_instance(inst)
     master = MasterModel(inst, params, scen, cfg)
-    left = None if time_limit is None else max(0.0, time_limit - (time.monotonic() - t0))
-    res = master.solve(left, initial_schedule)
+    res = master.solve(deadline, initial_schedule)
     res.time_s = time.monotonic() - t0
     return res

@@ -142,8 +142,11 @@ def _finite_or_null(value):
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     scen = load_scenarios(args.scenarios_file)
+    scen.check_instance(inst)
     params = _load_params(inst, args)
     cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on", relax_z=args.zc == "on")
+    # a percentile plan is labelled with the percentile it used
+    method = f"det-p{args.percentile:g}" if args.method == "det-p75" else args.method
     t0 = time.monotonic()
     if args.method in ("det-mean", "det-p75"):
         table = MEAN if args.method == "det-mean" else percentile(args.percentile)
@@ -154,7 +157,7 @@ def cmd_solve(args) -> int:
         else:
             status, objective, schedule = ("Optimal", schedule_cost(inst, sched),
                                            dataclasses.asdict(sched))
-        doc = {"status": status, "method": args.method, "objective": objective,
+        doc = {"status": status, "method": method, "objective": objective,
                "schedule": schedule, "time_s": time.monotonic() - t0}
     else:
         if args.method == "bnc":
@@ -162,12 +165,12 @@ def cmd_solve(args) -> int:
         else:
             res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
                                    time_limit=args.time_limit)
-        doc = dataclasses.asdict(res) | {"method": args.method}
+        doc = dataclasses.asdict(res) | {"method": method}
     doc = _finite_or_null(doc)
     Path(args.output).write_text(json.dumps(doc, indent=1, allow_nan=False))
     if doc["status"] == "Infeasible":
         return EXIT_INFEASIBLE
-    print(f"{args.method}: objective {json.dumps(doc['objective'])}")
+    print(f"{method}: objective {json.dumps(doc['objective'])}")
     return EXIT_OK
 
 
@@ -205,7 +208,7 @@ def cmd_evaluate(args) -> int:
     train = load_scenarios(args.train_scenarios_file) if args.train_scenarios_file else None
     rep = evaluate_out_of_sample(inst, params, sched, eval_scen,
                                  method=doc.get("method", "unknown"),
-                                 train_scen=train, time_s=doc.get("time_s", 0.0))
+                                 train_scen=train, time_s=doc.get("time_s") or 0.0)
     table = report_table([(args.instance, inst.n_trips, inst.n_depots, eval_scen.count, rep)])
     Path(args.output).write_text(table + "\n")
     print(f"{rep.method}: {rep.eval_sat_pct:.2f}% of scenarios satisfied")

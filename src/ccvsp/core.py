@@ -158,9 +158,6 @@ class Instance:
     def _ids(self) -> range:
         return range(1, len(self.trips) + 1)
 
-    def trip(self, i: TripId) -> Trip:
-        return self.trips[i - 1]
-
     def depot(self, k: DepotId) -> Depot:
         return self.depots[k - 1]
 

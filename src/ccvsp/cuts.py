@@ -381,8 +381,7 @@ class CertificateReport:
 
 
 def dual_certificate(inst: Instance, params: ServiceParams, sched: Schedule,
-                     scen: ScenarioSet, s: int, g: GreedyResult,
-                     ctx: CMisContext) -> CertificateReport:
+                     scen: ScenarioSet, s: int, ctx: CMisContext) -> CertificateReport:
     """Construct and verify the closed-form dual of the tightened scenario LP.
 
     The LP is taken for the path-restricted schedule (each explaining

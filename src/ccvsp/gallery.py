@@ -81,7 +81,6 @@ def grid_scenarios() -> ScenarioSet:
     schedule uses.
     """
     inst = two_depot_grid()
-    I = inst.n_trips
     dur = np.tile([t.mean_dur for t in inst.trips], (2, 1))
     dur[0, [0, 1]] += 1            # scenario 1: trips 1 and 2 run long
     dur[1, [2, 3, 6, 7]] += 1      # scenario 2: trips 3, 4, 7, 8 run long

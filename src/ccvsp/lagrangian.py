@@ -45,7 +45,7 @@ from .core import (
     schedule_cost,
     validate_schedule,
 )
-from .milp import INF, LESS, MilpModel, lp_solve
+from .milp import INF, LESS, MilpModel, deadline_after, lp_solve
 from .scenarios import ScenarioSet
 from .subproblem import count_violated_scenarios
 
@@ -80,15 +80,9 @@ def partition_trips(det_sched: Schedule, m_gr: int) -> tuple[tuple[int, ...], ..
     return tuple(groups)
 
 
-@dataclass
-class SubInstance:
-    inst: Instance
-    scen: ScenarioSet
-    to_orig: dict[int, int]       # local trip id -> original trip id
-
-
-def restrict(inst: Instance, scen: ScenarioSet, trip_ids) -> SubInstance:
-    """Sub-instance over a trip subset, with local contiguous ids."""
+def restrict(inst: Instance, scen: ScenarioSet, trip_ids) -> tuple[Instance, ScenarioSet]:
+    """Sub-instance and scenarios over a trip subset, with local contiguous
+    ids: local trip l is trip ``meta["orig_ids"][l - 1]`` of ``inst``."""
     orig = sorted(trip_ids)
     to_local = {o: l for l, o in enumerate(orig, start=1)}
     route_ids = sorted({inst.trips[o - 1].route_id for o in orig})
@@ -117,7 +111,7 @@ def restrict(inst: Instance, scen: ScenarioSet, trip_ids) -> SubInstance:
         in_t=scen.in_t[:, idx, :],
         rng_seed=scen.rng_seed,
     )
-    return SubInstance(sub_inst, sub_scen, {l: o for o, l in to_local.items()})
+    return sub_inst, sub_scen
 
 
 def penalty_coefficient(p: int, n_groups: int) -> int:
@@ -125,36 +119,33 @@ def penalty_coefficient(p: int, n_groups: int) -> int:
     return -(n_groups - 1) if p == 1 else 1
 
 
-def group_master(sub: SubInstance, params: ServiceParams, cfg: BnCConfig) -> MasterModel:
-    return MasterModel(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg)
-
-
 class GroupInfeasible(ValidationError):
     """A group has no schedule within its scenario budget."""
 
 
-def solve_group(sub: SubInstance, master: MasterModel, mu: np.ndarray, p: int,
-                n_groups: int, time_limit: float | None = None):
+def solve_group(master: MasterModel, mu: np.ndarray, p: int, n_groups: int,
+                deadline: float | None = None):
     """Exact solve of one group with the penalized indicator objective.
 
-    ``master`` is the group's master (see ``group_master``); it is re-priced
-    for ``mu`` and its root LP starts from the previous solve's root basis.
-    ``time_limit`` bounds the solve in seconds.
+    ``master``, over an instance from ``restrict``, is re-priced for ``mu``;
+    its root LP starts from the previous solve's root basis, and the solve
+    stops at ``deadline`` (see ``milp.deadline_after``).
 
     Returns (schedule in original ids, z vector, value, solved_to_optimality),
-    or None when the time limit passed before any schedule was found. The
+    or None when the deadline passed before any schedule was found. The
     value is the schedule's integer cost plus the penalty term on the rounded
     indicators, coef * (mu @ z). A group proven to have no schedule raises
     ``GroupInfeasible``.
     """
     coef = penalty_coefficient(p, n_groups)
     master.reprice(coef * mu)
-    res = master.solve(time_limit)
+    res = master.solve(deadline)
     if res.schedule is None:
         if res.status == "IterLimit":
             return None
         raise GroupInfeasible(f"group {p} has no feasible schedule")
-    buses = tuple(Bus(b.depot, tuple(sub.to_orig[i] for i in b.trips))
+    orig = master.inst.meta["orig_ids"]
+    buses = tuple(Bus(b.depot, tuple(orig[i - 1] for i in b.trips))
                   for b in res.schedule.buses)
     z = np.array([round(v) for v in res.z], dtype=int)
     return Schedule(buses), z, res.objective + coef * float(mu @ z), res.status == "Optimal"
@@ -380,23 +371,21 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
     best value. The proximal theta never exceeds the dual bound, so the
     over-model's LP runs only once theta is that close.
 
-    ``time_limit`` bounds the whole run in seconds, the deterministic start
-    included (a start cut short by it gives IterLimit; one proven infeasible
-    raises). Every group solve gets the time that remains. A group value not
-    proven optimal (cut short by the limit) adds no cut and ends the run as
-    IterLimit, keeping the incumbent. A lone group proven to have no schedule
-    gives status Infeasible.
+    ``time_limit`` bounds the whole run in seconds from the call, the
+    deterministic start included (a start cut short by it gives IterLimit;
+    one proven infeasible raises); nan raises ValidationError. Every group
+    solve stops at the run's deadline. A group value not proven optimal (cut
+    short by the limit) adds no cut and ends the run as IterLimit, keeping
+    the incumbent. A lone group proven to have no schedule gives status
+    Infeasible.
     """
-    scen.check_instance(inst)
     t0 = time.monotonic()
-    deadline = None if time_limit is None else t0 + time_limit
-
-    def remaining():
-        return None if deadline is None else max(0.0, deadline - time.monotonic())
-
+    deadline = deadline_after(time_limit)
+    scen.check_instance(inst)
     if det_sched is None:
+        left = None if deadline is None else deadline - time.monotonic()
         try:
-            det_sched = solve_deterministic(inst, percentile(75), scen, time_limit=remaining())
+            det_sched = solve_deterministic(inst, percentile(75), scen, time_limit=left)
         except NoSchedule as stop:
             if stop.status != "IterLimit":
                 raise
@@ -404,8 +393,8 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
                                     math.inf, 0, 0, [], time.monotonic() - t0)
     groups = partition_trips(det_sched, m_gr)
     P = len(groups)
-    subs = [restrict(inst, scen, g) for g in groups]
-    masters = [group_master(sub, params, cfg) for sub in subs]
+    masters = [MasterModel(sub_inst, params.scaled_to(sub_inst), sub_scen, cfg)
+               for sub_inst, sub_scen in (restrict(inst, scen, g) for g in groups)]
     S = scen.count
     budget = cc_threshold(S, params.epsilon)
     center = np.zeros(S)
@@ -421,9 +410,9 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
 
     for it in range(max_iters):
         outs = []
-        for p, (sub, master) in enumerate(zip(subs, masters), start=1):
+        for p, master in enumerate(masters, start=1):
             try:
-                out = solve_group(sub, master, mu, p, P, remaining())
+                out = solve_group(master, mu, p, P, deadline)
             except GroupInfeasible:
                 if P > 1:
                     raise           # one group of several proves nothing of the whole

@@ -662,6 +662,16 @@ def _dual_ratio(g: np.ndarray, d: np.ndarray, rise: np.ndarray, fall: np.ndarray
     return int(cand[pick]), ratio[pick], cols[:k], moves
 
 
+def deadline_after(time_limit: float | None) -> float | None:
+    """The ``time.monotonic()`` instant ``time_limit`` seconds from now (None:
+    no limit); a limit at or below 0 has passed, and nan raises ValidationError."""
+    if time_limit is None:
+        return None
+    if math.isnan(time_limit):
+        raise ValidationError("time limit is nan, not a number of seconds")
+    return time.monotonic() + time_limit
+
+
 def _expired(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
@@ -697,7 +707,7 @@ class _Node:
     basis: list[int] | None = field(compare=False, default=None)
 
 
-def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
+def bnb_solve(model: MilpModel, lazy=None, deadline: float | None = None,
               incumbent0=None, root_basis: list[int] | None = None) -> MilpSolution:
     """Best-bound branch-and-bound with lazy constraints added globally.
 
@@ -709,10 +719,11 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     one half (ties: lowest index). Deterministic for identical inputs and
     configuration. ``incumbent0`` seeds the search with a known feasible
     (x, objective) pair; the caller vouches for its feasibility.
-    ``time_limit`` also bounds the time spent inside one LP. The search stops
-    as Optimal once the relative gap is at most ``GAP_TOL``. It also stops, as
-    IterLimit with its incumbent and bound so far, when lazy rows push an LP
-    past ``_BYTES_CAP``; an LP over the cap before any lazy row raises.
+    ``deadline`` (see ``deadline_after``) also bounds the time spent inside
+    one LP. The search stops as Optimal once the relative gap is at most
+    ``GAP_TOL``. It also stops, as IterLimit with its incumbent and bound so
+    far, when lazy rows push an LP past ``_BYTES_CAP``; an LP over the cap
+    before any lazy row raises.
 
     ``root_basis`` warm-starts the root LP. It is the ``root_basis`` of an
     earlier solve of this model with the same rows, which may since have been
@@ -722,7 +733,6 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
     caller that re-solves one model under a sequence of objectives passes each
     solve's root basis to the next.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     n_rows0 = model.n_rows
     int_vars = np.flatnonzero(model.is_int)
     base_lb = np.array(model.lb)
@@ -799,7 +809,7 @@ def bnb_solve(model: MilpModel, lazy=None, time_limit: float | None = None,
             heapq.heappush(heap, _Node(max(sol.obj, node.bound), counter, right, sol.basis))
             break
 
-    # open nodes left mean the time limit stopped the search
+    # open nodes left mean the deadline stopped the search
     if incumbent is None:
         return result("IterLimit" if heap else "Infeasible", None, math.nan,
                       heap[0].bound if heap else -INF, math.inf)

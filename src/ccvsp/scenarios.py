@@ -10,6 +10,7 @@ minutes.
 from __future__ import annotations
 
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass
 
@@ -269,12 +270,17 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     widened to int16 or int32 once a block's values for it pass 255 or
     32767, and ``ScenarioSet`` then widens ``dur`` by its leg rule. ``cv``
     defaults to the generator's ``lognormal_cv`` recorded in the instance
-    meta.
+    meta; either must be a finite number >= 0, or ValidationError names it.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
+    name = "cv"
     if cv is None:
-        cv = float(inst.meta.get("generator_params", {}).get("lognormal_cv", LOGNORMAL_CV))
+        name = "meta.generator_params.lognormal_cv"
+        cv = inst.meta.get("generator_params", {}).get("lognormal_cv", LOGNORMAL_CV)
+    if isinstance(cv, bool) or not isinstance(cv, numbers.Real) or not 0 <= cv < math.inf:
+        raise ValidationError(f"{name} {cv!r} is not a finite number >= 0")
+    cv = float(cv)
     S = n_scenarios
     means = (np.array([t.mean_dur for t in inst.trips], dtype=float),
              inst.dh_time.astype(float), inst.out_time.astype(float),
@@ -307,7 +313,7 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     return ScenarioSet(*tables, rng_seed=seed)
 
 
-def percentile_times(inst: Instance, scen: ScenarioSet, q: float):
+def percentile_times(scen: ScenarioSet, q: float):
     """Per-entry empirical q-th percentile (nearest-rank) across scenarios.
 
     Returns the (dur, travel) tables, each shaped like one scenario.

@@ -39,7 +39,7 @@ TRIP_LEVEL = Requirement(None)
 
 @dataclass(frozen=True)
 class GreedyResult:
-    """What one scenario's propagation computes; verdict and flags derive from it."""
+    """What one scenario's propagation computes; the verdict derives from it."""
 
     y_star: np.ndarray         # earliest start per trip, index id-1
     delayed: frozenset[int]    # ids of the late trips
@@ -48,14 +48,6 @@ class GreedyResult:
     @property
     def z_star(self) -> int:
         return 1 if self.violated else 0
-
-    @property
-    def v_star(self) -> np.ndarray:
-        """On-time flags, bool, index id-1."""
-        return ~np.isin(np.arange(1, len(self.y_star) + 1), list(self.delayed))
-
-    def on_time_count(self) -> int:
-        return len(self.y_star) - len(self.delayed)
 
 
 def _violated(inst: Instance, params: ServiceParams, late: list[int]) -> tuple[Requirement, ...]:
@@ -68,11 +60,6 @@ def _violated(inst: Instance, params: ServiceParams, late: list[int]) -> tuple[R
             in enumerate(zip(inst.routes, params.f_route, per_route), start=1)
             if len(members) - n_late < f_r]
     return tuple(out)
-
-
-def violated_requirements(inst: Instance, params: ServiceParams, v: np.ndarray) -> tuple[Requirement, ...]:
-    """Requirements broken by an on-time flag vector; recomputable from (v, params)."""
-    return _violated(inst, params, (np.flatnonzero(np.logical_not(v)) + 1).tolist())
 
 
 def pair_legs(inst: Instance, scen: ScenarioSet, s, prev: np.ndarray,

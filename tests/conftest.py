@@ -153,13 +153,13 @@ def joint_optimum(inst, params, scen, groups):
     each stay within the budget; None when no pair does."""
     budget = cc_threshold(scen.count, params.epsilon)
     opts = []
-    for sub in (restrict(inst, scen, g) for g in groups):
-        pp = params.scaled_to(sub.inst)
+    for sub_inst, sub_scen in (restrict(inst, scen, g) for g in groups):
+        pp = params.scaled_to(sub_inst)
         opts.append([
-            (schedule_cost(sub.inst, sched),
-             np.array([greedy_evaluate(sub.inst, pp, sched, sub.scen, s).z_star
+            (schedule_cost(sub_inst, sched),
+             np.array([greedy_evaluate(sub_inst, pp, sched, sub_scen, s).z_star
                        for s in range(scen.count)]))
-            for sched in enumerate_schedules(sub.inst)])
+            for sched in enumerate_schedules(sub_inst)])
     best = None
     for c1, v1 in opts[0]:
         for c2, v2 in opts[1]:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ def test_mean_baseline_on_grid_costs_twenty():
 def test_percentile_100_compat_subset_of_mean():
     inst = generate_instance(GenParams(n_trips=20, n_depots=2, seed=2))
     scen = sample_scenarios(inst, 30, seed=5)
-    d100, t100, *_ = percentile_times(inst, scen, 100)
+    d100, t100, *_ = percentile_times(scen, 100)
     mean_d = np.array([t.mean_dur for t in inst.trips])
     hi = build_compat(inst.trips, np.maximum(t100, inst.dh_time), np.maximum(d100, mean_d))
     assert hi <= inst.compat
@@ -56,8 +58,10 @@ def test_deterministic_matches_enumeration():
 def test_single_trip_buses_always_satisfy():
     inst, params, _, scen = gallery.delay_chain()
     singles = Schedule(tuple(Bus(1, (i,)) for i in range(1, 7)))
-    rep = evaluate_out_of_sample(inst, params, singles, scen, method="singles")
+    rep = evaluate_out_of_sample(inst, params, singles, scen, method="singles", time_s=0.0)
     assert rep.eval_sat_pct == 100.0
+    # the report's time is the solve time it is given, not the replay's
+    assert rep.time_s == 0.0
 
 
 def test_training_feasible_schedule_meets_rate():
@@ -193,6 +197,53 @@ def test_deterministic_time_limit_stop_names_the_limit(monkeypatch):
     with pytest.raises(ValidationError, match="within the time limit") as err:
         solve_deterministic(gallery.two_depot_grid(), MEAN, time_limit=1.0)
     assert "capacity" not in str(err.value)
+
+
+def test_deterministic_time_limit_counts_the_model_build(monkeypatch):
+    """A build that takes longer than the whole limit leaves no time to search."""
+    from ccvsp import baselines
+
+    flow_model = baselines.FlowModel
+
+    def slow(*args):
+        time.sleep(0.3)
+        return flow_model(*args)
+
+    monkeypatch.setattr(baselines, "FlowModel", slow)
+    with pytest.raises(baselines.NoSchedule) as err:
+        solve_deterministic(gallery.two_depot_grid(), MEAN, time_limit=0.2)
+    assert err.value.status == "IterLimit"
+
+
+@pytest.mark.parametrize("method", ["bnc", "lagr", "det-mean", "det-p75"])
+def test_nan_time_limit_is_refused(tmp_path, capsys, method):
+    """nan is no number of seconds: every solver refuses it, and the CLI
+    exits 1 with one error line."""
+    from ccvsp.bnc import BnCConfig, solve_bnc
+    from ccvsp.core import save_instance
+    from ccvsp.lagrangian import solve_lagrangian
+    from ccvsp.scenarios import save_scenarios
+
+    inst, scen = gallery.two_depot_grid(), gallery.grid_scenarios()
+    params = gallery.grid_service_params(inst)
+    solve = {
+        "bnc": lambda: solve_bnc(inst, params, scen, BnCConfig(), time_limit=math.nan),
+        "lagr": lambda: solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=4,
+                                         time_limit=math.nan),
+        "det-mean": lambda: solve_deterministic(inst, MEAN, time_limit=math.nan),
+        "det-p75": lambda: solve_deterministic(inst, percentile(75), scen, time_limit=math.nan),
+    }[method]
+    message = "time limit is nan, not a number of seconds"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        solve()
+    save_instance(inst, tmp_path / "inst.json")
+    save_scenarios(scen, tmp_path / "scen.npz")
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(tmp_path / "inst.json"), "--scenarios-file",
+                 str(tmp_path / "scen.npz"), "--method", method, "--time-limit", "nan",
+                 "-o", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_pipeline_determinism(tmp_path):
@@ -433,7 +484,7 @@ def test_cli_solve_mismatched_scenarios_exits_one(tmp_path, capsys):
     assert main(["sample", "--instance", str(small_path), "--scenarios", "10",
                  "--seed", "3", "-o", str(scen_path)]) == 0
     capsys.readouterr()
-    for method in ("bnc", "lagr", "det-p75"):
+    for method in ("bnc", "lagr", "det-mean", "det-p75"):
         assert main(["solve", "--instance", str(inst_path), "--scenarios-file",
                      str(scen_path), "--method", method,
                      "-o", str(tmp_path / "out.json")]) == 1
@@ -485,6 +536,21 @@ def test_cli_compare_matches_report_table(tmp_path):
     mean_row, p75_row = (line.split(",") for line in lines[1:])
     assert mean_row[6] == "0.000" and mean_row[7] == ""   # det-mean, no training set
     assert p75_row[6] != "" and p75_row[7] != ""
+
+
+def test_cli_percentile_plan_is_labelled_with_its_percentile(tmp_path):
+    """``--method det-p75 --percentile 50`` plans at the 50th percentile, so its
+    result, its report row and the compare table all read det-p50."""
+    inst_path, scen_path, _ = _solved_pair(tmp_path)
+    result, report, table = (tmp_path / name for name in ("p50.json", "p50.csv", "table.csv"))
+    assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+                 "--method", "det-p75", "--percentile", "50", "-o", str(result)]) == 0
+    assert json.loads(result.read_text())["method"] == "det-p50"
+    assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(result),
+                 "--eval-scenarios", "10", "-o", str(report)]) == 0
+    assert main(["compare", str(report), "-o", str(table)]) == 0
+    for path in (report, table):
+        assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["det-p50"]
 
 
 @pytest.mark.parametrize("edit, expected", [

@@ -115,9 +115,9 @@ def test_incompat_sequenced_pair_delays_successor():
             g = greedy_evaluate(inst, params, sched, scen, s)
             for bus in sched.buses:
                 for j, i in zip(bus.trips, bus.trips[1:]):
-                    if (j, i) not in cs and g.v_star[j - 1] \
+                    if (j, i) not in cs and j not in g.delayed \
                             and g.y_star[j - 1] == inst.trips[j - 1].start - params.lb:
-                        assert not g.v_star[i - 1]
+                        assert i in g.delayed
                         hits += 1
     assert hits > 0
 
@@ -367,7 +367,7 @@ def test_dual_certificate_on_chain(chain):
 
     inst, params, sched, scen, g = chain
     ctx = build_cmis(inst, params, sched, scen, 0, g, TRIP_LEVEL)
-    rep = dual_certificate(inst, params, sched, scen, 0, g, ctx)
+    rep = dual_certificate(inst, params, sched, scen, 0, ctx)
     assert rep.ok, rep.failures
     assert rep.objective == 1
     # weights are reciprocal path starts, which equal the backtracking targets
@@ -384,7 +384,7 @@ def test_dual_certificate_single_pair():
     g = greedy_evaluate(inst, params, sched, scen2, 0)
     core = select_delay_core(inst, params, sched, g, TRIP_LEVEL)
     ctx = build_cmis(inst, params, sched, scen2, 0, g, TRIP_LEVEL)
-    rep = dual_certificate(inst, params, sched, scen2, 0, g, ctx)
+    rep = dual_certificate(inst, params, sched, scen2, 0, ctx)
     assert rep.ok, rep.failures
     assert rep.objective == 1
 
@@ -435,7 +435,7 @@ def test_random_dual_certificates(seed):
             if TRIP_LEVEL not in g.violated:
                 continue
             ctx = build_cmis(inst, params, sched, scen, s, g, TRIP_LEVEL)
-            rep = dual_certificate(inst, params, sched, scen, s, g, ctx)
+            rep = dual_certificate(inst, params, sched, scen, s, ctx)
             assert rep.ok, rep.failures
             assert rep.objective == 1
             checked += 1

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from ccvsp.lagrangian import (
     BundleModel,
     CapacityError,
     combine_and_repair,
-    group_master,
     partition_trips,
     penalty_coefficient,
     restrict,
@@ -30,6 +30,11 @@ from ccvsp.subproblem import count_violated_scenarios
 def _sched(sizes):
     trips = iter(range(1, sum(sizes) + 1))
     return Schedule(tuple(Bus(1, tuple(itertools.islice(trips, n))) for n in sizes))
+
+
+def _group_master(inst, params, scen, group, cfg):
+    sub_inst, sub_scen = restrict(inst, scen, group)
+    return MasterModel(sub_inst, params.scaled_to(sub_inst), sub_scen, cfg)
 
 
 def test_partition_remainder_becomes_last_group():
@@ -167,14 +172,15 @@ def test_restrict_keeps_structure():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, n_trips=8, n_routes=3)
     scen = random_scenarios(rng, inst, 2)
-    sub = restrict(inst, scen, [2, 5, 7])
-    assert sub.inst.n_trips == 3
-    assert sorted(sub.to_orig.values()) == [2, 5, 7]
-    for (i, j) in sub.inst.compat:
-        assert (sub.to_orig[i], sub.to_orig[j]) in inst.compat
+    sub_inst, sub_scen = restrict(inst, scen, [2, 5, 7])
+    assert sub_inst.n_trips == 3
+    orig = sub_inst.meta["orig_ids"]
+    assert orig == [2, 5, 7]
+    for (i, j) in sub_inst.compat:
+        assert (orig[i - 1], orig[j - 1]) in inst.compat
     # scenario slices line up with the original tables
-    for l, o in sub.to_orig.items():
-        assert (sub.scen.dur[:, l - 1] == scen.dur[:, o - 1]).all()
+    for l, o in enumerate(orig, start=1):
+        assert (sub_scen.dur[:, l - 1] == scen.dur[:, o - 1]).all()
 
 
 def test_combine_and_repair_reassigns_cheapest():
@@ -281,11 +287,12 @@ def test_group_solve_zero_penalty_matches_plain():
     params = ServiceParams.for_instance(inst, lb=1, ub=2, delta_trip=0.8,
                                         delta_route=0.5, epsilon=0.34)
     scen = random_scenarios(rng, inst, 3, spread=6)
-    sub = restrict(inst, scen, [1, 2, 3])
+    sub_inst, sub_scen = restrict(inst, scen, [1, 2, 3])
     cfg = BnCConfig()
     mu = np.zeros(3)
-    sched, z, val, opt = solve_group(sub, group_master(sub, params, cfg), mu, p=2, n_groups=2)
-    plain = solve_bnc(sub.inst, params.scaled_to(sub.inst), sub.scen, cfg)
+    master = MasterModel(sub_inst, params.scaled_to(sub_inst), sub_scen, cfg)
+    sched, z, val, opt = solve_group(master, mu, p=2, n_groups=2)
+    plain = solve_bnc(sub_inst, params.scaled_to(sub_inst), sub_scen, cfg)
     assert opt
     assert val == pytest.approx(plain.objective)
 
@@ -296,11 +303,11 @@ def test_group_value_carries_the_indicator_charges():
     params = ServiceParams.for_instance(inst, lb=1, ub=2, delta_trip=0.8,
                                         delta_route=0.5, epsilon=0.34)
     scen = random_scenarios(rng, inst, 3, spread=6)
-    sub = restrict(inst, scen, [1, 2, 3])
+    sub_inst, sub_scen = restrict(inst, scen, [1, 2, 3])
     mu = np.full(3, 7.0)
     # group 1 is charged -(P-1) mu per indicator, so the budget's worth turn on
-    master = group_master(sub, params, BnCConfig())
-    sched, z, val, opt = solve_group(sub, master, mu, p=1, n_groups=2)
+    master = MasterModel(sub_inst, params.scaled_to(sub_inst), sub_scen, BnCConfig())
+    sched, z, val, opt = solve_group(master, mu, p=1, n_groups=2)
     assert opt and z.sum() == cc_threshold(scen.count, params.epsilon) > 0
     assert val == pytest.approx(schedule_cost(inst, sched) - mu @ z)
 
@@ -315,13 +322,12 @@ def test_weak_duality_against_joint_model():
     joint = joint_optimum(inst, params, scen, groups)
     if joint is None:
         pytest.skip("joint model infeasible for this draw")
-    subs = [restrict(inst, scen, g) for g in groups]
-    masters = [group_master(sub, params, BnCConfig()) for sub in subs]
+    masters = [_group_master(inst, params, scen, g, BnCConfig()) for g in groups]
     for trial in range(6):
         mu = np.abs(np.random.default_rng(trial).normal(0, 5, size=3))
         total = 0.0
-        for p, (sub, master) in enumerate(zip(subs, masters), start=1):
-            _, _, val, _ = solve_group(sub, master, mu, p, 2)
+        for p, master in enumerate(masters, start=1):
+            _, _, val, _ = solve_group(master, mu, p, 2)
             total += val
         assert total <= joint + 1e-6
 
@@ -357,11 +363,10 @@ def _demo04(seed):
 
 def _group_solves(inst, params, scen, groups, mus, reuse):
     cfg = BnCConfig()
-    subs = [restrict(inst, scen, g) for g in groups]
-    masters = [group_master(sub, params, cfg) for sub in subs]
-    return [solve_group(sub, master if reuse else group_master(sub, params, cfg),
-                        mu, p, len(subs))
-            for mu in mus for p, (sub, master) in enumerate(zip(subs, masters), start=1)]
+    masters = [_group_master(inst, params, scen, g, cfg) for g in groups]
+    return [solve_group(master if reuse else _group_master(inst, params, scen, g, cfg),
+                        mu, p, len(groups))
+            for mu in mus for p, (g, master) in enumerate(zip(groups, masters), start=1)]
 
 
 def _mu_sequence(S, scale, seed):
@@ -431,8 +436,8 @@ def test_lagrangian_values_and_bounds_are_exact(case, monkeypatch):
     bound with no slack."""
     calls = []
 
-    def recorded(sub, master, mu, p, n_groups, time_limit=None):
-        out = solve_group(sub, master, mu, p, n_groups, time_limit)
+    def recorded(master, mu, p, n_groups, deadline=None):
+        out = solve_group(master, mu, p, n_groups, deadline)
         calls.append((mu.copy(), p, n_groups, out))
         return out
 
@@ -525,3 +530,21 @@ def test_deterministic_start_stops_only_on_its_time_limit(monkeypatch, status):
     else:
         res = run()
         assert (res.status, res.schedule, res.iterations, res.n_groups) == ("IterLimit", None, 0, 0)
+
+
+def test_deterministic_start_build_counts_against_the_run(monkeypatch):
+    """The deterministic start's model build spends the run's own time: a
+    build longer than the whole limit leaves the start no time to search."""
+    from ccvsp import gallery
+
+    flow_model = baselines.FlowModel
+
+    def slow(*args):
+        time.sleep(0.3)
+        return flow_model(*args)
+
+    monkeypatch.setattr(baselines, "FlowModel", slow)
+    inst, scen = gallery.two_depot_grid(), gallery.grid_scenarios()
+    res = solve_lagrangian(inst, gallery.grid_service_params(inst), scen, BnCConfig(),
+                           m_gr=4, time_limit=0.2)
+    assert (res.status, res.schedule, res.n_groups) == ("IterLimit", None, 0)

@@ -26,6 +26,7 @@ from ccvsp.milp import (
     _most_fractional,
     _Simplex,
     bnb_solve,
+    deadline_after,
     lp_solve,
 )
 
@@ -876,9 +877,9 @@ def test_time_limit_holds_inside_one_lp(monkeypatch):
 
     calls = []
 
-    def timed_bnb(model, time_limit=None, **kw):
+    def timed_bnb(model, deadline=None, **kw):
         t0 = time.monotonic()
-        sol = bnb_solve(model, time_limit=1.0, **kw)
+        sol = bnb_solve(model, deadline=deadline_after(1.0), **kw)
         calls.append((time.monotonic() - t0, sol.status))
         return sol
 
@@ -900,7 +901,7 @@ def test_time_limit_already_passed_stops_before_the_root(with_incumbent):
     y = m.add_var(0, 3, -1.0, is_int=True)
     m.add_constr({x: 2.0, y: 2.0}, LESS, 5.0)
     incumbent = np.array([1.0, 0.0])
-    sol = bnb_solve(m, time_limit=-1.0,
+    sol = bnb_solve(m, deadline=deadline_after(-1.0),
                     incumbent0=(incumbent, -1.0) if with_incumbent else None)
     assert sol.status == "IterLimit"
     assert (sol.nodes, sol.iterations) == (0, 0)

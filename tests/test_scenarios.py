@@ -50,8 +50,8 @@ def test_fifty_trips_make_five_routes_with_shared_endpoints():
         assert len(members) == 10
         locs = set()
         for i in members:
-            locs.add(inst.trip(i).start_loc)
-            locs.add(inst.trip(i).end_loc)
+            locs.add(inst.trips[i - 1].start_loc)
+            locs.add(inst.trips[i - 1].end_loc)
         assert len(locs) <= 2
 
 
@@ -118,12 +118,42 @@ def test_sampler_refuses_fewer_than_one_scenario(n):
         sample_scenarios(inst, n, seed=1)
 
 
+@pytest.mark.parametrize("cv, meta_cv, named", [
+    (math.nan, None, "cv nan"),
+    (-0.2, None, "cv -0.2"),
+    (math.inf, None, "cv inf"),
+    (None, "abc", "meta.generator_params.lognormal_cv 'abc'"),
+    (None, math.nan, "meta.generator_params.lognormal_cv nan"),
+], ids=["nan", "negative", "inf", "meta-text", "meta-nan"])
+def test_sampler_refuses_a_cv_that_is_not_a_finite_number_at_least_0(tmp_path, capsys, cv,
+                                                                     meta_cv, named):
+    from ccvsp.cli import main
+    from ccvsp.core import save_instance
+
+    inst = generate_instance(GenParams(n_trips=6, n_depots=1, seed=1))
+    # 0 is valid: every sampled time is its mean
+    zero = sample_scenarios(inst, 2, seed=1, cv=0.0)
+    assert (zero.dur == [t.mean_dur for t in inst.trips]).all()
+    if meta_cv is not None:
+        inst.meta["generator_params"]["lognormal_cv"] = meta_cv
+    message = f"{named} is not a finite number >= 0"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        sample_scenarios(inst, 2, seed=1, cv=cv)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    capsys.readouterr()
+    argv = ["sample", "--instance", str(path), "--scenarios", "2", "-o", str(tmp_path / "s.npz")]
+    assert main(argv + ([] if cv is None else ["--cv", str(cv)])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.npz").exists()
+
+
 @pytest.mark.parametrize("q", [0, -5, 100.5, math.inf, math.nan])
 def test_percentile_refuses_q_outside_0_to_100(q):
     inst = generate_instance(GenParams(n_trips=6, n_depots=1, seed=1))
     scen = sample_scenarios(inst, 4, seed=1)
     with pytest.raises(ValidationError, match=re.escape("percentile must lie in (0, 100]") + "$"):
-        percentile_times(inst, scen, q)
+        percentile_times(scen, q)
 
 
 def test_sampling_deterministic():
@@ -151,20 +181,20 @@ def test_percentile_nearest_rank():
                        np.zeros((100, 1, 1), dtype=np.int64),
                        np.zeros((100, 1, 1), dtype=np.int64))
     inst = generate_instance(GenParams(n_trips=1, n_depots=1, seed=0))
-    d75, *_ = percentile_times(inst, scen, 75)
+    d75, *_ = percentile_times(scen, 75)
     assert d75[0] == 75
-    d100, *_ = percentile_times(inst, scen, 100)
+    d100, *_ = percentile_times(scen, 100)
     assert d100[0] == 100
     same = ScenarioSet(np.full((2, 1), 7, dtype=np.int64), np.zeros((2, 1, 1), dtype=np.int64),
                        np.zeros((2, 1, 1), dtype=np.int64), np.zeros((2, 1, 1), dtype=np.int64))
-    d50, *_ = percentile_times(inst, same, 50)
+    d50, *_ = percentile_times(same, 50)
     assert d50[0] == 7
 
 
 def test_compat_monotone_in_estimates():
     inst = generate_instance(GenParams(n_trips=25, n_depots=2, seed=11))
     scen = sample_scenarios(inst, 40, seed=2)
-    d100, t100, *_ = percentile_times(inst, scen, 100)
+    d100, t100, *_ = percentile_times(scen, 100)
     hi = build_compat(inst.trips, t100, d100)
     mean_d = np.array([t.mean_dur for t in inst.trips])
     base = build_compat(inst.trips, np.maximum(inst.dh_time, t100), np.maximum(mean_d, d100))
@@ -479,14 +509,14 @@ def _check_table_types(top, dtype):
     scen = ScenarioSet(**{**tables, "dur": np.full(base.dur.shape, top),
                           "travel": np.full(base.travel.shape, top)})
     assert scen.dur.dtype == _fits(2 * top) and scen.travel.dtype == dtype and _legs_exact(scen)
-    dur, travel = percentile_times(inst, scen, 50)
+    dur, travel = percentile_times(scen, 50)
     assert (dur.dtype, travel.dtype) == (scen.dur.dtype, dtype)
     assert (dur == top).all() and (travel == top).all()
-    sub = restrict(inst, scen, [2, 4, 5]).scen
+    _, sub = restrict(inst, scen, [2, 4, 5])
     assert _types(sub) == _types(scen) and (sub.dur == top).all() and _legs_exact(sub)
     # a restriction that drops every wide entry takes the types of what it keeps
     wide_first = np.where(np.arange(6) == 0, top, base.dur.astype(np.int64))
-    kept = restrict(inst, ScenarioSet(**{**tables, "dur": wide_first}), [2, 3]).scen
+    _, kept = restrict(inst, ScenarioSet(**{**tables, "dur": wide_first}), [2, 3])
     assert _types(kept) == _rule_types(kept.dur, kept.travel, kept.out_t, kept.in_t)
 
 
