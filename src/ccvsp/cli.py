@@ -34,7 +34,14 @@ from .core import (
 )
 from .cuts import CUT_KINDS, ECMIS
 from .lagrangian import solve_lagrangian
-from .scenarios import GenParams, generate_instance, load_scenarios, sample_scenarios, save_scenarios
+from .scenarios import (
+    LOGNORMAL_CV,
+    GenParams,
+    generate_instance,
+    load_scenarios,
+    sample_scenarios,
+    save_scenarios,
+)
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE = 0, 1, 2
 
@@ -54,6 +61,18 @@ def _service_args(p: _Parser):
     p.add_argument("--ub", type=int, default=5)
 
 
+def _method(text: str) -> str:
+    """A solve method: bnc, lagr, det-mean, or det-p<Q> written det-p{Q:g}."""
+    if text in ("bnc", "lagr", "det-mean"):
+        return text
+    try:
+        if text.startswith("det-p"):
+            return f"det-p{float(text[5:]):g}"
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not bnc, lagr, det-mean or det-p<Q>")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ccvsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -71,20 +90,19 @@ def build_parser() -> _Parser:
     s.add_argument("--instance", required=True)
     s.add_argument("--scenarios", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cv", type=float, default=None)
+    s.add_argument("--cv", type=float, default=LOGNORMAL_CV)
     s.add_argument("-o", "--output", required=True)
 
     so = sub.add_parser("solve", help="solve by exact, heuristic or baseline methods")
     so.add_argument("--instance", required=True)
     so.add_argument("--scenarios-file", required=True)
-    so.add_argument("--method", choices=["bnc", "lagr", "det-mean", "det-p75"],
-                    default="bnc")
+    so.add_argument("--method", type=_method, default="bnc",
+                    help="bnc, lagr, det-mean or det-p<Q>, a plan at the Q-th percentile")
     so.add_argument("--cuts", choices=CUT_KINDS, default=ECMIS)
     so.add_argument("--vi", choices=["on", "off"], default="on")
     so.add_argument("--zc", choices=["on", "off"], default="on")
     so.add_argument("--time-limit", type=float, default=None)
     so.add_argument("--group-size", type=int, default=20)
-    so.add_argument("--percentile", type=float, default=75.0)
     _service_args(so)
     so.add_argument("-o", "--output", required=True)
 
@@ -145,11 +163,10 @@ def cmd_solve(args) -> int:
     scen.check_instance(inst)
     params = _load_params(inst, args)
     cfg = BnCConfig(cut_family=args.cuts, use_vi=args.vi == "on", relax_z=args.zc == "on")
-    # a percentile plan is labelled with the percentile it used
-    method = f"det-p{args.percentile:g}" if args.method == "det-p75" else args.method
+    method = args.method
     t0 = time.monotonic()
-    if args.method in ("det-mean", "det-p75"):
-        table = MEAN if args.method == "det-mean" else percentile(args.percentile)
+    if method.startswith("det-"):
+        table = MEAN if method == "det-mean" else percentile(float(method[5:]))
         try:
             sched = solve_deterministic(inst, table, scen, time_limit=args.time_limit)
         except NoSchedule as stop:
@@ -160,7 +177,7 @@ def cmd_solve(args) -> int:
         doc = {"status": status, "method": method, "objective": objective,
                "schedule": schedule, "time_s": time.monotonic() - t0}
     else:
-        if args.method == "bnc":
+        if method == "bnc":
             res = solve_bnc(inst, params, scen, cfg, time_limit=args.time_limit)
         else:
             res = solve_lagrangian(inst, params, scen, cfg, m_gr=args.group_size,
@@ -188,6 +205,11 @@ def _read_result(path):
     time_s = doc.get("time_s")
     if time_s is not None and (isinstance(time_s, bool) or not isinstance(time_s, (int, float))):
         raise ValidationError(f"{path}: time_s {time_s!r} is not a number")
+    # the label becomes one field of a report row
+    method = doc.get("method", "unknown")
+    if not isinstance(method, str) or any(c in method for c in ",\r\n"):
+        raise ValidationError(f"{path}: method {method!r} is not a label without commas "
+                              "or line breaks")
     try:
         return doc, schedule_from_json(doc["schedule"])
     except ValidationError as exc:

@@ -106,6 +106,8 @@ class Schedule:
 class Instance:
     """A static problem instance: trips, depots, routes, times, costs, compatibility.
 
+    Each trip's ``route_id``, one of 1..I, is the one record of route
+    membership; ``routes`` holds each route's trip ids, derived from it.
     Time and cost tables are dense integer arrays indexed by ``id - 1``; entries
     outside the compatibility set are present but unused by the models.
     """
@@ -114,7 +116,6 @@ class Instance:
         self,
         trips: Sequence[Trip],
         depots: Sequence[Depot],
-        routes: Sequence[Sequence[TripId]],
         dh_time: np.ndarray,
         out_time: np.ndarray,
         in_time: np.ndarray,
@@ -126,7 +127,6 @@ class Instance:
     ):
         self.trips = tuple(trips)
         self.depots = tuple(depots)
-        self.routes = tuple(tuple(r) for r in routes)
         self.dh_time = np.asarray(dh_time, dtype=np.int64)
         self.out_time = np.asarray(out_time, dtype=np.int64)
         self.in_time = np.asarray(in_time, dtype=np.int64)
@@ -137,6 +137,11 @@ class Instance:
         self.meta = dict(meta or {})
         self._validate()
         self.route_of = {i: t.route_id for i, t in zip(self._ids, self.trips)}
+        # route r's trips in id order, for r = 1 up to the largest route id
+        routes: list[list[TripId]] = [[] for _ in range(max(self.route_of.values(), default=0))]
+        for i, r in self.route_of.items():
+            routes[r - 1].append(i)
+        self.routes = tuple(map(tuple, routes))
         self.starts = [t.start for t in self.trips]
         self.max_express = np.array([t.max_express for t in self.trips], dtype=np.int64)
         self.succ = {i: [] for i in self._ids}
@@ -163,8 +168,6 @@ class Instance:
 
     def _validate(self) -> None:
         I, K = len(self.trips), len(self.depots)
-        if I == 0 and K == 0 and not self.routes:
-            return
         for pos, t in enumerate(self.trips, start=1):
             if t.id != pos:
                 raise ValidationError(f"trip ids must be 1..{I} in order, got {t.id} at position {pos}")
@@ -174,24 +177,13 @@ class Instance:
                 raise ValidationError(f"trip {t.id}: max_express must lie in [0, mean_dur]")
             if t.start < 0:
                 raise ValidationError(f"trip {t.id}: scheduled start must be non-negative")
-            if not 1 <= t.route_id <= len(self.routes):
-                raise ValidationError(f"trip {t.id}: route {t.route_id} does not exist")
+            if not 1 <= t.route_id <= I:
+                raise ValidationError(f"trip {t.id}: route {t.route_id} lies outside 1..{I}")
         for pos, d in enumerate(self.depots, start=1):
             if d.id != pos:
                 raise ValidationError(f"depot ids must be 1..{K} in order, got {d.id}")
             if d.capacity < 1:
                 raise ValidationError(f"depot {d.id}: capacity must be at least 1")
-        seen: dict[int, int] = {}
-        for r, members in enumerate(self.routes, start=1):
-            for i in members:
-                if i in seen:
-                    raise ValidationError(f"trip {i} appears in routes {seen[i]} and {r}")
-                seen[i] = r
-                if self.trips[i - 1].route_id != r:
-                    raise ValidationError(f"trip {i} listed in route {r} but tagged route {self.trips[i - 1].route_id}")
-        if len(seen) != I:
-            missing = sorted(set(range(1, I + 1)) - set(seen))
-            raise ValidationError(f"routes do not partition the trips; missing {missing}")
         for name, table, shape in [
             ("dh_time", self.dh_time, (I, I)),
             ("out_time", self.out_time, (K, I)),
@@ -460,11 +452,7 @@ def instance_from_json(doc: dict) -> Instance:
             raise ValidationError(f"meta: {meta!r} is not an object")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
-    routes: dict[int, list[int]] = {}
-    for t in trips:
-        routes.setdefault(t.route_id, []).append(t.id)
-    route_list = [routes.get(r, []) for r in range(1, max(routes, default=0) + 1)]
-    return Instance(trips, depots, route_list, **tables, compat=compat, meta=meta)
+    return Instance(trips, depots, **tables, compat=compat, meta=meta)
 
 
 def load_instance(path: str | Path) -> Instance:

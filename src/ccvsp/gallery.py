@@ -38,7 +38,6 @@ def two_depot_grid() -> Instance:
     ]
     trips = [Trip(i, r, sl, el, s, d, 0) for i, (r, sl, el, s, d) in enumerate(spec, start=1)]
     depots = [Depot(1, (1, 2), 2), Depot(2, (8, 3), 2)]
-    routes = [[1, 2], [3, 4], [5, 6], [7, 8]]
     I, K = 8, 2
     dh_time = np.zeros((I, I), dtype=np.int64)
     cost = np.zeros((I, I), dtype=np.int64)
@@ -58,7 +57,7 @@ def two_depot_grid() -> Instance:
             in_time[a, k] = 2 * _manhattan(t.end_loc, dep.loc)
             out_cost[k, a] = _manhattan(dep.loc, t.start_loc) + 2  # deployment cost 2
             in_cost[a, k] = _manhattan(t.end_loc, dep.loc)
-    return Instance(trips, depots, routes, dh_time, out_time, in_time,
+    return Instance(trips, depots, dh_time, out_time, in_time,
                     cost, out_cost, in_cost, build_compat(trips, dh_time),
                     meta={"name": "two-depot-grid", "time_scale": 2})
 
@@ -113,7 +112,7 @@ def delay_chain() -> tuple[Instance, ServiceParams, Schedule, ScenarioSet]:
     zero_ii = np.zeros((I, I), dtype=np.int64)
     zero_ki = np.zeros((1, I), dtype=np.int64)
     zero_ik = np.zeros((I, 1), dtype=np.int64)
-    inst = Instance(trips, [Depot(1, (0, 0), 6)], [[1, 2, 3, 4, 5, 6]],
+    inst = Instance(trips, [Depot(1, (0, 0), 6)],
                     zero_ii, zero_ki, zero_ik, zero_ii.copy(), zero_ki.copy(), zero_ik.copy(),
                     build_compat(trips, zero_ii), meta={"name": "delay-chain"})
     params = ServiceParams.for_instance(inst, lb=1, ub=3, delta_trip=0.84,

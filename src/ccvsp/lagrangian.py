@@ -89,11 +89,9 @@ def restrict(inst: Instance, scen: ScenarioSet, trip_ids) -> tuple[Instance, Sce
     route_map = {r: l for l, r in enumerate(route_ids, start=1)}
     trips = [replace(t, id=to_local[t.id], route_id=route_map[t.route_id])
              for t in (inst.trips[o - 1] for o in orig)]
-    routes = [[to_local[i] for i in inst.routes[r - 1] if i in to_local]
-              for r in route_ids]
     idx = np.array([o - 1 for o in orig])
     sub_inst = Instance(
-        trips, inst.depots, routes,
+        trips, inst.depots,
         dh_time=inst.dh_time[np.ix_(idx, idx)],
         out_time=inst.out_time[:, idx],
         in_time=inst.in_time[idx, :],

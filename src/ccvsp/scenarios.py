@@ -104,7 +104,8 @@ class ScenarioSet:
 
 # generator constants, recorded in instance meta: the share of round trips,
 # the windows over which each route's first departure is uniform, and the
-# coefficient of variation of every sampled time (sample_scenarios' default)
+# coefficient of variation of every sampled time (sample_scenarios' default,
+# recorded as provenance only)
 LONG_TRIP_FRAC = 0.4
 PEAK_WINDOWS = ((360, 600), (840, 1080))
 LOGNORMAL_CV = 0.2
@@ -159,7 +160,6 @@ def generate_instance(p: GenParams) -> Instance:
     route_locs = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in route_locs]
 
     trips: list[Trip] = []
-    routes: list[list[int]] = [[] for _ in range(n_routes)]
     # route cadence state: the next departure follows the previous trip's
     # running time plus a small buffer, so same-route chains are tight
     next_start = [0] * n_routes
@@ -179,7 +179,7 @@ def generate_instance(p: GenParams) -> Instance:
             s_loc = e_loc = a
         else:
             # one-directional; alternate orientation within the route
-            if len(routes[r]) % 2 == 0:
+            if (i - 1) % p.trips_per_route % 2 == 0:
                 s_loc, e_loc = l1, l2
             else:
                 s_loc, e_loc = l2, l1
@@ -189,7 +189,6 @@ def generate_instance(p: GenParams) -> Instance:
         else:
             express = int(rng.integers(math.ceil(0.05 * dur), math.floor(0.10 * dur), endpoint=True))
         trips.append(Trip(i, r + 1, s_loc, e_loc, start, dur, express))
-        routes[r].append(i)
         buffer = int(rng.integers(p.headway_buffer[0], p.headway_buffer[1], endpoint=True))
         next_start[r] = start + dur + buffer
 
@@ -220,7 +219,7 @@ def generate_instance(p: GenParams) -> Instance:
         },
     }
     # pull-outs carry the deployment cost
-    return Instance(trips, depots, routes, dh_time, out_time, in_time,
+    return Instance(trips, depots, dh_time, out_time, in_time,
                     dh_time.copy(), out_time + p.deploy_cost, in_time.copy(), compat, meta)
 
 
@@ -257,7 +256,7 @@ SAMPLE_BLOCK_BYTES = 2 << 20
 
 
 def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
-                     cv: float | None = None) -> ScenarioSet:
+                     cv: float = LOGNORMAL_CV) -> ScenarioSet:
     """Sample S scenarios of all travel times; deterministic for a fixed seed.
 
     Each scenario draws from an independent substream keyed by (seed, s), so
@@ -269,17 +268,13 @@ def sample_scenarios(inst: Instance, n_scenarios: int, seed: int,
     ``SAMPLE_BLOCK_BYTES``, written straight into uint8 tables; a table is
     widened to int16 or int32 once a block's values for it pass 255 or
     32767, and ``ScenarioSet`` then widens ``dur`` by its leg rule. ``cv``
-    defaults to the generator's ``lognormal_cv`` recorded in the instance
-    meta; either must be a finite number >= 0, or ValidationError names it.
+    must be a finite number >= 0, or ValidationError names it; the instance's
+    recorded ``lognormal_cv`` is provenance only and is not read.
     """
     if n_scenarios < 1:
         raise ValidationError("need at least one scenario")
-    name = "cv"
-    if cv is None:
-        name = "meta.generator_params.lognormal_cv"
-        cv = inst.meta.get("generator_params", {}).get("lognormal_cv", LOGNORMAL_CV)
     if isinstance(cv, bool) or not isinstance(cv, numbers.Real) or not 0 <= cv < math.inf:
-        raise ValidationError(f"{name} {cv!r} is not a finite number >= 0")
+        raise ValidationError(f"cv {cv!r} is not a finite number >= 0")
     cv = float(cv)
     S = n_scenarios
     means = (np.array([t.mean_dur for t in inst.trips], dtype=float),

@@ -30,7 +30,6 @@ def random_instance(rng, n_trips=6, n_depots=2, n_routes=2, span=30, horizon=400
                     deploy_cost=20):
     """Small random instance with integer times; starts stay well above lb."""
     trips = []
-    routes = [[] for _ in range(n_routes)]
     for i in range(1, n_trips + 1):
         r = (i - 1) % n_routes
         start = int(rng.integers(50, horizon))
@@ -39,15 +38,9 @@ def random_instance(rng, n_trips=6, n_depots=2, n_routes=2, span=30, horizon=400
         loc = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
         loc2 = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
         trips.append(Trip(i, r + 1, loc, loc2, start, dur, express))
-        routes[r].append(i)
     trips.sort(key=lambda t: t.start)
     trips = [Trip(i, t.route_id, t.start_loc, t.end_loc, t.start, t.mean_dur, t.max_express)
              for i, t in enumerate(trips, start=1)]
-    routes = [[] for _ in range(n_routes)]
-    for t in trips:
-        routes[t.route_id - 1].append(t.id)
-    if any(not r for r in routes):  # guarantee non-empty routes
-        return random_instance(rng, n_trips, n_depots, n_routes, span, horizon, deploy_cost)
     I, K = n_trips, n_depots
     dh = rng.integers(0, 12, size=(I, I)).astype(np.int64)
     np.fill_diagonal(dh, 0)
@@ -59,7 +52,7 @@ def random_instance(rng, n_trips=6, n_depots=2, n_routes=2, span=30, horizon=400
     compat = {(i.id, j.id) for i in trips for j in trips
               if i.id != j.id and i.start + i.mean_dur + dh[i.id - 1, j.id - 1] <= j.start}
     depots = [Depot(k, (0, 0), capacity=max(1, (I + 1) // K)) for k in range(1, K + 1)]
-    return Instance(trips, depots, routes, dh, out_t, in_t, cost, out_c, in_c, compat)
+    return Instance(trips, depots, dh, out_t, in_t, cost, out_c, in_c, compat)
 
 
 def random_scenarios(rng, inst, n_scenarios, spread=6):
@@ -181,7 +174,7 @@ def random_cases(draw):
     inst = random_instance(rng, n_trips=n_trips, n_routes=draw(st.integers(1, min(3, n_trips))),
                            horizon=draw(st.integers(80, 400)))
     if draw(st.integers(0, 4)) == 4:
-        inst = Instance(inst.trips, inst.depots, inst.routes, inst.dh_time, inst.out_time,
+        inst = Instance(inst.trips, inst.depots, inst.dh_time, inst.out_time,
                         inst.in_time, inst.cost, inst.out_cost, inst.in_cost, compat=[])
     params = ServiceParams.for_instance(
         inst, lb=draw(st.integers(0, 3)), ub=draw(st.integers(0, 5)),

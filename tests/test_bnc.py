@@ -226,7 +226,7 @@ def test_infeasible_when_capacity_too_small():
     rng = np.random.default_rng(55)
     base = random_instance(rng, n_trips=4, n_depots=1)
     # one bus total but the trips cannot all chain onto one bus
-    tight = Instance(base.trips, [Depot(1, (0, 0), 1)], base.routes,
+    tight = Instance(base.trips, [Depot(1, (0, 0), 1)],
                      base.dh_time, base.out_time, base.in_time,
                      base.cost, base.out_cost, base.in_cost, compat=[])
     params = ServiceParams.for_instance(tight, lb=1, ub=2, delta_trip=0.9,

@@ -171,7 +171,7 @@ def test_cli_median_baseline_stays_in_planning_set(tmp_path):
     assert main(["sample", "--instance", str(inst_path), "--scenarios", "8", "--seed", "1",
                  "-o", str(scen_path)]) == 0
     assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
-                 "--method", "det-p75", "--percentile", "50", "-o", str(out)]) == 0
+                 "--method", "det-p50", "-o", str(out)]) == 0
     validate_schedule(load_instance(inst_path),
                       schedule_from_json(json.loads(out.read_text())["schedule"]))
     assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(out),
@@ -273,7 +273,7 @@ def test_cli_solve_infeasible_exits_two(tmp_path):
 
     trips = [Trip(1, 1, (0, 0), (5, 0), 100, 10, 0),
              Trip(2, 1, (0, 0), (5, 0), 100, 10, 0)]  # same start: cannot chain
-    inst = Instance(trips, [Depot(1, (0, 0), 1)], [[1, 2]],
+    inst = Instance(trips, [Depot(1, (0, 0), 1)],
                     np.zeros((2, 2), dtype=np.int64), np.zeros((1, 2), dtype=np.int64),
                     np.zeros((2, 1), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
                     np.zeros((1, 2), dtype=np.int64), np.zeros((2, 1), dtype=np.int64),
@@ -306,7 +306,7 @@ def test_lagr_single_group_infeasible_exits_two(tmp_path):
     # one bus must chain both trips; trip 1 overruns in one of eight scenarios
     # and makes trip 2 late, which a budget of zero cannot absorb
     trips = [Trip(1, 1, (0, 0), (0, 0), 100, 10, 0), Trip(2, 1, (0, 0), (0, 0), 115, 10, 0)]
-    inst = Instance(trips, [Depot(1, (0, 0), 1)], [[1, 2]], zeros(2, 2), zeros(1, 2),
+    inst = Instance(trips, [Depot(1, (0, 0), 1)], zeros(2, 2), zeros(1, 2),
                     zeros(2, 1), zeros(2, 2), zeros(1, 2), zeros(2, 1), compat=[(1, 2)])
     dur = np.full((8, 2), 10, dtype=np.int64)
     dur[7, 0] = 30
@@ -365,7 +365,7 @@ def test_cli_det_infeasible_exits_two(tmp_path):
 
     # three trips that overlap need three buses; the two depots hold one each
     trips = [Trip(i, 1, (0, 0), (5, 0), 100 + i, 10, 0) for i in (1, 2, 3)]
-    inst = Instance(trips, [Depot(1, (0, 0), 1), Depot(2, (0, 0), 1)], [[1, 2, 3]],
+    inst = Instance(trips, [Depot(1, (0, 0), 1), Depot(2, (0, 0), 1)],
                     zeros(3, 3), zeros(2, 3), zeros(3, 2), zeros(3, 3), zeros(2, 3),
                     zeros(3, 2), compat=[])
     save_instance(inst, tmp_path / "overlap.json")
@@ -539,18 +539,43 @@ def test_cli_compare_matches_report_table(tmp_path):
 
 
 def test_cli_percentile_plan_is_labelled_with_its_percentile(tmp_path):
-    """``--method det-p75 --percentile 50`` plans at the 50th percentile, so its
-    result, its report row and the compare table all read det-p50."""
+    """``--method det-p50`` plans at the 50th percentile, so its result, its
+    report row and the compare table all read det-p50."""
     inst_path, scen_path, _ = _solved_pair(tmp_path)
     result, report, table = (tmp_path / name for name in ("p50.json", "p50.csv", "table.csv"))
     assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
-                 "--method", "det-p75", "--percentile", "50", "-o", str(result)]) == 0
+                 "--method", "det-p50", "-o", str(result)]) == 0
     assert json.loads(result.read_text())["method"] == "det-p50"
     assert main(["evaluate", "--instance", str(inst_path), "--schedule", str(result),
                  "--eval-scenarios", "10", "-o", str(report)]) == 0
     assert main(["compare", str(report), "-o", str(table)]) == 0
     for path in (report, table):
         assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["det-p50"]
+
+
+@pytest.mark.parametrize("method, exit_code", [
+    ("det-p50.0", 0), ("det-p0", 1), ("det-p101", 1), ("det-pnan", 1), ("det-p", None),
+    ("det-p75x", None), ("bnc2", None)])
+def test_cli_percentile_method_is_normalised_or_refused(tmp_path, capsys, method, exit_code):
+    """``det-p<Q>`` is written det-p{Q:g}; a Q outside (0, 100] exits 1 with one
+    error line, and a method that is not bnc, lagr, det-mean or det-p<Q> is a
+    usage error."""
+    inst_path, scen_path, _ = _solved_pair(tmp_path)
+    out = tmp_path / "out.json"
+    argv = ["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
+            "--method", method, "-o", str(out)]
+    capsys.readouterr()
+    if exit_code is None:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert f"{method!r} is not bnc, lagr, det-mean or det-p<Q>" in capsys.readouterr().err
+    elif exit_code:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: percentile must lie in (0, 100]\n"
+    else:
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["method"] == "det-p50"
 
 
 @pytest.mark.parametrize("edit, expected", [
@@ -648,6 +673,8 @@ def test_cli_evaluate_replays_schedule_over_depot_capacity(tmp_path):
      f"costs.pairs[0]: {2**63} is not a 64-bit integer"),
     (lambda d: d["compat"].__setitem__(0, [1]), "compat[0]: [1] is not a list of 2 integers"),
     (lambda d: d.update(meta=[1, 2]), "meta: [1, 2] is not an object"),
+    (lambda d: d["trips"][3].update(route=11), "trip 4: route 11 lies outside 1..10"),
+    (lambda d: d["trips"][3].update(route=10**6), "trip 4: route 1000000 lies outside 1..10"),
 ])
 def test_cli_refuses_malformed_instance_entries(tmp_path, capsys, edit, message):
     """Every id, time and cost of an instance file is checked where it enters:
@@ -677,6 +704,12 @@ def test_cli_refuses_malformed_instance_entries(tmp_path, capsys, edit, message)
     ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": "1.5"},
      "time_s '1.5' is not a number"),
     ([{"depot": 1, "trips": [1]}], None),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "method": "a,b"},
+     "method 'a,b' is not a label without commas or line breaks"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "method": "x\ny"},
+     "method 'x\\ny' is not a label without commas or line breaks"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "method": 7},
+     "method 7 is not a label without commas or line breaks"),
 ])
 def test_cli_evaluate_names_a_malformed_result_file(tmp_path, capsys, doc, message):
     inst_path = tmp_path / "inst.json"

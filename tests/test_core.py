@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PROPERTY
+from conftest import PROPERTY, random_instance, random_scenarios, random_schedule
 
 from ccvsp import gallery
 from ccvsp.core import (
@@ -44,13 +44,45 @@ def test_grid_dimensions(grid):
     assert len(grid.routes) == 4
 
 
+def test_a_route_id_with_no_trips_gives_an_empty_route():
+    """Routes come from the trips' route ids: trips on routes (1, 1, 3, 3) give
+    an empty route 2, which requires nothing, so no evaluator breaks it and no
+    valid inequality is scoped to it."""
+    from ccvsp.cuts import valid_inequalities
+    from ccvsp.subproblem import Requirement, evaluate_scenarios, greedy_evaluate
+
+    rng = np.random.default_rng(21)
+    broken_routes = set()
+    for _ in range(30):
+        base = random_instance(rng, n_trips=4, n_depots=1, horizon=120)
+        trips = [dataclasses.replace(t, route_id=r) for t, r in zip(base.trips, (1, 1, 3, 3))]
+        inst = Instance(trips, base.depots, base.dh_time, base.out_time, base.in_time,
+                        base.cost, base.out_cost, base.in_cost, base.compat)
+        assert inst.routes == ((1, 2), (), (3, 4))
+        assert instance_from_json(instance_to_json(inst)).routes == inst.routes
+        params = ServiceParams.for_instance(inst, lb=0, ub=1, delta_trip=0.5,
+                                            delta_route=1.0, epsilon=0.5)
+        assert params.f_route == (2, 0, 2)
+        scen = random_scenarios(rng, inst, 6, spread=30)
+        sched = random_schedule(rng, inst)
+        broken, _ = evaluate_scenarios(inst, params, sched, scen)
+        for s in range(scen.count):
+            g = greedy_evaluate(inst, params, sched, scen, s)
+            assert Requirement(2) not in g.violated
+            assert broken[s] == bool(g.violated)
+            broken_routes.update(c.route for c in g.violated)
+        assert all(vi.scope != 2 for vi in valid_inequalities(inst, params, scen))
+    # the draws do break the other routes
+    assert {1, 3} <= broken_routes
+
+
 def test_both_reference_schedules_cost_twenty(grid):
     assert schedule_cost(grid, gallery.grid_schedule_left()) == 20
     assert schedule_cost(grid, gallery.grid_schedule_right()) == 20
 
 
 def test_empty_schedule_on_empty_instance_costs_zero():
-    empty = Instance([], [], [], *(np.zeros((0, 0), dtype=np.int64) for _ in range(6)), compat=[])
+    empty = Instance([], [], *(np.zeros((0, 0), dtype=np.int64) for _ in range(6)), compat=[])
     assert schedule_cost(empty, Schedule(())) == 0
 
 
@@ -93,14 +125,6 @@ def test_arcs_with_double_cover_rejected(grid):
     arcs.add((-2, 3, 2))  # second pull-out covering trip 3 twice
     with pytest.raises(ValidationError):
         schedule_from_arcs(grid, arcs)
-
-
-def test_trip_in_two_routes_rejected(grid):
-    with pytest.raises(ValidationError) as err:
-        Instance(grid.trips, grid.depots, [[1, 2], [2, 3, 4], [5, 6], [7, 8]],
-                 grid.dh_time, grid.out_time, grid.in_time,
-                 grid.cost, grid.out_cost, grid.in_cost, grid.compat)
-    assert "trip 2" in str(err.value)
 
 
 def test_negative_cost_rejected():
@@ -156,8 +180,7 @@ def test_service_params_derivation(grid):
 
 
 def _grid_parts(grid) -> dict:
-    return dict(trips=list(grid.trips), depots=list(grid.depots),
-                routes=[list(r) for r in grid.routes], dh_time=grid.dh_time,
+    return dict(trips=list(grid.trips), depots=list(grid.depots), dh_time=grid.dh_time,
                 out_time=grid.out_time, in_time=grid.in_time, cost=grid.cost,
                 out_cost=grid.out_cost, in_cost=grid.in_cost, compat=set(grid.compat))
 
@@ -176,14 +199,10 @@ def _negative_cost(parts):
     (lambda p: _edit_trip(p, 1, mean_dur=0), "trip 1: mean duration must be positive"),
     (lambda p: _edit_trip(p, 1, max_express=11), "trip 1: max_express must lie in [0, mean_dur]"),
     (lambda p: _edit_trip(p, 1, start=-1), "trip 1: scheduled start must be non-negative"),
-    (lambda p: _edit_trip(p, 1, route_id=9), "trip 1: route 9 does not exist"),
+    (lambda p: _edit_trip(p, 1, route_id=9), "trip 1: route 9 lies outside 1..8"),
     (lambda p: p["depots"].reverse(), "depot ids must be 1..2 in order, got 2"),
     (lambda p: p["depots"].__setitem__(0, Depot(1, (1, 2), 0)),
      "depot 1: capacity must be at least 1"),
-    (lambda p: p["routes"][1].insert(0, 2), "trip 2 appears in routes 1 and 2"),
-    (lambda p: p["routes"][2].append(p["routes"][3].pop(0)),
-     "trip 7 listed in route 3 but tagged route 4"),
-    (lambda p: p["routes"][3].pop(), "routes do not partition the trips; missing [8]"),
     (lambda p: p.update(dh_time=p["dh_time"][:7]), "dh_time has shape (7, 8), expected (8, 8)"),
     (_negative_cost, "cost[1,2] is negative"),
     (lambda p: p["compat"].add((3, 3)),

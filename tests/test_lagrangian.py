@@ -236,7 +236,7 @@ def test_combine_and_repair_relocates_cheapest_bus_first():
         base = random_instance(rng, n_trips=9, n_depots=3, n_routes=3)
         caps = [int(c) for c in rng.permutation([1, 3, 5])]
         inst = Instance(base.trips, [Depot(k, (0, 0), c) for k, c in enumerate(caps, start=1)],
-                        base.routes, base.dh_time, base.out_time, base.in_time, base.cost,
+                        base.dh_time, base.out_time, base.in_time, base.cost,
                         rng.integers(0, 2, size=(3, 9)), rng.integers(0, 2, size=(9, 3)),
                         base.compat)
         chains = [b.trips for b in random_schedule(rng, inst, allow_capacity_violation=True).buses]
@@ -256,7 +256,7 @@ def test_combine_capacity_exhausted_raises():
 
     rng = np.random.default_rng(6)
     base = random_instance(rng, n_trips=4, n_depots=1)
-    tight = Instance(base.trips, [Depot(1, (0, 0), 2)], base.routes,
+    tight = Instance(base.trips, [Depot(1, (0, 0), 2)],
                      base.dh_time, base.out_time, base.in_time,
                      base.cost, base.out_cost, base.in_cost, base.compat)
     buses = [Schedule((Bus(1, (i,)),)) for i in range(1, 5)]

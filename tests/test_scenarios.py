@@ -118,15 +118,13 @@ def test_sampler_refuses_fewer_than_one_scenario(n):
         sample_scenarios(inst, n, seed=1)
 
 
-@pytest.mark.parametrize("cv, meta_cv, named", [
-    (math.nan, None, "cv nan"),
-    (-0.2, None, "cv -0.2"),
-    (math.inf, None, "cv inf"),
-    (None, "abc", "meta.generator_params.lognormal_cv 'abc'"),
-    (None, math.nan, "meta.generator_params.lognormal_cv nan"),
-], ids=["nan", "negative", "inf", "meta-text", "meta-nan"])
+@pytest.mark.parametrize("cv, named", [
+    (math.nan, "cv nan"),
+    (-0.2, "cv -0.2"),
+    (math.inf, "cv inf"),
+], ids=["nan", "negative", "inf"])
 def test_sampler_refuses_a_cv_that_is_not_a_finite_number_at_least_0(tmp_path, capsys, cv,
-                                                                     meta_cv, named):
+                                                                     named):
     from ccvsp.cli import main
     from ccvsp.core import save_instance
 
@@ -134,8 +132,6 @@ def test_sampler_refuses_a_cv_that_is_not_a_finite_number_at_least_0(tmp_path, c
     # 0 is valid: every sampled time is its mean
     zero = sample_scenarios(inst, 2, seed=1, cv=0.0)
     assert (zero.dur == [t.mean_dur for t in inst.trips]).all()
-    if meta_cv is not None:
-        inst.meta["generator_params"]["lognormal_cv"] = meta_cv
     message = f"{named} is not a finite number >= 0"
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         sample_scenarios(inst, 2, seed=1, cv=cv)
@@ -143,9 +139,32 @@ def test_sampler_refuses_a_cv_that_is_not_a_finite_number_at_least_0(tmp_path, c
     save_instance(inst, path)
     capsys.readouterr()
     argv = ["sample", "--instance", str(path), "--scenarios", "2", "-o", str(tmp_path / "s.npz")]
-    assert main(argv + ([] if cv is None else ["--cv", str(cv)])) == 1
+    assert main(argv + ["--cv", str(cv)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("generator_params", [[1], {"lognormal_cv": "abc"},
+                                              {"lognormal_cv": 0.5}])
+def test_sampling_cv_does_not_come_from_the_instance_meta(tmp_path, generator_params):
+    """The recorded ``lognormal_cv`` is provenance: whatever the instance's
+    ``meta.generator_params`` holds, the API and ``ccvsp sample`` draw the
+    tables of cv 0.2."""
+    from ccvsp.cli import main
+    from ccvsp.core import load_instance, save_instance
+
+    inst = generate_instance(GenParams(n_trips=6, n_depots=1, seed=1))
+    want = sample_scenarios(inst, 3, seed=5, cv=0.2)
+    inst.meta["generator_params"] = generator_params
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    out = tmp_path / "s.npz"
+    assert main(["sample", "--instance", str(path), "--scenarios", "3", "--seed", "5",
+                 "-o", str(out)]) == 0
+    for got in (sample_scenarios(inst, 3, seed=5), sample_scenarios(load_instance(path), 3, seed=5),
+                load_scenarios(out)):
+        for name in scenarios.SCENARIO_TABLES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("q", [0, -5, 100.5, math.inf, math.nan])
@@ -355,7 +374,7 @@ def _with_long_trip(inst, trip, mean_dur):
     """``inst`` with trip ``trip``'s mean duration set to ``mean_dur``."""
     trips = list(inst.trips)
     trips[trip - 1] = dataclasses.replace(trips[trip - 1], mean_dur=mean_dur)
-    return Instance(trips, inst.depots, inst.routes, inst.dh_time, inst.out_time,
+    return Instance(trips, inst.depots, inst.dh_time, inst.out_time,
                     inst.in_time, inst.cost, inst.out_cost, inst.in_cost,
                     build_compat(trips, inst.dh_time), inst.meta)
 
@@ -364,7 +383,7 @@ def _with_long_deadhead(inst, i, j, mean):
     """``inst`` with the mean deadhead from trip ``i`` to trip ``j`` set to ``mean``."""
     dh = inst.dh_time.copy()
     dh[i - 1, j - 1] = mean
-    return Instance(inst.trips, inst.depots, inst.routes, dh, inst.out_time,
+    return Instance(inst.trips, inst.depots, dh, inst.out_time,
                     inst.in_time, inst.cost, inst.out_cost, inst.in_cost,
                     build_compat(inst.trips, dh), inst.meta)
 
@@ -400,7 +419,7 @@ def test_block_sampler_equals_one_call_per_table(monkeypatch, block_bytes):
 
 
 def test_sampler_refuses_times_beyond_int32():
-    inst = Instance([Trip(1, 1, (0, 0), (0, 0), 0, 2**40, 0)], [Depot(1, (0, 0), 1)], [[1]],
+    inst = Instance([Trip(1, 1, (0, 0), (0, 0), 0, 2**40, 0)], [Depot(1, (0, 0), 1)],
                     np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                     np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), [])
     with pytest.raises(ValidationError, match="2\\*\\*31"):

@@ -194,7 +194,7 @@ def test_expressing_lower_envelope():
         no_express = type(inst)(
             [type(t)(t.id, t.route_id, t.start_loc, t.end_loc, t.start, t.mean_dur, 0)
              for t in inst.trips],
-            inst.depots, inst.routes, inst.dh_time, inst.out_time, inst.in_time,
+            inst.depots, inst.dh_time, inst.out_time, inst.in_time,
             inst.cost, inst.out_cost, inst.in_cost, inst.compat)
         g0 = greedy_evaluate(no_express, params, sched, scen, 0)
         assert (g0.y_star >= g.y_star).all()
