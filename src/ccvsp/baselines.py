@@ -8,6 +8,7 @@ operational model over an independent scenario set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bnc import FlowModel
@@ -90,6 +91,9 @@ class EvalReport:
         for pct in (self.eval_sat_pct, self.train_sat_pct):
             if pct is not None and not 0.0 <= pct <= 100.0:
                 raise ValidationError(f"satisfaction percentage {pct} outside [0, 100]")
+        if not 0.0 <= self.time_s < math.inf:
+            raise ValidationError(f"solve time {self.time_s} is not a finite number "
+                                  "of seconds at least 0")
 
 
 def satisfaction_pct(inst: Instance, params: ServiceParams, sched: Schedule,
@@ -106,7 +110,8 @@ def evaluate_out_of_sample(inst: Instance, params: ServiceParams, sched: Schedul
     """Percent of evaluation scenarios in which every requirement holds.
 
     ``time_s`` is the time of the solve that made the schedule, written to
-    the report as given."""
+    the report as given; one that is not finite and at least 0 raises
+    ValidationError."""
     for scen in (eval_scen, train_scen):
         if scen is not None:
             scen.check_instance(inst)

@@ -111,9 +111,8 @@ class FlowModel:
                 self.x[(i, -k, k)] = model.add_var(0, 1, float(inst.in_cost[i - 1, k - 1]), True)
             for (i, j) in pairs:
                 self.x[(i, j, k)] = model.add_var(0, 1, float(inst.cost[i - 1, j - 1]), True)
-        # every arc and, in the same order, its column, for decode's one gather
+        # every arc in column order: the arc columns are the model's first
         self._arcs = list(self.x)
-        self._arc_cols = np.fromiter(self.x.values(), dtype=np.intp, count=len(self.x))
         # pair -> its column in each depot, in depot order
         self.pair_cols = {p: [self.x[(*p, k)] for k in range(1, K + 1)] for p in pairs}
         # each trip's predecessors and successors among the pairs
@@ -143,7 +142,7 @@ class FlowModel:
 
     def decode(self, x_vals: np.ndarray) -> Schedule:
         """The schedule of the arcs whose column is above one half."""
-        on = (x_vals[self._arc_cols] > 0.5).nonzero()[0]
+        on = (x_vals[:len(self._arcs)] > 0.5).nonzero()[0]
         return schedule_from_arcs(self.inst, [self._arcs[i] for i in on.tolist()])
 
 

@@ -205,6 +205,10 @@ def _read_result(path):
     time_s = doc.get("time_s")
     if time_s is not None and (isinstance(time_s, bool) or not isinstance(time_s, (int, float))):
         raise ValidationError(f"{path}: time_s {time_s!r} is not a number")
+    # nan fails this test, and so does an int past the largest float
+    if not 0 <= (time_s or 0) <= sys.float_info.max:
+        raise ValidationError(f"{path}: time_s {time_s!r} is not a finite number "
+                              "of seconds at least 0")
     # the label becomes one field of a report row
     method = doc.get("method", "unknown")
     if not isinstance(method, str) or any(c in method for c in ",\r\n"):

@@ -436,18 +436,18 @@ def solve_lagrangian(inst: Instance, params: ServiceParams, scen: ScenarioSet,
             break                   # a group value cut short is no dual value
 
         bundle.add_cut(value, g, mu)
-        step_kind = "serious"
-        if value > best_value:
+        # a serious step moves the stability center; t follows its own test
+        serious = value > best_value
+        if serious:
             center = mu.copy()
             best_value = value
         if predicted is not None:
             if value - prev_value < 0.1 * max(predicted, 1e-12):
-                step_kind = "null"
                 t = max(t / 2.0, 1e-6)
             else:
                 t = min(t * 2.0, 0.9)
         mu_new, theta = bundle.proximal_step(center, t)
-        log.append(LagrIterate(it, value, theta, step_kind, t,
+        log.append(LagrIterate(it, value, theta, "serious" if serious else "null", t,
                                *(incumbent[:2] if incumbent else (None, None))))
         tol = rel_tol * max(1.0, abs(best_value))
         if theta - best_value <= tol:

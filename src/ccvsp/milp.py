@@ -22,20 +22,18 @@ products (through einsum) and the result into existing arrays.
 
 A model turns each row into arrays once and never edits it in place, so its
 ``revision``, the column count and the number of the last row, names its rows
-and columns. Work that repeats across solves of one model is kept on the model
-under that revision. The first entry is the dense matrix of the rows, with the
-right-hand sides and slack bounds, read-only, which every solve shares until a
-row or a column is added or rows are truncated. The second is the end state of
-the last completed cold phase 1, under the revision and the bytes of the
-variable bounds: phase 1 does not read the objective, so a cold solve under a
-new objective, or after a refused warm start, begins at phase 2 and still
+and columns. Two results that repeat across solves of one model are kept on
+the model under that revision. The first is the dense matrix of the rows, with
+the right-hand sides and slack bounds, read-only, which every solve shares
+until a row or a column is added or rows are truncated. The second is the end
+state of the last completed cold phase 1, under the revision and the bytes of
+the variable bounds: phase 1 does not read the objective, so a cold solve under
+a new objective, or after a refused warm start, begins at phase 2 and still
 counts the phase-1 iterations. Truncating back to earlier rows gives the
 earlier revision, so a master returned to its base rows meets its phase 1
-again. The third is the last warm-start basis inverse, under the revision and
-the basis, since sibling nodes start from their parent's basis over the same
-rows; a basis that only swaps in columns of equal bytes has the same matrix
-and shares it. All of this keeps every pivot decision and every reported
-iteration count bit for bit.
+again. Both keep every pivot decision and every reported iteration count bit
+for bit. A warm start keeps nothing: it inverts its basis matrix afresh, and
+only reads the model, apart from building the matrix of a new revision.
 """
 
 from __future__ import annotations
@@ -89,11 +87,9 @@ class MilpModel:
         self._rows_added = 0
         # what the simplex computed on this model and may meet again, each
         # under the revision it was computed at: the dense matrix of the rows
-        # (read-only), the end state of the last completed cold phase 1, and
-        # the last warm-start basis inverse
+        # (read-only) and the end state of the last completed cold phase 1
         self._matrix: _Matrix | None = None
         self._phase1: _Phase1 | None = None
-        self._inverse: tuple[tuple[int, int], np.ndarray, np.ndarray | None] | None = None
 
     @property
     def revision(self) -> tuple[int, int]:
@@ -183,13 +179,13 @@ class _Matrix(NamedTuple):
         """The model's saved matrix when its revision is current, else a new
         one, saved on the model. A new one is refused before it is allocated
         when a solve's dense arrays would pass ``_BYTES_CAP``: the m x (n + 2m)
-        matrix and four m x m ones (the inverse, its update buffer, and the
-        phase-1 and warm-start inverses the model keeps)."""
+        matrix and three m x m ones (the inverse, its update buffer, and the
+        phase-1 inverse the model keeps)."""
         saved = model._matrix
         if saved is not None and saved.revision == model.revision:
             return saved
         n, m = model.n_vars, model.n_rows
-        need = 8 * m * (n + 2 * m) + 4 * 8 * m * m
+        need = 8 * m * (n + 2 * m) + 3 * 8 * m * m
         if need > _BYTES_CAP:
             raise ValidationError(f"the LP of {n} columns and {m} rows needs {need} bytes "
                                   f"of dense arrays, over the cap of {_BYTES_CAP} bytes")
@@ -269,35 +265,6 @@ class _Simplex:
         the slack bounds, and the bounds of the structural columns."""
         n = self.n
         return self.model.revision, self.lo[:n].tobytes(), self.hi[:n].tobytes()
-
-    def _warm_inverse(self) -> np.ndarray | None:
-        """A fresh inverse of the basis matrix, None when it is singular.
-
-        The model keeps the last one under its revision and the basis: sibling
-        nodes start from their parent's basis over the same rows. A basis that
-        differs from the saved one only by columns of equal bytes, such as
-        indicators that only the budget row holds, has the same matrix and
-        shares it.
-        """
-        saved = self.model._inverse
-        if saved is not None and self._same_basis_matrix(*saved[:2]):
-            inv = saved[2]
-        else:
-            try:
-                inv = np.linalg.inv(self.A[:, self.basis])
-            except np.linalg.LinAlgError:
-                inv = None
-            self.model._inverse = (self.model.revision, self.basis.copy(), inv)
-        return None if inv is None else inv.copy()
-
-    def _same_basis_matrix(self, revision: tuple[int, int], basis: np.ndarray) -> bool:
-        """Whether ``basis`` under ``revision`` has this basis's matrix, byte
-        for byte: the same rows, and in each position the same column or one
-        with the same bytes in the dense matrix."""
-        if revision != self.model.revision:
-            return False
-        swapped = (basis != self.basis).nonzero()[0]
-        return self.A[:, basis[swapped]].tobytes() == self.A[:, self.basis[swapped]].tobytes()
 
     def _refactor(self):
         try:
@@ -577,10 +544,10 @@ class _Simplex:
                 or max(basis, default=-1) >= n + k:
             return None
         self.basis = np.concatenate([np.asarray(basis, dtype=np.intp), np.arange(n + k, n + m)])
-        binv = self._warm_inverse()
-        if binv is None:
+        try:
+            self.binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
             return None
-        self.binv = binv
         self.in_basis[:] = False
         self.in_basis[self.basis] = True
         art = slice(n + m, n + 2 * m)

@@ -356,11 +356,11 @@ def test_matrix_byte_cap_counts_the_bytes_exactly(monkeypatch):
     model = MasterModel(inst, params, scen, BnCConfig()).model
     n, m = model.n_vars, model.n_rows
     assert (n, m) == (78, 29)
-    need = 8 * m * (n + 2 * m) + 4 * 8 * m * m
-    assert need == 58_464
+    need = 8 * m * (n + 2 * m) + 3 * 8 * m * m
+    assert need == 51_736
     monkeypatch.setattr(milp, "_BYTES_CAP", need)
     sim = milp._Simplex(model)
-    assert sim.A.nbytes + 4 * sim.binv.nbytes == need
+    assert sim.A.nbytes + 3 * sim.binv.nbytes == need
     assert milp.lp_solve(model).status == "Optimal"
     monkeypatch.setattr(milp, "_BYTES_CAP", need - 1)
     fresh = unsolved_copy(model)
@@ -378,7 +378,7 @@ def test_cut_rows_past_the_byte_cap_stop_the_search(monkeypatch):
     inst = gallery.two_depot_grid()
     master = MasterModel(inst, gallery.grid_service_params(inst), gallery.grid_scenarios(),
                          BnCConfig())
-    monkeypatch.setattr(milp, "_BYTES_CAP", 58_464)
+    monkeypatch.setattr(milp, "_BYTES_CAP", 51_736)
     res = master.solve()
     assert isinstance(res, bnc.BnCResult)
     assert res.status == "IterLimit"

@@ -150,7 +150,7 @@ def test_cli_master_over_the_cap_exits_one(tmp_path, capsys, monkeypatch):
                                         delta_route=0.8, epsilon=0.05)
     model = bnc.MasterModel(inst, params, load_scenarios(scen_path), bnc.BnCConfig()).model
     n, m = model.n_vars, model.n_rows
-    need = 8 * m * (n + 2 * m) + 4 * 8 * m * m    # the root LP's dense arrays
+    need = 8 * m * (n + 2 * m) + 3 * 8 * m * m    # the root LP's dense arrays
     monkeypatch.setattr(milp, "_BYTES_CAP", need - 1)
     assert main(["solve", "--instance", str(inst_path), "--scenarios-file", str(scen_path),
                  "--method", "bnc", "-o", str(tmp_path / "out.json")]) == 1
@@ -582,7 +582,11 @@ def test_cli_percentile_method_is_normalised_or_refused(tmp_path, capsys, method
     (lambda cols: cols[:4], "4 columns, expected 10"),
     (lambda cols: cols[:5] + ["cheap"] + cols[6:], "could not convert string to float"),
     (lambda cols: cols[:8] + ["180.00"] + cols[9:], "satisfaction percentage 180.0"),
-], ids=["short-row", "text-objective", "pct-above-100"])
+    (lambda cols: cols[:9] + ["nan"], "solve time nan is not a finite number of seconds at least 0"),
+    (lambda cols: cols[:9] + ["inf"], "solve time inf is not a finite number of seconds at least 0"),
+    (lambda cols: cols[:9] + ["-3.00"],
+     "solve time -3.0 is not a finite number of seconds at least 0"),
+], ids=["short-row", "text-objective", "pct-above-100", "nan-time", "inf-time", "negative-time"])
 def test_cli_compare_rejects_malformed_rows(tmp_path, capsys, edit, expected):
     from ccvsp.baselines import COMPARE_HEADER
 
@@ -710,6 +714,15 @@ def test_cli_refuses_malformed_instance_entries(tmp_path, capsys, edit, message)
      "method 'x\\ny' is not a label without commas or line breaks"),
     ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "method": 7},
      "method 7 is not a label without commas or line breaks"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": math.nan},
+     "time_s nan is not a finite number of seconds at least 0"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": math.inf},
+     "time_s inf is not a finite number of seconds at least 0"),
+    ({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": -3},
+     "time_s -3 is not a finite number of seconds at least 0"),
+    pytest.param({"schedule": {"buses": [{"depot": 1, "trips": [1]}]}, "time_s": 10 ** 400},
+                 f"time_s {10 ** 400} is not a finite number of seconds at least 0",
+                 id="int-past-the-largest-float"),
 ])
 def test_cli_evaluate_names_a_malformed_result_file(tmp_path, capsys, doc, message):
     inst_path = tmp_path / "inst.json"

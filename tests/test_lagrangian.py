@@ -418,6 +418,33 @@ def test_dual_bound_not_below_primal_bound(seed):
     assert max(e.primal for e in res.log) == res.primal_bound
 
 
+def test_a_step_is_serious_exactly_when_it_moves_the_center(monkeypatch):
+    """``step`` reads serious when the value beats every earlier one, which
+    moves the stability center to its multipliers, and null otherwise; ``t``
+    follows its own test. On demo 04's g25 instance the value at iteration 4
+    passes t's test (t doubles) but stays below the best: a null step."""
+    centers = []
+    proximal_step = BundleModel.proximal_step
+
+    def recorded(self, center, t):
+        centers.append(center.copy())
+        return proximal_step(self, center, t)
+
+    monkeypatch.setattr(BundleModel, "proximal_step", recorded)
+    inst, params, scen, det = _demo04(25)
+    res = solve_lagrangian(inst, params, scen, BnCConfig(), m_gr=12, det_sched=det,
+                           max_iters=30, rel_tol=1e-6)
+    assert res.status == "Converged"
+    values = [e.primal for e in res.log]
+    assert [e.step for e in res.log] == [
+        "serious" if v > max(values[:i], default=-math.inf) else "null"
+        for i, v in enumerate(values)]
+    assert [e.step for e in res.log] == ["serious"] + ["null"] * 5
+    assert [e.t for e in res.log] == [0.5, 0.25, 0.125, 0.0625, 0.125, 0.0625]
+    for e, before, center in zip(res.log[1:], centers, centers[1:]):
+        assert (e.step == "null") == np.array_equal(center, before), e.iteration
+
+
 def _cli_repro():
     """The instance, scenarios and service levels of ``ccvsp generate --trips 24
     --depots 2 --seed 1``, ``sample --scenarios 20 --seed 2`` and the solve

@@ -499,100 +499,54 @@ def test_phase1_reuse_keeps_the_iteration_budget():
     pytest.fail("no random LP needed two phase-1 iterations")
 
 
-def test_sibling_node_reuses_the_basis_inverse(monkeypatch):
-    """Both children of a node start from its basis over the same rows; the
-    second reuses the first's fresh inverse and gives what a never-solved
-    model gives, bit for bit."""
-    inversions = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
+def test_warm_solve_only_reads_its_model(monkeypatch):
+    """A warm solve that does not fall back to a cold one leaves every
+    attribute of the model the object it was, holding the same items, apart
+    from the matrix it builds for a new revision: after a branching child's
+    bounds, a lazy row and a new objective."""
+    cold_runs = []
+    cold_solve = _Simplex.solve
+    monkeypatch.setattr(_Simplex, "solve",
+                        lambda self, *a: cold_runs.append(1) or cold_solve(self, *a))
 
-    def warm(model, basis, lb, ub):
-        inversions.clear()
-        sol = lp_solve(model, warm_start=basis, var_lb=lb, var_ub=ub)
-        return sol, len(inversions)
+    def state(model):
+        return {k: (v, list(v) if isinstance(v, list) else None) for k, v in vars(model).items()}
 
-    rng = np.random.default_rng(8)
-    reused = 0
-    for trial in range(100):
-        model = _random_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(2, 6)))
+    rng = np.random.default_rng(5)
+    seen = dict.fromkeys(("bounds", "lazy row", "objective"), 0)
+    for trial in range(150):
+        model = _random_lp(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(1, 6)))
         parent = lp_solve(model)
         if parent.status != "Optimal":
             continue
-        j = int(rng.integers(0, model.n_vars))
-        cut = math.floor(parent.x[j])
-        base_lb, base_ub = np.array(model.lb), np.array(model.ub)
-        for side in ("down", "up"):
-            lb, ub = base_lb.copy(), base_ub.copy()
-            if side == "down":
-                ub[j] = max(lb[j], float(cut))
-            else:
-                lb[j] = min(ub[j], float(cut + 1))
-            got, got_inv = warm(model, parent.basis, lb, ub)
-            want, want_inv = warm(unsolved_copy(model), parent.basis, lb, ub)
-            assert _lp_fields(got) == _lp_fields(want), (trial, side)
-            if side == "up":
-                assert got_inv == want_inv - 1, trial
-                reused += 1
-    assert reused >= 80, reused
-
-
-def _with_twin_columns(model):
-    """A copy of ``model`` with one more column per column of the first two:
-    the same coefficient in every row, with other bounds and cost. Returns
-    the copy and {column: its twin}."""
-    twin = unsolved_copy(model)
-    twins = {j: twin.add_var(0, model.ub[j] + 1, model.obj[j] - 1) for j in range(2)}
-    twin.truncate_rows(0)
-    for coeffs, sense, rhs in model.rows:
-        twin.add_constr({**coeffs, **{t: coeffs[j] for j, t in twins.items() if j in coeffs}},
-                        sense, rhs)
-    return twin, twins
-
-
-def test_basis_with_twin_columns_shares_the_inverse(monkeypatch):
-    """A warm start whose basis differs from the saved inverse's only by a
-    column of equal bytes has the same basis matrix and shares that inverse;
-    one that swaps in another column inverts again. Each solve equals a
-    never-solved model's warm solve, bit for bit."""
-    inversions = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(1) or inv(a))
-
-    def warm(model, basis):
-        inversions.clear()
-        sol = lp_solve(model, warm_start=basis)
-        return sol, len(inversions)
-
-    rng = np.random.default_rng(21)
-    seen = {"twin": 0, "other": 0}
-    for trial in range(200):
-        model, twins = _with_twin_columns(
-            _random_lp(rng, n=int(rng.integers(3, 8)), m=int(rng.integers(2, 6))))
-        # the same history, then ``ref`` forgets its inverse and must invert
-        ref = unsolved_copy(model)
-        first = lp_solve(model)
-        lp_solve(ref)
-        if first.status != "Optimal":
+        kind = tuple(seen)[trial % len(seen)]
+        lb = None
+        if kind == "bounds":
+            lb = np.array(model.lb)
+            j = int(rng.integers(0, model.n_vars))
+            lb[j] = min(model.ub[j], math.floor(parent.x[j]) + 1.0)
+        elif kind == "lazy row":
+            model.add_constr({0: 1.0, 1: 1.0}, LESS, float(parent.x[0] + parent.x[1]) - 0.5)
+        else:
+            model.obj = [float(rng.integers(-5, 6)) for _ in model.obj]
+        before, revision = state(model), model._matrix.revision
+        runs = len(cold_runs)
+        lp_solve(model, warm_start=parent.basis, var_lb=lb)
+        if len(cold_runs) > runs:
             continue
-        basic = [j for j in twins if j in first.basis]
-        others = [k for k in range(model.n_vars)
-                  if k not in first.basis and k not in twins.values()]
-        if not basic or not others:
-            continue
-        j = basic[0]
-        for kind, k in (("twin", twins[j]), ("other", others[0])):
-            basis = [k if b == j else b for b in first.basis]
-            for m in (model, ref):
-                warm(m, first.basis)
-            ref._inverse = None
-            got, got_inv = warm(model, basis)
-            want, want_inv = warm(ref, basis)
-            assert _lp_fields(got) == _lp_fields(want) \
-                == _lp_fields(lp_solve(unsolved_copy(model), warm_start=basis)), (trial, kind)
-            assert got_inv == want_inv - (kind == "twin"), (trial, kind)
-            seen[kind] += 1
-    assert min(seen.values()) >= 30, seen
+        after = state(model)
+        assert after.keys() == before.keys(), trial
+        for name, (value, items) in before.items():
+            now, now_items = after[name]
+            if name == "_matrix" and revision != model.revision:
+                assert now.revision == model.revision, trial
+                continue
+            assert now is value, (trial, name)
+            assert items is None or (len(now_items) == len(items)
+                                     and all(a is b for a, b in zip(now_items, items))), \
+                (trial, name)
+        seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_model_keeps_one_matrix_until_its_rows_change():
